@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DisconnectedGraphError, InvalidInputError, InvalidParameterError
 
 # Explicit edge lists are desk scale; past this the analytic eigenbasis and
 # the reduced-subspace simulator handle hypercubes without building the graph.
@@ -169,6 +169,17 @@ def validate(g: Graph) -> list[str]:
     if not out_of_range and not _connected(g.n_vertices, seen):
         diagnostics.append("disconnected")
     return diagnostics
+
+
+def _check_graph(g: Graph) -> None:
+    """Raise if ``validate`` reports a violation: a disconnected graph is a
+    domain error, any other violation malformed input."""
+    diagnostics = validate(g)
+    if not diagnostics:
+        return
+    if any("disconnected" in d for d in diagnostics):
+        raise DisconnectedGraphError("; ".join(diagnostics))
+    raise InvalidInputError("invalid graph: " + "; ".join(diagnostics))
 
 
 def _connected(n: int, edges: set[tuple[int, int]]) -> bool:

@@ -1,5 +1,7 @@
-"""Exact search dynamics: Hamiltonian assembly, time evolution of the uniform
-state, peak location, and deviation against the sinusoidal approximation."""
+"""Exact search dynamics: time evolution of the uniform state in the reduced
+rank-one basis, peak location, and deviation against the sinusoidal
+approximation.  ``hamiltonian`` assembles the dense search Hamiltonian, the
+oracle the reduced dynamics are tested against."""
 
 from __future__ import annotations
 
@@ -9,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .graphs import Graph, laplacian, validate
+from .graphs import Graph, _check_graph, laplacian
 from .closed_forms import krawtchouk
 from .linalg import eig_sym, hypercube_eigenbasis, laplacian_decomposition
-from .search import MarkedState, SearchParameters, search_params, uniform_state
+from .search import MarkedState, SearchParameters, search_params
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -22,7 +24,8 @@ class EvolutionTrace:
     """Detection amplitude |<w|psi(t)>| on a uniform time grid.
 
     ``peak_time`` refines the grid argmax by golden-section search, so the
-    peak need not coincide with a grid point.
+    peak need not coincide with a grid point.  ``params`` are the search
+    parameters of the instance the trace was computed from.
     """
 
     times: np.ndarray
@@ -30,11 +33,15 @@ class EvolutionTrace:
     peak_time: float
     peak_probability: float
     jump_rate: float
-    state_digest: str
+    params: SearchParameters
 
     def __post_init__(self):
         self.times.setflags(write=False)
         self.amplitudes.setflags(write=False)
+
+    @property
+    def state_digest(self) -> str:
+        return self.params.state_digest
 
     def to_csv(self) -> str:
         lines = ["t,amplitude,probability"]
@@ -69,20 +76,25 @@ def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",
     """Evolve the uniform state under the search Hamiltonian and trace the
     marked-state amplitude.
 
+    One dense decomposition of the Laplacian gives the search parameters; the
+    dynamics then run in the span of the eigenspace components of the marked
+    state, whose dimension is the number of distinct Laplacian levels.  Levels
+    closer than lambda_max * N * eps are merged into one.
+
     ``jump_rate="critical"`` resolves to the critical rate of the instance;
     ``t_max`` defaults to twice the optimal time.  ``t_max=0`` produces the
     single-point trace at t = 0.
     """
-    diagnostics = validate(g)
-    if diagnostics:
-        raise InvalidInputError("invalid graph: " + "; ".join(diagnostics))
-    q = laplacian(g)
-    params = search_params(laplacian_decomposition(q), w)
+    _check_graph(g)
+    params = search_params(laplacian_decomposition(laplacian(g)), w)
     rate = _resolve_rate(jump_rate, params)
-    decomp_h = eig_sym(rate * q - np.outer(w.weights, w.weights))
-    u = decomp_h.overlaps(w.weights) * decomp_h.overlaps(uniform_state(g.n_vertices))
-    return _trace_from_modes(decomp_h.eigenvalues, u, rate, params, w.digest(),
-                             t_max, steps)
+    lam = params.eigenvalues
+    tol = lam[0] * lam.size * np.finfo(float).eps
+    # levels are sorted non-increasing; the zero mode always stands alone
+    starts = np.union1d(np.flatnonzero(lam[:-1] - lam[1:] > tol) + 1, [0, lam.size - 1])
+    masses = np.add.reduceat(params.a_k, starts)
+    return _reduced_trace(lam[starts], masses, starts.size - 1, rate, params,
+                          t_max, steps)
 
 
 def run_hypercube(n_bits: int, w: MarkedState,
@@ -90,57 +102,26 @@ def run_hypercube(n_bits: int, w: MarkedState,
                   t_max: float | None = None, steps: int = 1024) -> EvolutionTrace:
     """Exact hypercube dynamics without dense diagonalization.
 
-    For a marked state on r vertices the span of its eigenspace components
-    together with the uniform state is invariant under the Hamiltonian and has
-    dimension at most (n+1)*r, so the evolution reduces to an exact small
-    eigenproblem.  Eigenspace inner products are Krawtchouk sums over pairwise
-    Hamming distances.
+    The Hamiltonian acts on the span of the components of the marked state in
+    the n+1 Laplacian eigenspaces (level 2j for Hamming weight j), so the
+    evolution reduces to an eigenproblem of order n+1.  The mass of level
+    j >= 1 is (1/N) * sum_d h_d * K_j(d), where h_d sums w_a * w_b over support
+    pairs at Hamming distance d and K_j is the Krawtchouk kernel.  Level 0
+    takes p_n**2 from the transform overlap instead: as a pair sum, (sum w)**2/N
+    cancels when the uniform overlap is small.
     """
-    basis = hypercube_eigenbasis(n_bits)
-    if w.n != basis.n:
-        raise InvalidInputError(
-            f"marked state has dimension {w.n}, hypercube needs {basis.n}"
-        )
-    params = search_params(basis, w)
+    params = search_params(hypercube_eigenbasis(n_bits), w)
     rate = _resolve_rate(jump_rate, params)
-
-    size = basis.n
-    support = list(w.support)
-    r = len(support)
+    support = np.array(w.support, dtype=np.uint64)
     wv = w.weights[support]
-    dist = np.empty((r, r), dtype=int)
-    for i, u_vert in enumerate(support):
-        for j, v_vert in enumerate(support):
-            dist[i, j] = int(u_vert ^ v_vert).bit_count()
-
-    diag: list[float] = []
-    omega: list[float] = []
-    sigma: list[float] = []
-    s_component = np.full(r, 1.0 / math.sqrt(size))
-    for j in range(n_bits + 1):
-        gram = np.empty((r, r))
-        for row in range(r):
-            for col in range(r):
-                gram[row, col] = krawtchouk(n_bits, j, dist[row, col]) / size
-        gram_eigs, gram_vecs = np.linalg.eigh(gram)
-        keep = gram_eigs > 1e-12 * max(float(gram_eigs.max()), 1e-300)
-        if not keep.any():
-            continue
-        coeff = gram @ wv
-        for alpha in np.nonzero(keep)[0]:
-            column = gram_vecs[:, alpha]
-            root = math.sqrt(gram_eigs[alpha])
-            diag.append(rate * 2.0 * j)
-            omega.append(float(column @ coeff) / root)
-            sigma.append((float(column @ s_component) / root) if j == 0 else 0.0)
-
-    omega_vec = np.array(omega)
-    sigma_vec = np.array(sigma)
-    h_small = np.diag(diag) - np.outer(omega_vec, omega_vec)
-    decomp_small = eig_sym(h_small)
-    u = decomp_small.overlaps(omega_vec) * decomp_small.overlaps(sigma_vec)
-    return _trace_from_modes(decomp_small.eigenvalues, u, rate, params,
-                             w.digest(), t_max, steps)
+    dist = np.bitwise_count(support[:, None] ^ support[None, :])
+    h = np.bincount(dist.ravel(), weights=np.outer(wv, wv).ravel(), minlength=n_bits + 1)
+    ds = np.flatnonzero(h)
+    kernel = np.array([[krawtchouk(n_bits, j, int(d)) for d in ds]
+                       for j in range(1, n_bits + 1)], dtype=float)
+    masses = np.concatenate([[params.p_n**2], kernel @ h[ds] / w.n])
+    return _reduced_trace(2.0 * np.arange(n_bits + 1), masses, 0, rate, params,
+                          t_max, steps)
 
 
 def compare(trace: EvolutionTrace, params: SearchParameters) -> DeviationReport:
@@ -178,39 +159,40 @@ def _resolve_rate(jump_rate: float | str, params: SearchParameters) -> float:
             )
         return params.gamma_c
     rate = float(jump_rate)
-    if rate <= 0.0:
-        raise InvalidParameterError(f"jump rate must be positive, got {rate}")
+    if not 0.0 < rate < math.inf:
+        raise InvalidParameterError(f"jump rate must be positive and finite, got {rate}")
     return rate
 
 
+def _reduced_trace(levels: np.ndarray, masses: np.ndarray, zero: int, rate: float,
+                   params: SearchParameters, t_max: float | None,
+                   steps: int) -> EvolutionTrace:
+    """Trace in the basis P_k w / c_k, c_k = sqrt(mass_k): there H is
+    rate * diag(levels) - c c^T, w is c and s the zero-level basis vector."""
+    c = np.sqrt(np.maximum(masses, 0.0))
+    decomp = eig_sym(rate * np.diag(levels) - np.outer(c, c))
+    u = decomp.overlaps(c) * decomp.eigenvectors[zero]
+    return _trace_from_modes(decomp.eigenvalues, u, rate, params, t_max, steps)
+
+
 def _trace_from_modes(mu: np.ndarray, u: np.ndarray, rate: float,
-                      params: SearchParameters, digest: str,
+                      params: SearchParameters,
                       t_max: float | None, steps: int) -> EvolutionTrace:
     if t_max is None:
         t_max = 2.0 * params.t_opt
-    if t_max < 0.0:
-        raise InvalidParameterError(f"t_max must be non-negative, got {t_max}")
+    if not 0.0 <= t_max < math.inf:
+        raise InvalidParameterError(f"t_max must be non-negative and finite, got {t_max}")
+    if t_max > 0.0 and steps < 2:
+        raise InvalidParameterError(f"need at least 2 grid points, got {steps}")
 
     def amplitude(t: float) -> float:
         return abs(complex(np.exp(-1j * mu * t) @ u))
 
-    if t_max == 0.0:
-        amp0 = amplitude(0.0)
-        return EvolutionTrace(
-            times=np.zeros(1),
-            amplitudes=np.array([amp0]),
-            peak_time=0.0,
-            peak_probability=amp0 * amp0,
-            jump_rate=rate,
-            state_digest=digest,
-        )
-    if steps < 2:
-        raise InvalidParameterError(f"need at least 2 grid points, got {steps}")
-    times = np.linspace(0.0, t_max, steps)
+    times = np.linspace(0.0, t_max, steps if t_max > 0.0 else 1)
     amps = np.abs(np.exp(-1j * np.outer(times, mu)) @ u)
     peak_index = int(np.argmax(amps))
     lo = times[max(peak_index - 1, 0)]
-    hi = times[min(peak_index + 1, steps - 1)]
+    hi = times[min(peak_index + 1, times.size - 1)]
     peak_time = _golden_max(amplitude, lo, hi, tol=1e-9 * params.t_opt)
     peak_amp = amplitude(peak_time)
     # the refined peak can only improve on the grid argmax
@@ -223,7 +205,7 @@ def _trace_from_modes(mu: np.ndarray, u: np.ndarray, rate: float,
         peak_time=peak_time,
         peak_probability=peak_amp * peak_amp,
         jump_rate=rate,
-        state_digest=digest,
+        params=params,
     )
 
 

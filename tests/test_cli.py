@@ -45,6 +45,15 @@ class TestFamily:
         code, _, _ = run_cli(capsys, "family", "petersen", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["family", "complete", "4", "--output"],
+        ["pair-table", "--bits", "4", "--output"],
+        ["simulate", "complete:4", "single:0", "--csv"]])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x"))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
 
 class TestAnalyze:
     def test_sixteen_bit_pair(self, capsys):
@@ -190,6 +199,22 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "complete:8", "single:0", "--steps", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("graph", ["complete:8", "hypercube:6"])
+    @pytest.mark.parametrize("option", [
+        ["--tmax", "nan"], ["--tmax", "inf"], ["--gamma", "nan"], ["--gamma", "inf"]])
+    def test_non_finite_is_usage_error(self, capsys, graph, option):
+        code, out, err = run_cli(capsys, "simulate", graph, "single:0", *option)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+    def test_disconnected_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("0 1\n2 3\n")
+        code, _, err = run_cli(capsys, "simulate", str(path), "single:0")
+        assert code == 2
+        assert "disconnected" in err
+
     def test_explicit_gamma(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "complete:8", "single:0", "--gamma", "0.05",
@@ -213,3 +238,9 @@ class TestUsage:
 
     def test_bad_state_preset(self, capsys):
         assert run_cli(capsys, "analyze", "complete:4", "tripod:1")[0] == 1
+
+    @pytest.mark.parametrize("state", ["single:abc", "single:1,2", "pair:0,x", "uniform:1,b"])
+    def test_bad_preset_vertices(self, capsys, state):
+        code, _, err = run_cli(capsys, "analyze", "complete:8", state)
+        assert code == 1
+        assert len(err.splitlines()) == 1

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw_search import (
+    DisconnectedGraphError,
+    Graph,
     InvalidInputError,
     InvalidParameterError,
     MarkedState,
+    amplitude_exact_sum,
     compare,
     complete,
+    complete_minus_disjoint_edges,
     eig_sym,
     evolve,
     hamiltonian,
@@ -16,17 +22,39 @@ from ctqw_search import (
     hypercube_eigenbasis,
     laplacian,
     laplacian_decomposition,
+    paley,
+    regular_multipartite,
     run,
     run_hypercube,
     search_params,
     solve_mu,
     uniform_state,
 )
+from conftest import random_marked_state
+
+# degenerate spectra: every family here has repeated Laplacian levels
+DEGENERATE_FAMILIES = [complete(9), regular_multipartite(3, 4),
+                       complete_minus_disjoint_edges(10, 3), paley(13), paley(29)]
+DEGENERATE_FAMILIES += [hypercube(n) for n in range(3, 7)]
 
 
 def instance(g, state):
     decomp = laplacian_decomposition(laplacian(g))
     return search_params(decomp, state)
+
+
+def oracle_amplitudes(g, w, trace):
+    """|<w| exp(-iHt) |s>| on the trace grid from a dense decomposition of H."""
+    decomp_h = eig_sym(hamiltonian(g, trace.jump_rate, w))
+    return np.abs(amplitude_exact_sum(decomp_h, w.weights, uniform_state(g.n_vertices),
+                                      trace.times))
+
+
+def random_connected_graph(rng, n, p):
+    """A random recursive spanning tree plus each other edge with probability p."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph.from_edges(n, edges)
 
 
 class TestHamiltonian:
@@ -104,12 +132,40 @@ class TestRun:
         with pytest.raises(InvalidParameterError):
             run(complete(4), MarkedState.single(4, 0), steps=1)
 
-    def test_invalid_graph_rejected(self):
-        from ctqw_search import Graph
+    @pytest.mark.parametrize("kwargs", [
+        {"t_max": math.nan}, {"t_max": math.inf},
+        {"jump_rate": math.nan}, {"jump_rate": math.inf}])
+    def test_non_finite_rate_or_horizon(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            run(complete(8), MarkedState.single(8, 0), **kwargs)
+        with pytest.raises(InvalidParameterError):
+            run_hypercube(6, MarkedState.single(64, 0), **kwargs)
 
+    def test_invalid_graph_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DisconnectedGraphError):
             run(g, MarkedState.single(4, 0))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (1, 2)], [(0, 1), (1, 2), (2, 2)]])
+    def test_malformed_graph_rejected(self, edges):
+        with pytest.raises(InvalidInputError):
+            run(Graph.from_edges(3, edges), MarkedState.single(3, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.sampled_from(DEGENERATE_FAMILIES),
+                     st.builds(random_connected_graph,
+                               st.integers(0, 2**32 - 1).map(np.random.default_rng),
+                               st.integers(2, 24), st.floats(0.0, 0.5))),
+           st.integers(0, 2**32 - 1),
+           st.one_of(st.just("critical"), st.floats(0.01, 2.0)))
+    def test_matches_dense_oracle(self, g, seed, jump_rate):
+        rng = np.random.default_rng(seed)
+        n = g.n_vertices
+        w = random_marked_state(rng, n, support=int(rng.integers(1, n + 1)))
+        trace = run(g, w, jump_rate, steps=64)
+        np.testing.assert_allclose(trace.amplitudes, oracle_amplitudes(g, w, trace),
+                                   rtol=0, atol=1e-10)
 
     def test_norm_conserved_along_trace(self):
         g = complete(10)
@@ -146,13 +202,18 @@ class TestRun:
 
 class TestRunHypercube:
     def test_matches_dense_path(self):
+        rng = np.random.default_rng(7)
         for n, w in ((4, MarkedState.single(16, 5)),
                      (5, MarkedState.pair(32, 3, 28)),
-                     (6, MarkedState.uniform_over(64, [1, 2, 12]))):
-            dense = run(hypercube(n), w, steps=64)
+                     (6, MarkedState.uniform_over(64, [1, 2, 12])),
+                     (7, random_marked_state(rng, 128, support=5))):
             reduced = run_hypercube(n, w, steps=64)
-            np.testing.assert_allclose(reduced.amplitudes, dense.amplitudes, atol=1e-12)
-            assert reduced.peak_time == pytest.approx(dense.peak_time, rel=1e-6)
+            np.testing.assert_allclose(reduced.amplitudes,
+                                       oracle_amplitudes(hypercube(n), w, reduced),
+                                       rtol=0, atol=1e-10)
+            grouped = run(hypercube(n), w, steps=64)
+            np.testing.assert_allclose(reduced.amplitudes, grouped.amplitudes, atol=1e-12)
+            assert reduced.peak_time == pytest.approx(grouped.peak_time, rel=1e-6)
 
     def test_large_antipodal_pair_peak(self):
         n = 16
@@ -164,12 +225,17 @@ class TestRunHypercube:
         assert params.envelope == pytest.approx(0.9498, abs=2e-3)
 
     def test_weighted_support(self):
-        w = MarkedState.from_weights(
-            np.concatenate([[0.6, 0.8], np.zeros(30)])
-        )
-        dense = run(hypercube(5), w, steps=48)
-        reduced = run_hypercube(5, w, steps=48)
-        np.testing.assert_allclose(reduced.amplitudes, dense.amplitudes, atol=1e-12)
+        # the last state has uniform overlap 3.75e-5: its level-0 mass must not
+        # come from a cancelling pair sum
+        for n, amplitudes in ((5, {0: 0.6, 1: 0.8}), (5, {0: 0.6, 5: -0.8}),
+                              (7, {3: 0.5, 40: -0.2, 77: 0.7, 127: 0.4}),
+                              (6, {1: 0.5, 2: 0.5, 12: -0.5, 7: -0.4997})):
+            w = MarkedState.from_mapping(1 << n, amplitudes)
+            for jump_rate in ("critical", 0.3):
+                reduced = run_hypercube(n, w, jump_rate, steps=48)
+                np.testing.assert_allclose(reduced.amplitudes,
+                                           oracle_amplitudes(hypercube(n), w, reduced),
+                                           rtol=0, atol=1e-10)
 
 
 class TestCompare:
