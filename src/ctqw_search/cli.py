@@ -29,7 +29,7 @@ from .errors import (
 # checks through it that a tracer rebinds by-name imports.
 from .graphs import Graph, SrgParams, _check_graph, laplacian, validate  # noqa: F401
 from .closed_forms import general_pair, hypercube_exact
-from .linalg import hypercube_eigenbasis, laplacian_decomposition
+from .linalg import MAX_BASIS_BITS, hypercube_eigenbasis, laplacian_decomposition
 from .optimality import (
     OptimalityReport,
     certify,
@@ -153,10 +153,10 @@ def _parse_state_file(text: str, n: int) -> MarkedState:
 
 
 def _hypercube_instance(g_spec: str, state_spec: str):
-    """Analytic basis and marked state of a ``hypercube:n`` spec, else None.
+    """Bit count and marked state of a ``hypercube:n`` spec, else None.
 
-    The analytic basis is exact and the only option past dense scale; building
-    it first bounds n before the state is allocated.
+    Hypercubes take the analytic path, exact and the only option past dense
+    scale; n is bounded before the 2**n-entry state is allocated.
     """
     if ":" not in g_spec:
         return None
@@ -165,8 +165,17 @@ def _hypercube_instance(g_spec: str, state_spec: str):
         return None
     if len(params) != 1:
         raise InvalidParameterError("hypercube takes one parameter")
-    basis = hypercube_eigenbasis(params[0])
-    return basis, _load_state(state_spec, basis.n)
+    n_bits = params[0]
+    _check_bits(n_bits, 1, "hypercube")
+    return n_bits, _load_state(state_spec, 1 << n_bits)
+
+
+def _check_bits(n_bits: int, least: int, what: str) -> None:
+    """Bound a hypercube coordinate count before anything of size 2**n exists."""
+    if not least <= n_bits <= MAX_BASIS_BITS:
+        raise InvalidParameterError(
+            f"{what} needs {least} to {MAX_BASIS_BITS} coordinates, got {n_bits}"
+        )
 
 
 def _dense_graph(g_spec: str) -> Graph:
@@ -188,7 +197,8 @@ def _write_text(path, text: str) -> None:
 def _analysis_report(g_spec: str, state_spec: str) -> dict:
     hypercube = _hypercube_instance(g_spec, state_spec)
     if hypercube:
-        return _params_dict(search_params(*hypercube))
+        n_bits, state = hypercube
+        return _params_dict(search_params(hypercube_eigenbasis(n_bits), state))
     g = _dense_graph(g_spec)
     _check_graph(g)
     decomp = laplacian_decomposition(laplacian(g))
@@ -338,8 +348,7 @@ def _int_params(name: str, raw: list[str], count: int) -> list[int]:
 
 def cmd_pair_table(args) -> int:
     bits = args.bits
-    if bits < 2:
-        raise InvalidParameterError(f"pair table needs at least 2 coordinates, got {bits}")
+    _check_bits(bits, 2, "pair table")
     size = 1 << bits
     lines = ["m,envelope_closed_form,envelope_oracle,abs_diff"]
     for m in range(1, bits + 1):
@@ -371,8 +380,8 @@ def cmd_simulate(args) -> int:
 
     hypercube = _hypercube_instance(args.graph, args.state)
     if hypercube:
-        basis, state = hypercube
-        trace = run_hypercube(basis.n_bits, state, rate, args.tmax, args.steps)
+        n_bits, state = hypercube
+        trace = run_hypercube(n_bits, state, rate, args.tmax, args.steps)
     else:
         g = _dense_graph(args.graph)
         trace = run(g, _load_state(args.state, g.n_vertices), rate, args.tmax, args.steps)

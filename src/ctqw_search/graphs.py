@@ -14,18 +14,22 @@ from .errors import DisconnectedGraphError, InvalidInputError, InvalidParameterE
 MAX_HYPERCUBE_BITS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph on vertices 0..n_vertices-1 with an optional family tag.
 
-    Edges are stored canonically: each pair ordered (min, max), the whole
-    sequence sorted.  Duplicates and self-loops are representable so that
-    ``validate`` can report them; the family generators never produce any.
+    ``edges`` is a read-only (E, 2) int64 array in canonical order: each row
+    ordered (min, max), the rows sorted.  Duplicates and self-loops are kept
+    so that ``validate`` can report them; the family generators never produce
+    any.  Graphs compare by value and are unhashable.
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     family: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", _canonical_edges(self.edges))
 
     @classmethod
     def from_edges(
@@ -34,19 +38,49 @@ class Graph:
         edges,
         family: str | None = None,
     ) -> "Graph":
-        canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        return cls(int(n_vertices), canon, family)
+        """Graph from any iterable of vertex pairs (or an (E, 2) array)."""
+        return cls(int(n_vertices), edges, family)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n_vertices == other.n_vertices and self.family == other.family
+                and np.array_equal(self.edges, other.edges))
+
+    __hash__ = None
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n_vertices, self.n_vertices))
-        for u, v in self.edges:
-            if u != v:
-                a[u, v] = 1.0
-                a[v, u] = 1.0
+        u, v = self.edges[self.edges[:, 0] != self.edges[:, 1]].T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         return a
 
     def degrees(self) -> np.ndarray:
         return self.adjacency().sum(axis=1)
+
+
+def _canonical_edges(edges) -> np.ndarray:
+    """Copy of ``edges`` as a read-only (E, 2) int64 array, rows ordered
+    (min, max) and sorted; the sorts are skipped when already in order."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        arr = np.array(edges, dtype=np.int64)
+    except OverflowError as exc:
+        raise InvalidInputError("edge list has a vertex index beyond the 64-bit range") from exc
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InvalidInputError(f"edges must be vertex pairs, got an array of shape {arr.shape}")
+    if not np.all(arr[:, 0] <= arr[:, 1]):
+        arr = np.sort(arr, axis=1)
+    u, v = arr[:, 0], arr[:, 1]
+    du = np.diff(u)
+    if not np.all((du > 0) | ((du == 0) & (np.diff(v) >= 0))):
+        arr = arr[np.lexsort((v, u))]
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -78,8 +112,7 @@ def complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, edges, family=f"complete{{{n}}}")
+    return Graph.from_edges(n, _pairs(n), family=f"complete{{{n}}}")
 
 
 def hypercube(n: int) -> Graph:
@@ -89,8 +122,12 @@ def hypercube(n: int) -> Graph:
     if n > MAX_HYPERCUBE_BITS:
         raise InvalidParameterError(f"hypercube with n = {n} exceeds the memory budget")
     size = 1 << n
-    edges = [(u, u ^ (1 << b)) for u in range(size) for b in range(n) if u < u ^ (1 << b)]
-    return Graph.from_edges(size, edges, family=f"hypercube{{{n}}}")
+    u = np.repeat(np.arange(size, dtype=np.int64), n)
+    v = u ^ np.tile(np.int64(1) << np.arange(n, dtype=np.int64), size)
+    # each u lists its neighbours u + 2**b (bit b clear) with b ascending: sorted
+    up = u < v
+    return Graph.from_edges(size, np.stack([u[up], v[up]], axis=1),
+                            family=f"hypercube{{{n}}}")
 
 
 def complete_minus_disjoint_edges(n: int, l: int) -> Graph:
@@ -99,14 +136,10 @@ def complete_minus_disjoint_edges(n: int, l: int) -> Graph:
         raise InvalidParameterError(f"edge deletions must be non-negative, got {l}")
     if 2 * l > n:
         raise InvalidParameterError(f"need 2l <= n, got n={n}, l={l}")
-    removed = {(2 * i, 2 * i + 1) for i in range(l)}
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in removed
-    ]
-    return Graph.from_edges(n, edges, family=f"complete_minus{{{n},{l}}}")
+    edges = _pairs(n)
+    u, v = edges.T
+    removed = (v == u + 1) & (u % 2 == 0) & (u < 2 * l)
+    return Graph.from_edges(n, edges[~removed], family=f"complete_minus{{{n},{l}}}")
 
 
 def paley(q: int) -> Graph:
@@ -115,14 +148,11 @@ def paley(q: int) -> Graph:
         raise InvalidParameterError(f"paley order must be prime, got {q}")
     if q % 4 != 1:
         raise InvalidParameterError(f"paley order must be 1 mod 4, got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-    edges = [
-        (u, v)
-        for u in range(q)
-        for v in range(u + 1, q)
-        if (u - v) % q in residues
-    ]
-    return Graph.from_edges(q, edges, family=f"paley{{{q}}}")
+    is_residue = np.zeros(q, dtype=bool)
+    is_residue[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
+    edges = _pairs(q)
+    u, v = edges.T
+    return Graph.from_edges(q, edges[is_residue[(u - v) % q]], family=f"paley{{{q}}}")
 
 
 def regular_multipartite(m: int, k: int) -> Graph:
@@ -131,42 +161,50 @@ def regular_multipartite(m: int, k: int) -> Graph:
         raise InvalidParameterError(f"multipartite graph needs m >= 2, got {m}")
     if k < 1:
         raise InvalidParameterError(f"block size must be >= 1, got {k}")
-    size = m * k
-    edges = [
-        (u, v)
-        for u in range(size)
-        for v in range(u + 1, size)
-        if u // k != v // k
-    ]
-    return Graph.from_edges(size, edges, family=f"multipartite{{{m},{k}}}")
+    edges = _pairs(m * k)
+    u, v = edges.T
+    return Graph.from_edges(m * k, edges[u // k != v // k],
+                            family=f"multipartite{{{m},{k}}}")
+
+
+def _pairs(n: int) -> np.ndarray:
+    """All pairs u < v of n vertices as (E, 2) rows in canonical order."""
+    return np.stack(np.triu_indices(n, 1), axis=1)
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Positive-semidefinite Laplacian: degree matrix minus adjacency matrix."""
-    a = g.adjacency()
-    return np.diag(a.sum(axis=1)) - a
+    q = g.adjacency()
+    degrees = q.sum(axis=1)
+    np.negative(q, out=q)
+    q[np.diag_indices(g.n_vertices)] += degrees
+    return q
 
 
 def validate(g: Graph) -> list[str]:
-    """Check simplicity and connectivity; return a diagnostic per violation."""
-    diagnostics: list[str] = []
-    if g.n_vertices < 1:
+    """Check simplicity and connectivity; return a diagnostic per violation.
+
+    Edge diagnostics come in edge order, one per offending edge: an index out
+    of range, else a self-loop, else a repeat of an earlier valid edge.
+    """
+    n = g.n_vertices
+    if n < 1:
         return ["graph has no vertices"]
-    out_of_range = False
-    seen: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        if not (0 <= u < g.n_vertices and 0 <= v < g.n_vertices):
-            diagnostics.append(f"edge ({u},{v}): vertex index out of range")
-            out_of_range = True
-            continue
-        if u == v:
-            diagnostics.append(f"edge ({u},{v}): self-loop")
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            diagnostics.append(f"edge ({u},{v}): duplicate")
-        seen.add(key)
-    if not out_of_range and not _connected(g.n_vertices, seen):
+    u, v = g.edges.T
+    # canonical rows: u <= v, and equal rows sit next to each other
+    out_of_range = (u < 0) | (v >= n)
+    self_loop = ~out_of_range & (u == v)
+    duplicate = np.zeros(u.size, dtype=bool)
+    duplicate[1:] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    duplicate &= ~out_of_range & ~self_loop
+    reasons = ("vertex index out of range", "self-loop", "duplicate")
+    kind = np.select([out_of_range, self_loop, duplicate], [0, 1, 2], default=-1)
+    bad = np.flatnonzero(kind >= 0)
+    diagnostics = [
+        f"edge ({a},{b}): {reasons[k]}"
+        for (a, b), k in zip(g.edges[bad].tolist(), kind[bad].tolist())
+    ]
+    if not out_of_range.any() and not _connected(n, u, v):
         diagnostics.append("disconnected")
     return diagnostics
 
@@ -182,23 +220,29 @@ def _check_graph(g: Graph) -> None:
     raise InvalidInputError("invalid graph: " + "; ".join(diagnostics))
 
 
-def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = [False] * n
-    stack = [0]
+def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether edges (u, v), all within 0..n-1, connect every vertex:
+    frontier-at-a-time breadth-first search over a CSR neighbour array."""
+    tail = np.concatenate([u, v])
+    neighbors = np.concatenate([v, u])[np.argsort(tail)]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=offsets[1:])
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+    slot = np.empty(n, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        lo, counts = offsets[frontier], offsets[frontier + 1] - offsets[frontier]
+        # flat CSR positions of every neighbour of every frontier vertex
+        ends = np.cumsum(counts)
+        at = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+        reached = neighbors[at]
+        reached = reached[~seen[reached]]
+        seen[reached] = True
+        # keep one copy of each vertex: the position whose write survived
+        slot[reached] = np.arange(reached.size)
+        frontier = reached[slot[reached] == np.arange(reached.size)]
+    return bool(seen.all())
 
 
 def export_dot(g: Graph) -> str:
@@ -206,7 +250,7 @@ def export_dot(g: Graph) -> str:
     name = g.family or "G"
     lines = [f'graph "{name}" {{']
     lines.extend(f"  {v};" for v in range(g.n_vertices))
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges)
+    lines.extend(f"  {u} -- {v};" for u, v in g.edges.tolist())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -254,7 +298,7 @@ def format_edge_list(g: Graph) -> str:
     lines = [f"# vertices: {g.n_vertices}"]
     if g.family:
         lines.append(f"# family: {g.family}")
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
     return "\n".join(lines) + "\n"
 
 

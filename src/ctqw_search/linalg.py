@@ -12,6 +12,9 @@ from .errors import DisconnectedGraphError, InvalidInputError, NumericError
 
 SYMMETRY_RTOL = 1e-12
 ZERO_EIGENVALUE_TOL = 1e-9
+# Memory budget of anything holding one value per hypercube vertex: a 2**22
+# float64 array is 32 MiB.
+MAX_BASIS_BITS = 22
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def hypercube_eigenbasis(n_bits: int) -> HypercubeEigenbasis:
     """Analytic eigenbasis for the hypercube on 2**n_bits vertices."""
     if n_bits < 1:
         raise InvalidInputError(f"hypercube needs n >= 1, got {n_bits}")
-    if n_bits > 22:
+    if n_bits > MAX_BASIS_BITS:
         raise InvalidInputError(f"hypercube basis with n = {n_bits} exceeds the memory budget")
     z = np.arange(1 << n_bits, dtype=np.uint64)
     eigenvalues = 2.0 * np.bitwise_count(z).astype(float)

@@ -62,8 +62,8 @@ class DeviationReport:
 
 def hamiltonian(g: Graph, jump_rate: float, w: MarkedState) -> np.ndarray:
     """Search Hamiltonian: jump_rate * Laplacian minus the marked projector."""
-    if jump_rate <= 0.0:
-        raise InvalidParameterError(f"jump rate must be positive, got {jump_rate}")
+    if not 0.0 < jump_rate < math.inf:
+        raise InvalidParameterError(f"jump rate must be positive and finite, got {jump_rate}")
     if w.n != g.n_vertices:
         raise InvalidInputError(
             f"marked state has dimension {w.n}, graph has {g.n_vertices} vertices"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctqw_search import parse_dot, parse_edge_list
+from ctqw_search import hypercube_eigenbasis, parse_dot, parse_edge_list
 from ctqw_search.cli import main
 
 
@@ -169,6 +169,13 @@ class TestPairTable:
         assert code == 0
         assert len(path.read_text().strip().splitlines()) == 5
 
+    @pytest.mark.parametrize("bits", ["1", "23", "40"])
+    def test_bits_outside_budget_is_usage_error(self, capsys, bits):
+        code, out, err = run_cli(capsys, "pair-table", "--bits", bits)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestSimulate:
     def test_complete_64(self, capsys):
@@ -228,6 +235,31 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, "simulate", "hypercube:5", "pair:0,3")
         assert first == second
 
+    def test_hypercube_builds_one_basis(self, capsys, monkeypatch):
+        import ctqw_search.cli as cli_mod
+        import ctqw_search.simulate as simulate_mod
+
+        builds = []
+
+        def counting(n_bits):
+            builds.append(n_bits)
+            return hypercube_eigenbasis(n_bits)
+
+        monkeypatch.setattr(cli_mod, "hypercube_eigenbasis", counting)
+        monkeypatch.setattr(simulate_mod, "hypercube_eigenbasis", counting)
+        code, _, _ = run_cli(capsys, "simulate", "hypercube:6", "pair:0,3")
+        assert code == 0
+        assert builds == [6]
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("graph", ["hypercube:0", "hypercube:-1", "hypercube:23",
+                                       "hypercube:40"])
+    def test_hypercube_outside_budget_is_usage_error(self, capsys, command, graph):
+        code, out, err = run_cli(capsys, command, graph, "single:0")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -238,6 +270,14 @@ class TestUsage:
 
     def test_bad_state_preset(self, capsys):
         assert run_cli(capsys, "analyze", "complete:4", "tripod:1")[0] == 1
+
+    def test_vertex_index_beyond_int64(self, capsys, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text("# vertices: 4\n0 1\n1 99999999999999999999\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "single:0")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("state", ["single:abc", "single:1,2", "pair:0,x", "uniform:1,b"])
     def test_bad_preset_vertices(self, capsys, state):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw_search import (
     Graph,
@@ -48,11 +50,11 @@ def sorted_eigenvalues(g):
 class TestComplete:
     def test_smallest(self):
         g = complete(2)
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_triangle(self):
         g = complete(3)
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_edge_count(self):
         assert len(complete(10).edges) == math.comb(10, 2)
@@ -64,12 +66,12 @@ class TestComplete:
 
 class TestHypercube:
     def test_one_bit_is_single_edge(self):
-        assert hypercube(1).edges == complete(2).edges
+        assert hypercube(1).edges.tolist() == complete(2).edges.tolist()
 
     def test_two_bits_is_four_cycle(self):
         g = hypercube(2)
         assert g.n_vertices == 4
-        assert set(g.edges) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+        assert set(map(tuple, g.edges.tolist())) == {(0, 1), (0, 2), (1, 3), (2, 3)}
 
     def test_three_bits_counts(self):
         g = hypercube(3)
@@ -88,7 +90,8 @@ class TestHypercube:
 
 class TestCompleteMinus:
     def test_zero_deletions(self):
-        assert complete_minus_disjoint_edges(4, 0).edges == complete(4).edges
+        assert (complete_minus_disjoint_edges(4, 0).edges.tolist()
+                == complete(4).edges.tolist())
 
     def test_figure_graph_edge_count(self):
         assert len(complete_minus_disjoint_edges(10, 5).edges) == 40
@@ -112,7 +115,7 @@ class TestCompleteMinus:
 class TestPaley:
     def test_five_cycle(self):
         g = paley(5)
-        assert set(g.edges) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        assert set(map(tuple, g.edges.tolist())) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
 
     def test_degrees(self):
         g = paley(13)
@@ -146,7 +149,7 @@ class TestPaley:
 
 class TestMultipartite:
     def test_two_singletons(self):
-        assert regular_multipartite(2, 1).edges == ((0, 1),)
+        assert regular_multipartite(2, 1).edges.tolist() == [[0, 1]]
 
     def test_figure_graph_spectrum(self):
         lam = sorted_eigenvalues(regular_multipartite(4, 4))
@@ -232,7 +235,7 @@ class TestSerialization:
     def test_edge_list_comments_and_inferred_size(self):
         g = parse_edge_list("# a comment\n0 1\n1 2  # trailing\n")
         assert g.n_vertices == 3
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_edge_list_bad_line(self):
         with pytest.raises(InvalidParameterError):
@@ -249,3 +252,169 @@ class TestSrgParams:
     def test_infeasible(self):
         with pytest.raises(InvalidParameterError):
             SrgParams(29, 14, 6, 6)
+
+
+# --- Loop reference implementations -----------------------------------------
+# The tuple-and-loop graph core the array core replaced, kept as the oracle.
+
+def reference_from_edges(edges):
+    return tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+
+
+def reference_adjacency(n, edges):
+    a = np.zeros((n, n))
+    for u, v in edges:
+        if u != v:
+            a[u, v] = 1.0
+            a[v, u] = 1.0
+    return a
+
+
+def reference_laplacian(n, edges):
+    a = reference_adjacency(n, edges)
+    return np.diag(a.sum(axis=1)) - a
+
+
+def reference_validate(n, edges):
+    diagnostics = []
+    if n < 1:
+        return ["graph has no vertices"]
+    out_of_range = False
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            diagnostics.append(f"edge ({u},{v}): vertex index out of range")
+            out_of_range = True
+            continue
+        if u == v:
+            diagnostics.append(f"edge ({u},{v}): self-loop")
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            diagnostics.append(f"edge ({u},{v}): duplicate")
+        seen.add(key)
+    if not out_of_range and not reference_connected(n, seen):
+        diagnostics.append("disconnected")
+    return diagnostics
+
+
+def reference_connected(n, edges):
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in neighbors[u]:
+            if not seen[v]:
+                seen[v] = True
+                count += 1
+                stack.append(v)
+    return count == n
+
+
+def outcome(func, *args):
+    """Result of ``func``, or the type of the exception it raised."""
+    try:
+        return func(*args)
+    except IndexError:
+        return IndexError
+
+
+@st.composite
+def malformed_edge_lists(draw):
+    """Vertex count 0-12 and edges with negative and out-of-range indices,
+    self-loops, repeats in either orientation and disconnected parts."""
+    n = draw(st.integers(0, 12))
+    vertex = st.one_of(st.integers(0, max(n - 1, 0)), st.integers(-2, n + 2))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    if draw(st.booleans()):  # a spanning path, so that connected graphs occur
+        edges += [(i, i + 1) for i in range(n - 1)]
+    if edges:
+        repeats = draw(st.lists(st.sampled_from(edges), max_size=6))
+        edges += [(v, u) if flip else (u, v)
+                  for (u, v), flip in zip(repeats, draw(st.lists(st.booleans(),
+                                                                 min_size=len(repeats),
+                                                                 max_size=len(repeats))))]
+    return n, draw(st.permutations(edges))
+
+
+def brute_force_edges(n, adjacent):
+    return [[u, v] for u in range(n) for v in range(u + 1, n) if adjacent(u, v)]
+
+
+class TestArrayCoreMatchesLoopOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(malformed_edge_lists())
+    def test_random_edge_lists(self, case):
+        n, edges = case
+        g = Graph.from_edges(n, edges)
+        canon = reference_from_edges(edges)
+        assert g.edges.tolist() == [list(e) for e in canon]
+        assert validate(g) == reference_validate(n, canon)
+        expected = outcome(reference_laplacian, n, canon)
+        got = outcome(laplacian, g)
+        if expected is IndexError:
+            assert got is IndexError
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_complete(self, n):
+        assert complete(n).edges.tolist() == brute_force_edges(n, lambda u, v: True)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 5, 7])
+    def test_hypercube(self, bits):
+        assert hypercube(bits).edges.tolist() == brute_force_edges(
+            1 << bits, lambda u, v: (u ^ v).bit_count() == 1)
+
+    @pytest.mark.parametrize("n,l", [(4, 0), (5, 2), (6, 3), (11, 4), (20, 7)])
+    def test_complete_minus(self, n, l):
+        removed = {(2 * i, 2 * i + 1) for i in range(l)}
+        assert complete_minus_disjoint_edges(n, l).edges.tolist() == brute_force_edges(
+            n, lambda u, v: (u, v) not in removed)
+
+    @pytest.mark.parametrize("q", [5, 13, 17, 29, 101])
+    def test_paley(self, q):
+        # Euler's criterion: x is a nonzero square mod q iff x**((q-1)/2) = 1
+        assert paley(q).edges.tolist() == brute_force_edges(
+            q, lambda u, v: pow(v - u, (q - 1) // 2, q) == 1)
+
+    @pytest.mark.parametrize("m,k", [(2, 1), (3, 2), (4, 4), (5, 3), (2, 9)])
+    def test_multipartite(self, m, k):
+        assert regular_multipartite(m, k).edges.tolist() == brute_force_edges(
+            m * k, lambda u, v: u // k != v // k)
+
+    def test_long_path_connectivity(self):
+        n = 4096
+        path = [(i, i + 1) for i in range(n - 1)]
+        assert validate(Graph.from_edges(n, path)) == []
+        del path[n // 2]
+        assert validate(Graph.from_edges(n, path)) == ["disconnected"]
+
+    def test_edges_read_only(self):
+        empty = Graph.from_edges(3, [])
+        assert empty.edges.shape == (0, 2)
+        assert empty.edges.dtype == np.int64
+        assert not empty.edges.flags.writeable
+        g = complete(3)
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 2
+
+    def test_input_containers(self):
+        pairs = [(2, 0), (1, 2), (0, 1)]
+        expected = [[0, 1], [0, 2], [1, 2]]
+        for edges in (pairs, set(pairs), tuple(pairs), iter(pairs), np.array(pairs)):
+            assert Graph.from_edges(3, edges).edges.tolist() == expected
+
+    def test_value_equality_unhashable(self):
+        assert Graph.from_edges(3, [(1, 0), (2, 1)]) == Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert complete(3) != Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])  # family
+        assert Graph.from_edges(3, [(0, 1)]) != Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert Graph.from_edges(3, [(0, 1)]) != Graph.from_edges(3, [(0, 2)])
+        with pytest.raises(TypeError):
+            hash(complete(3))

@@ -85,6 +85,11 @@ class TestHamiltonian:
         with pytest.raises(InvalidParameterError):
             hamiltonian(complete(3), 0.0, MarkedState.single(3, 0))
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate(self, rate):
+        with pytest.raises(InvalidParameterError):
+            hamiltonian(complete(4), rate, MarkedState.single(4, 0))
+
 
 class TestRun:
     def test_complete_64_peak(self):
