@@ -40,13 +40,15 @@ from .optimality import (
 from .search import MarkedState, search_params
 from .simulate import run, run_hypercube
 
-# family name -> (constructor, parameter names)
+# family name -> (constructor, parameter names, order from the parameters);
+# the hypercube exponent is capped because the order only meets DENSE_LIMIT
 FAMILIES = {
-    "complete": (graphs_mod.complete, ("n",)),
-    "hypercube": (graphs_mod.hypercube, ("n",)),
-    "complete-minus": (graphs_mod.complete_minus_disjoint_edges, ("n", "l")),
-    "paley": (graphs_mod.paley, ("q",)),
-    "multipartite": (graphs_mod.regular_multipartite, ("m", "k")),
+    "complete": (graphs_mod.complete, ("n",), lambda n: n),
+    "hypercube": (graphs_mod.hypercube, ("n",), lambda n: 2 ** min(n, 64)),
+    "complete-minus": (graphs_mod.complete_minus_disjoint_edges, ("n", "l"),
+                       lambda n, l: n),
+    "paley": (graphs_mod.paley, ("q",), lambda q: q),
+    "multipartite": (graphs_mod.regular_multipartite, ("m", "k"), lambda m, k: m * k),
 }
 
 DENSE_LIMIT = 4096
@@ -66,16 +68,20 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _family_graph(name: str, params: list[int]) -> Graph:
+def _family_graph(name: str, params: list[int], dense: bool = False) -> Graph:
+    """Build a family graph; ``dense`` refuses an order past DENSE_LIMIT,
+    derived from the parameters before anything is built."""
     if name not in FAMILIES:
         raise InvalidParameterError(
             f"unknown family {name!r}; choose from {', '.join(sorted(FAMILIES))}"
         )
-    ctor, names = FAMILIES[name]
+    ctor, names, order = FAMILIES[name]
     if len(params) != len(names):
         raise InvalidParameterError(
             f"family {name} takes parameters {' '.join(names)}, got {len(params)}"
         )
+    if dense:
+        _check_dense(order(*params))
     return ctor(*params)
 
 
@@ -88,18 +94,28 @@ def _parse_family_spec(spec: str) -> tuple[str, list[int]]:
     return name, params
 
 
-def _load_graph(spec: str) -> Graph:
-    """Family:params form when a colon is present, otherwise a file path."""
+def _dense_graph(spec: str) -> Graph:
+    """Family:params form when a colon is present, otherwise a file path; a
+    graph of more than DENSE_LIMIT vertices is refused."""
     if ":" in spec:
-        name, params = _parse_family_spec(spec)
-        return _family_graph(name, params)
+        return _family_graph(*_parse_family_spec(spec), dense=True)
     try:
         text = Path(spec).read_text()
     except OSError as exc:
         raise InvalidInputError(f"cannot read graph file {spec!r}: {exc}") from exc
     if text.lstrip().startswith("graph"):
-        return graphs_mod.parse_dot(text)
-    return graphs_mod.parse_edge_list(text)
+        g = graphs_mod.parse_dot(text)
+    else:
+        g = graphs_mod.parse_edge_list(text)
+    _check_dense(g.n_vertices)
+    return g
+
+
+def _check_dense(order: int) -> None:
+    if order > DENSE_LIMIT:
+        raise InvalidParameterError(
+            f"graph with {order} vertices exceeds the dense limit {DENSE_LIMIT}"
+        )
 
 
 def _load_state(spec: str, n: int) -> MarkedState:
@@ -176,15 +192,6 @@ def _check_bits(n_bits: int, least: int, what: str) -> None:
         raise InvalidParameterError(
             f"{what} needs {least} to {MAX_BASIS_BITS} coordinates, got {n_bits}"
         )
-
-
-def _dense_graph(g_spec: str) -> Graph:
-    g = _load_graph(g_spec)
-    if g.n_vertices > DENSE_LIMIT:
-        raise InvalidParameterError(
-            f"graph with {g.n_vertices} vertices exceeds the dense limit {DENSE_LIMIT}"
-        )
-    return g
 
 
 def _write_text(path, text: str) -> None:
@@ -330,7 +337,7 @@ def cmd_certify(args) -> int:
             certifier, _ = _CLOSED_FORM_CERTIFIERS[name]
             report = certifier(*params)
         else:
-            g = _family_graph(name, params) if name else _load_graph(head)
+            g = _family_graph(name, params, dense=True) if name else _dense_graph(head)
             _check_graph(g)
             report = certify(laplacian_decomposition(laplacian(g)))
     _print_report(_report_dict(report), args.json)

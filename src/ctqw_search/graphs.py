@@ -12,6 +12,9 @@ from .errors import DisconnectedGraphError, InvalidInputError, InvalidParameterE
 # Explicit edge lists are desk scale; past this the analytic eigenbasis and
 # the reduced-subspace simulator handle hypercubes without building the graph.
 MAX_HYPERCUBE_BITS = 16
+# Order bound of the families built from all vertex pairs: at 4096 vertices
+# the pair arrays take about 270 MB.
+MAX_PAIR_VERTICES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +147,8 @@ def complete_minus_disjoint_edges(n: int, l: int) -> Graph:
 
 def paley(q: int) -> Graph:
     """Paley graph on a prime q = 1 (mod 4): u ~ v iff u - v is a nonzero square mod q."""
+    # bounded before the trial-division primality test and the residue table
+    _check_pair_order(q)
     if not _is_prime(q):
         raise InvalidParameterError(f"paley order must be prime, got {q}")
     if q % 4 != 1:
@@ -169,7 +174,15 @@ def regular_multipartite(m: int, k: int) -> Graph:
 
 def _pairs(n: int) -> np.ndarray:
     """All pairs u < v of n vertices as (E, 2) rows in canonical order."""
+    _check_pair_order(n)
     return np.stack(np.triu_indices(n, 1), axis=1)
+
+
+def _check_pair_order(n: int) -> None:
+    if n > MAX_PAIR_VERTICES:
+        raise InvalidParameterError(
+            f"graph with {n} vertices exceeds the pair budget of {MAX_PAIR_VERTICES}"
+        )
 
 
 def laplacian(g: Graph) -> np.ndarray:

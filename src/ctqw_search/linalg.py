@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +37,19 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def zero_index(self) -> int:
-        """Index of the smallest eigenvalue, i.e. the zero mode of a Laplacian."""
-        return self.n - 1
+    @cached_property
+    def _level_starts(self) -> np.ndarray:
+        """First index of each level: a run of eigenvalues with gaps of at most
+        lambda_max * N * eps; the last one, a Laplacian's zero mode, stands alone."""
+        lam = self.eigenvalues
+        tol = lam[0] * lam.size * np.finfo(float).eps
+        return np.union1d(np.flatnonzero(lam[:-1] - lam[1:] > tol) + 1, [0, lam.size - 1])
+
+    def levels(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct eigenvalues, non-increasing with the zero mode last, and
+        the mass sum(coeffs**2) of the eigenbasis coefficients in each."""
+        starts = self._level_starts
+        return self.eigenvalues[starts], np.add.reduceat(coeffs**2, starts)
 
     def overlaps(self, vec: np.ndarray) -> np.ndarray:
         """Coefficients of ``vec`` in the eigenbasis (one per eigenvector column)."""
@@ -158,17 +168,12 @@ class HypercubeEigenbasis:
     def n(self) -> int:
         return 1 << self.n_bits
 
-    @property
-    def zero_index(self) -> int:
-        return 0
-
-    def eigenvalue(self, z: int) -> float:
-        return 2.0 * int(z).bit_count()
-
-    def overlap(self, x: int, z: int) -> float:
-        """Entry x of eigenvector z."""
-        sign = -1.0 if (int(x) & int(z)).bit_count() % 2 else 1.0
-        return sign / math.sqrt(self.n)
+    def levels(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Levels 2n, 2n-2, ..., 0, one per Hamming weight, and the mass
+        sum(coeffs**2) of the transform coefficients in each."""
+        masses = np.bincount(self.eigenvalues.astype(np.intp), weights=coeffs**2,
+                             minlength=2 * self.n_bits + 1)[::-2]
+        return 2.0 * np.arange(self.n_bits, -1, -1), masses
 
     def overlaps(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec)

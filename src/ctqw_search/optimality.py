@@ -174,12 +174,10 @@ def stress_random_states(decomp: SpectralDecomposition, trials: int,
         params = search_params(decomp, state)
         envelopes[i] = params.envelope
         reduced[i] = params.reduced_envelope
-        a = params.a_k
-        lam = params.eigenvalues
-        rest = np.ones(n, dtype=bool)
-        rest[params.zero_index] = False
-        mass = float(a[rest].sum())
-        spread = float(np.sum(a[rest] * (1.0 / lam[rest] - params.gamma_c / mass) ** 2))
+        # the nonzero levels and their masses; the zero level is last
+        a = params.a_k[:-1]
+        mass = float(a.sum())
+        spread = float(np.sum(a * (1.0 / params.eigenvalues[:-1] - params.gamma_c / mass) ** 2))
         margin_exact[i] = spread - theta**2 * mass
         margin_approx[i] = (params.beta**2 - params.gamma_c**2) - theta**2
     counts, edges = np.histogram(np.clip(reduced, 0.0, 1.0), bins=20, range=(0.0, 1.0))

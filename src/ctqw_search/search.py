@@ -111,13 +111,14 @@ class MarkedState:
 class SearchParameters:
     """Derived search quantities for one (graph eigenbasis, marked state) pair.
 
+    ``eigenvalues`` are the distinct Laplacian levels, descending to zero, and
+    ``overlaps`` the norms ||P_k w|| of the marked state in each level.
     ``mu1``/``mu2`` are the first-order two-level eigenvalues +-gamma_c*p_n/beta;
     the exact secular roots come from ``solve_mu``.
     """
 
     eigenvalues: np.ndarray
     overlaps: np.ndarray
-    zero_index: int
     p_n: float
     gamma_c: float
     beta: float
@@ -133,7 +134,7 @@ class SearchParameters:
 
     @property
     def a_k(self) -> np.ndarray:
-        """Squared overlaps; they sum to 1 over the full basis."""
+        """Level masses ||P_k w||**2; they sum to 1."""
         return self.overlaps**2
 
     @property
@@ -166,28 +167,30 @@ def search_params(basis: Eigenbasis, state: MarkedState) -> SearchParameters:
     DegenerateStateError
         If the marked state is the uniform state itself.
     """
-    p = overlaps(basis, state)
-    lam = np.asarray(basis.eigenvalues)
-    zi = basis.zero_index
-    a = p**2
-    p_n = float(p[zi])
-    if a[zi] <= NEGLIGIBLE_OVERLAP_SQ:
+    levels, masses = basis.levels(overlaps(basis, state))
+    return _level_params(levels, masses, state.digest())
+
+
+def _level_params(levels: np.ndarray, masses: np.ndarray,
+                  state_digest: str) -> SearchParameters:
+    """Search parameters from the distinct Laplacian levels (non-increasing,
+    zero last) and the marked state's mass in each."""
+    zero_mass = float(masses[-1])
+    if zero_mass <= NEGLIGIBLE_OVERLAP_SQ:
         raise OrthogonalStateError("marked state is orthogonal to the uniform state")
-    mask = np.ones(lam.size, dtype=bool)
-    mask[zi] = False
-    rest = a[mask]
+    rest = masses[:-1]
     if float(rest.sum()) <= NEGLIGIBLE_OVERLAP_SQ:
         raise DegenerateStateError("marked state equals the uniform state")
-    lam_rest = lam[mask]
+    lam_rest = levels[:-1]
+    p_n = math.sqrt(zero_mass)
     gamma_c = float(np.sum(rest / lam_rest))
     beta = math.sqrt(float(np.sum(rest / lam_rest**2)))
     envelope = gamma_c / beta
     t_opt = math.pi * beta / (2.0 * gamma_c * p_n)
     mu1 = gamma_c * p_n / beta
     return SearchParameters(
-        eigenvalues=np.array(lam),
-        overlaps=np.array(p),
-        zero_index=zi,
+        eigenvalues=levels,
+        overlaps=np.sqrt(np.maximum(masses, 0.0)),
         p_n=p_n,
         gamma_c=gamma_c,
         beta=beta,
@@ -195,7 +198,7 @@ def search_params(basis: Eigenbasis, state: MarkedState) -> SearchParameters:
         t_opt=t_opt,
         mu1=mu1,
         mu2=-mu1,
-        state_digest=state.digest(),
+        state_digest=state_digest,
     )
 
 

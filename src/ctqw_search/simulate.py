@@ -13,10 +13,17 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParameterError
 from .graphs import Graph, _check_graph, laplacian
 from .closed_forms import krawtchouk
-from .linalg import eig_sym, hypercube_eigenbasis, laplacian_decomposition
-from .search import MarkedState, SearchParameters, search_params
+from .linalg import MAX_BASIS_BITS, eig_sym, laplacian_decomposition
+from .search import MarkedState, SearchParameters, _level_params, search_params
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Support pairs per block of the hypercube Hamming-distance histogram: each of
+# the block's XOR, weight and bin-index arrays takes 2 MiB.
+PAIR_BLOCK = 1 << 18
+# Budget of time-grid points times reduced levels: the phase matrix of a
+# trace holds one complex value per cell, 64 MiB at this bound.
+MAX_TRACE_CELLS = 1 << 22
+PRECISION_LIMIT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,8 @@ def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",
 
     One dense decomposition of the Laplacian gives the search parameters; the
     dynamics then run in the span of the eigenspace components of the marked
-    state, whose dimension is the number of distinct Laplacian levels.  Levels
-    closer than lambda_max * N * eps are merged into one.
+    state, whose dimension is the number of distinct Laplacian levels of those
+    parameters.
 
     ``jump_rate="critical"`` resolves to the critical rate of the instance;
     ``t_max`` defaults to twice the optimal time.  ``t_max=0`` produces the
@@ -87,14 +94,7 @@ def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",
     """
     _check_graph(g)
     params = search_params(laplacian_decomposition(laplacian(g)), w)
-    rate = _resolve_rate(jump_rate, params)
-    lam = params.eigenvalues
-    tol = lam[0] * lam.size * np.finfo(float).eps
-    # levels are sorted non-increasing; the zero mode always stands alone
-    starts = np.union1d(np.flatnonzero(lam[:-1] - lam[1:] > tol) + 1, [0, lam.size - 1])
-    masses = np.add.reduceat(params.a_k, starts)
-    return _reduced_trace(lam[starts], masses, starts.size - 1, rate, params,
-                          t_max, steps)
+    return _reduced_trace(_resolve_rate(jump_rate, params), params, t_max, steps)
 
 
 def run_hypercube(n_bits: int, w: MarkedState,
@@ -106,22 +106,34 @@ def run_hypercube(n_bits: int, w: MarkedState,
     the n+1 Laplacian eigenspaces (level 2j for Hamming weight j), so the
     evolution reduces to an eigenproblem of order n+1.  The mass of level
     j >= 1 is (1/N) * sum_d h_d * K_j(d), where h_d sums w_a * w_b over support
-    pairs at Hamming distance d and K_j is the Krawtchouk kernel.  Level 0
-    takes p_n**2 from the transform overlap instead: as a pair sum, (sum w)**2/N
-    cancels when the uniform overlap is small.
+    pairs at Hamming distance d and K_j is the Krawtchouk kernel; level 0 has
+    mass (sum w)**2 / N.  No object of size N is built beyond the state, and
+    the pair histogram costs O(r**2) time for a support of r vertices.
     """
-    params = search_params(hypercube_eigenbasis(n_bits), w)
-    rate = _resolve_rate(jump_rate, params)
-    support = np.array(w.support, dtype=np.uint64)
+    if not 1 <= n_bits <= MAX_BASIS_BITS or w.n != 1 << n_bits:
+        raise InvalidInputError(f"marked state of dimension {w.n} does not fit a "
+                                f"hypercube of 1 to {MAX_BASIS_BITS} coordinates, got {n_bits}")
+    support = np.flatnonzero(w.weights)
     wv = w.weights[support]
-    dist = np.bitwise_count(support[:, None] ^ support[None, :])
-    h = np.bincount(dist.ravel(), weights=np.outer(wv, wv).ravel(), minlength=n_bits + 1)
+    h = _distance_histogram(support.astype(np.uint64), wv, n_bits)
     ds = np.flatnonzero(h)
     kernel = np.array([[krawtchouk(n_bits, j, int(d)) for d in ds]
-                       for j in range(1, n_bits + 1)], dtype=float)
-    masses = np.concatenate([[params.p_n**2], kernel @ h[ds] / w.n])
-    return _reduced_trace(2.0 * np.arange(n_bits + 1), masses, 0, rate, params,
-                          t_max, steps)
+                       for j in range(n_bits, 0, -1)], dtype=float)
+    masses = np.append(kernel @ h[ds], wv.sum() ** 2) / w.n
+    params = _level_params(2.0 * np.arange(n_bits, -1, -1), masses, w.digest())
+    return _reduced_trace(_resolve_rate(jump_rate, params), params, t_max, steps)
+
+
+def _distance_histogram(support: np.ndarray, wv: np.ndarray, n_bits: int) -> np.ndarray:
+    """h_d = sum of wv_a * wv_b over ordered support pairs (a, b) at Hamming
+    distance d, accumulated over row blocks of at most PAIR_BLOCK pairs."""
+    h = np.zeros(n_bits + 1)
+    rows = max(1, PAIR_BLOCK // support.size)
+    for i in range(0, support.size, rows):
+        dist = np.bitwise_count(support[i:i + rows, None] ^ support[None, :])
+        h += np.bincount(dist.ravel(), weights=np.outer(wv[i:i + rows], wv).ravel(),
+                         minlength=n_bits + 1)
+    return h
 
 
 def compare(trace: EvolutionTrace, params: SearchParameters) -> DeviationReport:
@@ -164,31 +176,40 @@ def _resolve_rate(jump_rate: float | str, params: SearchParameters) -> float:
     return rate
 
 
-def _reduced_trace(levels: np.ndarray, masses: np.ndarray, zero: int, rate: float,
-                   params: SearchParameters, t_max: float | None,
+def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
                    steps: int) -> EvolutionTrace:
-    """Trace in the basis P_k w / c_k, c_k = sqrt(mass_k): there H is
+    """Trace in the basis P_k w / c_k, c_k = ||P_k w||: there H is
     rate * diag(levels) - c c^T, w is c and s the zero-level basis vector."""
-    c = np.sqrt(np.maximum(masses, 0.0))
-    decomp = eig_sym(rate * np.diag(levels) - np.outer(c, c))
-    u = decomp.overlaps(c) * decomp.eigenvectors[zero]
-    return _trace_from_modes(decomp.eigenvalues, u, rate, params, t_max, steps)
-
-
-def _trace_from_modes(mu: np.ndarray, u: np.ndarray, rate: float,
-                      params: SearchParameters,
-                      t_max: float | None, steps: int) -> EvolutionTrace:
     if t_max is None:
         t_max = 2.0 * params.t_opt
     if not 0.0 <= t_max < math.inf:
         raise InvalidParameterError(f"t_max must be non-negative and finite, got {t_max}")
     if t_max > 0.0 and steps < 2:
         raise InvalidParameterError(f"need at least 2 grid points, got {steps}")
+    points = steps if t_max > 0.0 else 1
+    levels = params.eigenvalues
+    if points * levels.size > MAX_TRACE_CELLS:
+        raise InvalidParameterError(
+            f"{points} grid points times {levels.size} levels exceed the trace budget "
+            f"of {MAX_TRACE_CELLS} cells"
+        )
+    # |mu| <= scale; past 2**53 the marked projector (norm 1) drops below the
+    # rounding of H, and phases mu * t keep no digits
+    scale = rate * float(levels[0]) + 1.0
+    if not (scale <= PRECISION_LIMIT and scale * t_max <= PRECISION_LIMIT):
+        raise InvalidParameterError(
+            f"jump rate {rate:g} with t_max {t_max:g} exceeds float precision: "
+            f"rate * lambda_max and |mu| * t_max must stay below 2**53"
+        )
+    c = params.overlaps
+    decomp = eig_sym(rate * np.diag(levels) - np.outer(c, c))
+    mu = decomp.eigenvalues
+    u = decomp.overlaps(c) * decomp.eigenvectors[-1]
 
     def amplitude(t: float) -> float:
         return abs(complex(np.exp(-1j * mu * t) @ u))
 
-    times = np.linspace(0.0, t_max, steps if t_max > 0.0 else 1)
+    times = np.linspace(0.0, t_max, points)
     amps = np.abs(np.exp(-1j * np.outer(times, mu)) @ u)
     peak_index = int(np.argmax(amps))
     lo = times[max(peak_index - 1, 0)]
@@ -211,6 +232,9 @@ def _trace_from_modes(mu: np.ndarray, u: np.ndarray, rate: float,
 
 def _golden_max(func, lo: float, hi: float, tol: float) -> float:
     """Golden-section maximization of a unimodal function on [lo, hi]."""
+    # at late times the float spacing of hi can exceed tol: the interval
+    # would stop shrinking short of it
+    tol = max(tol, 4.0 * math.ulp(hi))
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1 = func(x1)

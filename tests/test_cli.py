@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw_search import hypercube_eigenbasis, parse_dot, parse_edge_list
 from ctqw_search.cli import main
@@ -149,6 +154,14 @@ class TestCertify:
         code, _, _ = run_cli(capsys, "certify", str(path))
         assert code == 2
 
+    def test_file_over_dense_limit_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(99999)))
+        code, out, err = run_cli(capsys, "certify", str(path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert "dense limit" in err
+
 
 class TestPairTable:
     def test_anchor_rows_and_oracle_agreement(self, capsys):
@@ -222,6 +235,19 @@ class TestSimulate:
         assert code == 2
         assert "disconnected" in err
 
+    def test_wide_support_matches_analyze(self, capsys, tmp_path):
+        weights = np.random.default_rng(3).uniform(0.05, 1.0, 1 << 10)
+        state = tmp_path / "wide.state"
+        state.write_text("".join(f"{v} {x!r}\n" for v, x in enumerate(weights.tolist())))
+        code, out, _ = run_cli(capsys, "simulate", "hypercube:10", str(state))
+        assert code == 0
+        summary = json.loads(out)
+        code, out, _ = run_cli(capsys, "analyze", "hypercube:10", str(state), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert summary["t_opt"] == pytest.approx(report["t_opt"], rel=1e-10)
+        assert summary["envelope_squared"] == pytest.approx(report["envelope"]**2, rel=1e-10)
+
     def test_explicit_gamma(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "complete:8", "single:0", "--gamma", "0.05",
@@ -235,21 +261,28 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, "simulate", "hypercube:5", "pair:0,3")
         assert first == second
 
-    def test_hypercube_builds_one_basis(self, capsys, monkeypatch):
+    def test_hypercube_builds_no_basis(self, capsys, monkeypatch):
         import ctqw_search.cli as cli_mod
-        import ctqw_search.simulate as simulate_mod
+        import ctqw_search.linalg as linalg_mod
 
-        builds = []
+        calls = []
 
-        def counting(n_bits):
-            builds.append(n_bits)
-            return hypercube_eigenbasis(n_bits)
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(cli_mod, "hypercube_eigenbasis", counting)
-        monkeypatch.setattr(simulate_mod, "hypercube_eigenbasis", counting)
+        for module in (cli_mod, linalg_mod):
+            monkeypatch.setattr(module, "hypercube_eigenbasis",
+                                counting("basis", hypercube_eigenbasis))
+        monkeypatch.setattr(linalg_mod, "fwht", counting("fwht", linalg_mod.fwht))
         code, _, _ = run_cli(capsys, "simulate", "hypercube:6", "pair:0,3")
         assert code == 0
-        assert builds == [6]
+        assert calls == []
+        code, _, _ = run_cli(capsys, "analyze", "hypercube:6", "pair:0,3")
+        assert code == 0
+        assert calls == ["basis", "fwht"]
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize("graph", ["hypercube:0", "hypercube:-1", "hypercube:23",
@@ -279,8 +312,105 @@ class TestUsage:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "complete:100000", "single:0"],
+        ["certify", "complete:100000"],
+        ["certify", "paley", "100049"],
+        ["certify", "hypercube:16"],
+        ["family", "complete", "100000"],
+        ["simulate", "complete:8", "single:0", "--steps", "2000000000"]])
+    def test_oversized_instance_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("state", ["single:abc", "single:1,2", "pair:0,x", "uniform:1,b"])
     def test_bad_preset_vertices(self, capsys, state):
         code, _, err = run_cli(capsys, "analyze", "complete:8", state)
         assert code == 1
         assert len(err.splitlines()) == 1
+
+
+# Sizes are either small and valid or far past every budget; mid-sized ones
+# are valid but slow (a dense 4096-vertex decomposition, a 2**22 transform).
+# About half the instances are small valid graphs with states on vertices
+# 0..5, so that runs get past the argument checks.
+SIZE = st.integers(-2, 64) | st.integers(10**5, 10**18)
+BITS = st.integers(-1, 6) | st.integers(10**5, 10**18)
+NUMBER = (st.floats(-1.0, 64.0) | st.floats(1e5, 1e300)
+          | st.sampled_from([math.nan, math.inf, -math.inf])).map(repr)
+
+
+def _params(*values):
+    return st.tuples(*values).map(lambda xs: ",".join(map(str, xs)))
+
+
+VALID_GRAPH = st.sampled_from(["complete:8", "hypercube:4", "paley:13",
+                               "multipartite:3,2", "complete-minus:6,1"])
+GRAPH = st.one_of(
+    _params(SIZE).map("complete:{}".format),
+    _params(BITS).map("hypercube:{}".format),
+    _params(SIZE, st.integers(-1, 40)).map("complete-minus:{}".format),
+    _params(SIZE).map("paley:{}".format),
+    _params(st.integers(-1, 8), st.integers(-1, 8)).map("multipartite:{}".format),
+    _params(SIZE | BITS).map("petersen:{}".format),
+    st.just("missing.edges"),
+)
+
+
+def _states(vertex):
+    return st.one_of(
+        _params(vertex).map("single:{}".format),
+        _params(vertex, vertex).map("pair:{}".format),
+        st.lists(vertex, min_size=1, max_size=4).map(
+            lambda vs: "uniform:" + ",".join(map(str, vs))),
+    )
+
+
+VALID_STATE = _states(st.integers(0, 5))
+STATE = _states(SIZE) | st.just("tripod:1")
+
+
+@st.composite
+def argv(draw):
+    command = draw(st.sampled_from(["family", "analyze", "certify", "pair-table", "simulate"]))
+    valid = draw(st.booleans())
+    graph = draw(VALID_GRAPH if valid else GRAPH)
+    state = draw(VALID_STATE if valid else STATE)
+    if command == "family":
+        name, _, params = graph.partition(":")
+        return ["family", name, *params.split(",")[:2], "--output", "{out}"]
+    if command == "analyze":
+        return ["analyze", graph, state, "--json"]
+    if command == "certify":
+        target = draw(st.just(graph) | _params(SIZE, SIZE, SIZE, SIZE).map("srg:{}".format))
+        return ["certify", target, "--json"]
+    if command == "pair-table":
+        return ["pair-table", "--bits", str(draw(BITS)), "--output", "{out}"]
+    args = ["simulate", graph, state]
+    if draw(st.booleans()):
+        args += ["--steps", str(draw(SIZE))]
+    if draw(st.booleans()):
+        args += ["--tmax", draw(NUMBER)]
+    if draw(st.booleans()):
+        args += ["--gamma", draw(NUMBER | st.sampled_from(["critical", "fast"]))]
+    return args
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv())
+    def test_exit_code_one_line_and_strict_json(self, args):
+        with tempfile.TemporaryDirectory() as tmp:
+            args = [a.replace("{out}", f"{tmp}/out") for a in args]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+        assert code in (0, 1, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1
+        if code == 0 and args[0] in ("analyze", "certify", "simulate"):
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -115,30 +115,35 @@ class TestFwht:
             fwht(np.zeros(3))
 
 
+def walsh_matrix(n):
+    """Entry (x, z) is (-1)**popcount(x & z) / sqrt(2**n): column z is the
+    parity eigenvector of the hypercube Laplacian with eigenvalue 2*popcount(z)."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    parity = np.bitwise_count(idx[:, None] & idx[None, :]) % 2
+    return (1.0 - 2.0 * parity) / math.sqrt(1 << n)
+
+
 class TestHypercubeEigenbasis:
     def test_one_bit_vectors(self):
         basis = hypercube_eigenbasis(1)
         root = 1 / math.sqrt(2)
-        assert basis.eigenvalue(0) == 0.0
-        assert basis.eigenvalue(1) == 2.0
-        assert basis.overlap(0, 0) == pytest.approx(root)
-        assert basis.overlap(1, 0) == pytest.approx(root)
-        assert basis.overlap(0, 1) == pytest.approx(root)
-        assert basis.overlap(1, 1) == pytest.approx(-root)
+        np.testing.assert_array_equal(basis.eigenvalues, [0.0, 2.0])
+        np.testing.assert_allclose(walsh_matrix(1), [[root, root], [root, -root]])
+        # overlaps of vertex x are entry x of every eigenvector
+        for x in range(2):
+            np.testing.assert_allclose(basis.overlaps(np.eye(2)[x]), walsh_matrix(1)[x])
 
     def test_parity_sign_example(self):
         # x = 0b101 shares two set bits with z = 0b111: even parity, plus sign
         basis = hypercube_eigenbasis(3)
-        assert basis.overlap(0b101, 0b111) == pytest.approx(1 / math.sqrt(8))
+        assert basis.overlaps(np.eye(8)[0b101])[0b111] == pytest.approx(1 / math.sqrt(8))
+        assert walsh_matrix(3)[0b101, 0b111] == pytest.approx(1 / math.sqrt(8))
 
     def test_matches_dense_eigenspaces(self, dense_hypercube):
         for n in range(1, 7):
-            size = 1 << n
             basis = hypercube_eigenbasis(n)
             dense = dense_hypercube(n)
-            walsh = np.array(
-                [[basis.overlap(x, z) for z in range(size)] for x in range(size)]
-            )
+            walsh = walsh_matrix(n)
             for j in range(n + 1):
                 block = np.isclose(basis.eigenvalues, 2 * j)
                 proj_analytic = walsh[:, block] @ walsh[:, block].T
@@ -151,10 +156,7 @@ class TestHypercubeEigenbasis:
         rng = np.random.default_rng(8)
         basis = hypercube_eigenbasis(4)
         v = rng.standard_normal(16)
-        direct = np.array(
-            [sum(basis.overlap(x, z) * v[x] for x in range(16)) for z in range(16)]
-        )
-        np.testing.assert_allclose(basis.overlaps(v), direct, atol=1e-12)
+        np.testing.assert_allclose(basis.overlaps(v), walsh_matrix(4).T @ v, atol=1e-12)
 
 
 class TestEvolve:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,11 +25,17 @@ from ctqw_search import (
     laplacian_decomposition,
     overlaps,
     paley,
+    run_hypercube,
     search_params,
     solve_mu,
     uniform_state,
 )
-from conftest import random_marked_state
+from conftest import (
+    DEGENERATE_FAMILIES,
+    random_connected_graph,
+    random_marked_state,
+    transform_level_masses,
+)
 
 
 def coupled_instance(g, seed, p_n=None):
@@ -155,6 +162,76 @@ class TestSearchParams:
         assert params.envelope <= 1.0 + 1e-12
         assert params.reduced_envelope <= 1.0 + 1e-12
         assert np.sum(params.a_k) == pytest.approx(1.0, abs=1e-10)
+
+
+def per_eigenvector_sums(basis, state):
+    """p_n, gamma_c and beta summed over every eigenvector, one term each;
+    the zero mode is the eigenvector of the smallest eigenvalue."""
+    p = basis.overlaps(state.weights)
+    lam = np.asarray(basis.eigenvalues)
+    zero = int(np.argmin(lam))
+    rest = np.delete(p**2, zero)
+    lam_rest = np.delete(lam, zero)
+    return (float(p[zero]), float(np.sum(rest / lam_rest)),
+            math.sqrt(float(np.sum(rest / lam_rest**2))))
+
+
+BASES = st.one_of(
+    st.sampled_from(DEGENERATE_FAMILIES),
+    st.builds(random_connected_graph, st.integers(0, 2**32 - 1).map(np.random.default_rng),
+              st.integers(2, 24), st.floats(0.0, 0.5)),
+).map(lambda g: laplacian_decomposition(laplacian(g))) | st.builds(
+    hypercube_eigenbasis, st.integers(1, 8))
+
+
+class TestLevels:
+    @settings(max_examples=80, deadline=None)
+    @given(BASES, st.integers(0, 2**32 - 1))
+    def test_grouped_params_match_per_eigenvector_sums(self, basis, seed):
+        rng = np.random.default_rng(seed)
+        state = random_marked_state(rng, basis.n, support=int(rng.integers(1, basis.n + 1)))
+        params = search_params(basis, state)
+        p_n, gamma_c, beta = per_eigenvector_sums(basis, state)
+        assert params.p_n == pytest.approx(p_n, rel=1e-12)
+        assert params.gamma_c == pytest.approx(gamma_c, rel=1e-12)
+        assert params.beta == pytest.approx(beta, rel=1e-12)
+        # distinct levels in decreasing order, the zero level last
+        assert np.all(np.diff(params.eigenvalues) < 0)
+        assert params.eigenvalues[-1] == 0.0
+        assert np.sum(params.a_k) == pytest.approx(1.0, abs=1e-12)
+        # grouping leaves the secular function and its roots unchanged
+        grouped = solve_mu(params.overlaps, params.eigenvalues, params.gamma_c)
+        full = solve_mu(basis.overlaps(state.weights), basis.eigenvalues, params.gamma_c)
+        np.testing.assert_allclose(grouped, full, rtol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.booleans())
+    def test_pair_kernel_masses_match_transform(self, n, seed, signed):
+        rng = np.random.default_rng(seed)
+        support = int(rng.integers(1, (1 << n) + 1))
+        state = random_marked_state(rng, 1 << n, support=support)
+        if not signed:
+            state = MarkedState.from_weights(np.abs(state.weights))
+        params = run_hypercube(n, state, steps=2).params
+        np.testing.assert_array_equal(params.eigenvalues, 2.0 * np.arange(n, -1, -1))
+        np.testing.assert_allclose(params.a_k, transform_level_masses(n, state.weights),
+                                   rtol=0, atol=1e-12)
+        basis_params = search_params(hypercube_eigenbasis(n), state)
+        assert params.gamma_c == pytest.approx(basis_params.gamma_c, rel=1e-12)
+        assert params.beta == pytest.approx(basis_params.beta, rel=1e-12)
+
+    def test_pair_kernel_overlaps_finite(self):
+        # odd levels of an antipodal pair have zero mass; the pair kernel
+        # returns it with rounding of either sign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(3, 17):
+                size = 1 << n
+                for state in (MarkedState.pair(size, 0, size - 1),
+                              MarkedState.uniform_over(size, [0, 3, 5, 6])):
+                    params = run_hypercube(n, state, steps=2).params
+                    assert np.all(np.isfinite(params.overlaps))
+                    assert np.all(params.overlaps >= 0.0)
 
 
 class TestSecularFunction:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from ctqw_search import (
     amplitude_exact_sum,
     compare,
     complete,
-    complete_minus_disjoint_edges,
     eig_sym,
     evolve,
     hamiltonian,
@@ -22,20 +22,18 @@ from ctqw_search import (
     hypercube_eigenbasis,
     laplacian,
     laplacian_decomposition,
-    paley,
-    regular_multipartite,
     run,
     run_hypercube,
     search_params,
     solve_mu,
     uniform_state,
 )
-from conftest import random_marked_state
-
-# degenerate spectra: every family here has repeated Laplacian levels
-DEGENERATE_FAMILIES = [complete(9), regular_multipartite(3, 4),
-                       complete_minus_disjoint_edges(10, 3), paley(13), paley(29)]
-DEGENERATE_FAMILIES += [hypercube(n) for n in range(3, 7)]
+from conftest import (
+    DEGENERATE_FAMILIES,
+    random_connected_graph,
+    random_marked_state,
+    transform_level_masses,
+)
 
 
 def instance(g, state):
@@ -48,13 +46,6 @@ def oracle_amplitudes(g, w, trace):
     decomp_h = eig_sym(hamiltonian(g, trace.jump_rate, w))
     return np.abs(amplitude_exact_sum(decomp_h, w.weights, uniform_state(g.n_vertices),
                                       trace.times))
-
-
-def random_connected_graph(rng, n, p):
-    """A random recursive spanning tree plus each other edge with probability p."""
-    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
-    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
-    return Graph.from_edges(n, edges)
 
 
 class TestHamiltonian:
@@ -241,6 +232,21 @@ class TestRunHypercube:
                 np.testing.assert_allclose(reduced.amplitudes,
                                            oracle_amplitudes(hypercube(n), w, reduced),
                                            rtol=0, atol=1e-10)
+
+
+    def test_full_support_in_bounded_memory(self):
+        # 4096**2 support pairs go through the distance histogram in blocks
+        n = 12
+        w = MarkedState.from_weights(np.random.default_rng(12).standard_normal(1 << n))
+        tracemalloc.start()
+        try:
+            params = run_hypercube(n, w, steps=64).params
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        np.testing.assert_allclose(params.a_k, transform_level_masses(n, w.weights),
+                                   rtol=0, atol=1e-12)
 
 
 class TestCompare:
