@@ -32,7 +32,7 @@ ZERO_BRACKET_TOL = 1e-12
 # active pole.
 POLE_GUARD = 1e-15
 
-# Iteration cap of one secular root; Brent's method needs about a dozen.
+# Iteration cap of one secular root, which needs about ten.
 MAX_SECULAR_STEPS = 200
 
 _EPS = float(np.finfo(float).eps)
@@ -212,33 +212,35 @@ def _level_params(levels: np.ndarray, masses: np.ndarray,
     )
 
 
-def f_of_mu(mu: float, overlaps: np.ndarray, eigenvalues: np.ndarray,
-            jump_rate: float) -> float:
+def f_of_mu(mu, overlaps: np.ndarray, eigenvalues: np.ndarray, jump_rate: float):
     """Secular function sum_j P_j**2 / (jump_rate*lambda_j - mu).
 
     The zero eigenvalue contributes the -p_n**2/mu pole.  Terms with zero
-    overlap are dropped; evaluating at a pole of an active term raises.
+    overlap are dropped; evaluating at a pole of an active term raises.  An
+    array of mu is evaluated elementwise; a float mu gives a float.
 
     Raises
     ------
     InvalidParameterError
-        If ``mu`` is not finite or ``jump_rate`` is not finite and positive.
+        If an element of ``mu`` is not finite or ``jump_rate`` is not finite
+        and positive.
     InvalidInputError
         If overlaps and eigenvalues are not 1-D arrays of one shape.
     PoleError
-        If ``mu`` lies within ``POLE_GUARD * max(|jump_rate*lambda|, |mu|)`` of
-        an active pole.
+        If an element of ``mu`` lies within the pole guard of an active pole.
     """
-    if not math.isfinite(mu):
-        raise InvalidParameterError(f"mu must be finite, got {mu}")
+    m = np.asarray(mu, dtype=float)
+    if not np.isfinite(m).all():
+        raise InvalidParameterError(f"mu must be finite, got {m[~np.isfinite(m)].flat[0]}")
     p, lam = _secular_arrays(overlaps, eigenvalues, jump_rate)
-    a = p**2
-    active = a > NEGLIGIBLE_OVERLAP_SQ
-    den = jump_rate * lam[active] - mu
-    scale = max(float(np.max(np.abs(jump_rate * lam))), abs(mu), 1e-300)
-    if np.any(np.abs(den) < POLE_GUARD * scale):
-        raise PoleError(f"mu = {mu} hits a pole of the secular function")
-    return float(np.sum(a[active] / den))
+    active = p * p > NEGLIGIBLE_OVERLAP_SQ
+    poles = jump_rate * lam
+    den = poles[active] - m[..., None]
+    hit = abs(den) < POLE_GUARD * np.maximum(max(abs(poles).max(), 1e-300), abs(m))[..., None]
+    if hit.any():
+        raise PoleError(f"mu = {m[hit.any(axis=-1)].flat[0]} hits a pole of the secular function")
+    f = (p[active] ** 2 / den).sum(axis=-1)
+    return float(f) if m.ndim == 0 else f
 
 
 def _secular_arrays(overlaps, eigenvalues, jump_rate) -> tuple[np.ndarray, np.ndarray]:
@@ -260,38 +262,11 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
              jump_rate: float) -> tuple[float, float]:
     """The two secular roots bracketing zero.
 
-    Returns (positive root, negative root); both are eigenvalues of the search
-    Hamiltonian ``jump_rate*Q - w w^T`` at the given jump rate.  Eigenvalues at
-    most ``ZERO_BRACKET_TOL * max(lambda_max, 1)`` form the zero level, taken
-    as exactly 0, with mass ``a_0``; ``P = jump_rate * lambda_min``, with
-    lambda_min the smallest nonzero eigenvalue that carries mass, is the
-    smallest active pole and ``a_P`` the mass on it; ``A`` is the total mass
-    sum(overlaps**2).
-
-    Each root is the zero of a pole-free form of f - 1 on a bracket where it
-    changes sign once, found by Brent's method (inverse-quadratic and secant
-    steps with a bisection safeguard) to a relative width of 4 eps, or at the
-    first point where f_of_mu returns 1 to within one ulp:
-
-    - positive root: ``h+(mu) = mu*(P - mu)*(f(mu) - 1)`` on [0, P], whose
-      endpoint values ``h+(0) = -a_0*P`` and ``h+(P) = P*a_P`` need no
-      evaluation of f;
-    - negative root: ``h-(mu) = mu*(f(mu) - 1)`` on [-A, 0], with
-      ``h-(0) = -a_0``; -A bounds the spectrum of the search Hamiltonian from
-      below, since ``jump_rate*Q - w w^T >= -||w||**2``.
-
-    Near zero, ``mu*(f(mu) - 1)`` follows its Taylor model
-    ``-a_0 + C*x + S*x**2`` in ``x = mu/P``, where, over the nonzero levels,
-    ``C = sum_k a_k*P/(rate*lambda_k) - P`` and ``S = sum_k a_k*(P/(rate*lambda_k))**2``.
-    Near the critical rate C is small, and the model roots ``x_neg < 0 < x_pos``,
-    close to ``-+sqrt(a_0/S)``, form a near-double root when a_0 is small.  The
-    iteration therefore runs on ``h+(mu)/(mu/P - x_neg)`` and
-    ``h-(mu)/(x_pos - mu/P)``: each divides out the other side's model root,
-    keeps the sign and bracket of its form, and is close to linear near its root.
-
-    Every step evaluates ``f_of_mu``, never nearer to the poles 0 and P than
-    ``margin = (POLE_GUARD + eps) * jump_rate * lambda_max``: its pole guard
-    plus the rounding of ``P - margin``.
+    Returns (positive root, negative root), eigenvalues of the search
+    Hamiltonian ``jump_rate*Q - w w^T``: the roots of f = 1 below the smallest
+    active pole and above -A = -sum(overlaps**2) (``jump_rate*Q - w w^T >= -A``),
+    each found by ``_secular_roots`` with a scalar mu, one ``f_of_mu`` per step.
+    Eigenvalues at most ``ZERO_BRACKET_TOL * max(lambda_max, 1)`` are taken as 0.
 
     Raises
     ------
@@ -305,10 +280,8 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
         If the zero level carries no mass.
     DegenerateStateError
         If no nonzero level carries mass.
-    PoleError
-        If a root lies within that margin of the pole 0 or P.
     NumericError
-        If an iteration has not converged after ``MAX_SECULAR_STEPS`` steps.
+        If a root has not converged after ``MAX_SECULAR_STEPS`` steps.
     """
     p, lam = _secular_arrays(overlaps, eigenvalues, jump_rate)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(lam))):
@@ -327,88 +300,102 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
     if not np.any(active):
         raise DegenerateStateError("marked state equals the uniform state")
     lam = np.where(zero, 0.0, lam)
-    lam_min = float(lam[active].min())
-    pole = jump_rate * lam_min
-    a_pole = float(a[active & (lam == lam_min)].sum())
-
-    margin = (POLE_GUARD + _EPS) * max(jump_rate * float(lam.max()), 1e-300)
-
-    def f_minus_one(mu: float) -> float:
-        d = f_of_mu(mu, p, lam, jump_rate) - 1.0
-        # within one ulp of 1, f's own rounding decides the sign
-        return 0.0 if abs(d) <= _EPS else d
-
-    # roots x_neg < 0 < x_pos of -a_0 + C*x + S*x**2, the second-order model
-    # of mu*(f(mu) - 1) at mu = x*P
-    ratio = pole / (jump_rate * lam[active])
-    c = float(a[active] @ ratio) - pole
-    s = float(a[active] @ ratio**2)
-    d = math.hypot(c, 2.0 * math.sqrt(a_zero * s))
-    if c >= 0.0:
-        x_neg, x_pos = -(c + d) / (2.0 * s), 2.0 * a_zero / (c + d)
-    else:
-        x_neg, x_pos = -2.0 * a_zero / (d - c), (d - c) / (2.0 * s)
-
-    mu_pos = _brent(lambda mu: mu * (pole - mu) * f_minus_one(mu) / (mu / pole - x_neg),
-                    0.0, a_zero * pole / x_neg, pole, pole * a_pole / (1.0 - x_neg),
-                    margin, pole - margin)
-    lo = -float(a.sum())
-    h_lo = lo * f_minus_one(lo) / (x_pos - lo / pole)
-    # f(-A) < 1 exactly; only rounding can make h-(-A) <= 0, and then the
-    # root lies within that rounding of -A
-    mu_neg = _brent(lambda mu: mu * f_minus_one(mu) / (x_pos - mu / pole), lo, h_lo,
-                    0.0, -a_zero / x_pos, lo, -margin) if h_lo > 0.0 else lo
-    return mu_pos, mu_neg
+    low = float(lam[active].min())  # the smallest active pole, over jump_rate
+    above = lam[active & (lam > low)]
+    nxt = float(above.min()) if above.size else 2.0 * low  # the outer pole, massless if none
+    a_low, a_nxt = (float(a[active & (lam == level)].sum()) for level in (low, nxt))
+    return tuple(float(_secular_roots(p, lam, jump_rate, *bracket)) for bracket in (
+        (0.0, jump_rate * low, a_zero, a_low, jump_rate * nxt, a_nxt),
+        (-float(a.sum()), 0.0, 0.0, a_zero, jump_rate * low, a_low)))
 
 
-def _brent(h, lo: float, h_lo: float, hi: float, h_hi: float,
-           safe_lo: float, safe_hi: float) -> float:
-    """Zero of h on [lo, hi] given h(lo) < 0 < h(hi) or the reverse, by
-    Brent's method, to a bracket of relative width 4 eps or a point where h
-    is 0.
+def _pick(cond, yes, no):  # np.where that keeps scalars for a scalar condition
+    return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else yes if cond else no
 
-    h is evaluated only on [safe_lo, safe_hi]: an iterate outside it moves to
-    its nearer end, and PoleError is raised when that end is not inside the
-    bracket, so that the root lies outside the window."""
-    # cur: best estimate; prev: previous iterate; far: the bracket's other end
-    prev, h_prev, cur, h_cur = lo, h_lo, hi, h_hi
-    far, h_far = prev, h_prev
-    step = last_step = cur - prev
+
+def _all(cond) -> bool:
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _secular_roots(p, lam, jump_rate, lower, upper, a_lower, a_upper, outer, a_outer):
+    """Root of f(mu) = 1 between lower and upper, elementwise: upper is an
+    active pole of mass a_upper, lower the next one (or -A = -p @ p, mass 0).
+    Each step evaluates f at one point x per root and moves to the root of a
+    model with the bracketing poles at their exact masses plus c + s/(outer
+    - mu) for the next pole up (s = a_outer, then c, s fit to the last two
+    points), or to the bracket's midpoint when that root leaves the bracket
+    or moves over half the step before last; until f is one ulp from 1, the
+    bracket 4 eps wide or in f_of_mu's pole guard, or the step below the
+    model root's resolution.  Roots next to 0 then go to ``_polish``."""
+    guard = 2.0 * POLE_GUARD * jump_rate * float(np.max(lam))
+    edge_lo, edge_hi = lower + guard, upper - guard
+    lo, hi, rho_old, done = lower, upper, 0.0, lower != lower
+    x = x_old = root = 0.5 * (lower + upper)
+    step = step_old = span = upper - lower
     for _ in range(MAX_SECULAR_STEPS):
-        if (h_cur > 0.0) == (h_far > 0.0):
-            far, h_far = prev, h_prev
-            step = last_step = cur - prev
-        if abs(h_far) < abs(h_cur):
-            prev, h_prev, cur, h_cur, far, h_far = cur, h_cur, far, h_far, cur, h_cur
-        tol = 2.0 * _EPS * abs(cur) + _TINY
-        half = 0.5 * (far - cur)
-        if abs(half) <= tol or h_cur == 0.0:
-            return cur
-        if abs(last_step) >= tol and abs(h_prev) > abs(h_cur):
-            s = h_cur / h_prev
-            if prev == far:  # secant
-                num, den = 2.0 * half * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = h_prev / h_far, h_cur / h_far
-                num = s * (2.0 * half * q * (q - r) - (cur - prev) * (r - 1.0))
-                den = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if num > 0.0:
-                den = -den
-            num = abs(num)
-            if 2.0 * num < min(3.0 * half * den - abs(tol * den), abs(last_step * den)):
-                last_step, step = step, num / den
-            else:
-                step = last_step = half
-        else:
-            step = last_step = half
-        prev, h_prev = cur, h_cur
-        cur = min(max(cur + (step if abs(step) > tol else math.copysign(tol, half)),
-                      safe_lo), safe_hi)
-        if not min(prev, far) < cur < max(prev, far):
-            raise PoleError("secular root too near a pole to evaluate the secular function")
-        step = cur - prev
-        h_cur = h(cur)
+        g = f_of_mu(x, p, lam, jump_rate) - 1.0
+        lo, hi = _pick(g < 0.0, x, lo), _pick(g > 0.0, x, hi)
+        rho = g - a_lower / (lower - x) - a_upper / (upper - x)
+        w = 1.0 / (outer - x)
+        dw = w - 1.0 / (outer - x_old)
+        s = _pick(dw != 0.0, (rho - rho_old) / _pick(dw != 0.0, dw, 1.0), a_outer)
+        s = _pick(s > 0.0, s, 0.0)
+        # the model root as the offset v from the pole past it from x (o = 1 for
+        # lower): q(v) = v*(a_far/(span - v) + s/(d - v) + c) - a_near, v times the
+        # model, is convex with q(0) < 0 < q(v(x)), so Newton descends to it
+        up = g < 0.0
+        near, o = _pick(up, upper, lower), 1.0 - 2.0 * up
+        a_near, a_far = _pick(up, a_upper, a_lower), _pick(up, a_lower, a_upper)
+        v, d, c = o * (x - near), o * (outer - near), o * (rho - s * w)
+        for _ in range(MAX_SECULAR_STEPS):
+            t_far, t_outer = a_far / (span - v), s / (d - v)
+            q = v * (t_far + t_outer + c) - a_near
+            slope = t_far * span / (span - v) + t_outer * d / (d - v) + c
+            dv = _pick(q > 0.0, q, 0.0) / _pick(slope > 0.0, slope, 1.0)
+            v = v - dv
+            if _all(dv <= 4.0 * _EPS * v):
+                break
+        x_new = near + o * v
+        tol = 2.0 * _EPS * (abs(x) + v)  # the resolution of the model root
+        at_x = (abs(g) <= _EPS) | (hi - lo <= 2.0 * tol)
+        at_model = (abs(x_new - x) <= tol) | (hi <= edge_lo) | (lo >= edge_hi)
+        root = _pick(done, root, _pick(at_x, x, x_new))
+        done = done | at_x | at_model
+        if _all(done):
+            return _polish(root, p, lam, jump_rate)
+        ok = (lo < x_new) & (x_new < hi) & (abs(x_new - x) < 0.5 * abs(step_old))
+        x_new = _pick(ok, x_new, 0.5 * (lo + hi))
+        x_new = _pick(x_new < edge_lo, edge_lo, _pick(x_new > edge_hi, edge_hi, x_new))
+        x_old, rho_old, step_old, step, x = x, rho, step, x_new - x, _pick(done, x, x_new)
     raise NumericError(f"secular root not converged after {MAX_SECULAR_STEPS} steps")
+
+
+def _polish(mu, p, lam, jump_rate):
+    """Secular roots within half the smallest active nonzero pole P of 0, by
+    Newton's method on f - 1 = c0 - a_0/mu + mu*S(mu), S(mu) = sum_k a_k/(d_k*
+    (d_k - mu)) and c0 = sum_k a_k/d_k - 1 over the nonzero poles d_k: c0, where
+    the rest of f nearly cancels the 1, is rounded once for both roots next to
+    0, so their distance stays exact.  The slope a_0/mu**2 + S(mu) misses under
+    |mu|/(P - |mu|) of the true one, so the steps contract."""
+    nonzero = lam > 0.0
+    pole = jump_rate * float(lam[nonzero & (p * p > NEGLIGIBLE_OVERLAP_SQ)].min())
+    near = abs(mu) < 0.5 * pole
+    if not np.any(near):
+        return mu
+    scaled = np.where(nonzero, p, 0.0) / np.sqrt(jump_rate * np.where(nonzero, lam, 1.0))
+    c0, a_zero = scaled @ scaled - 1.0, float(p[~nonzero] @ p[~nonzero])
+    x = mu[near] if isinstance(mu, np.ndarray) else mu
+    for _ in range(MAX_SECULAR_STEPS):
+        s = f_of_mu(x, scaled, lam, jump_rate)
+        step = (c0 - a_zero / x + x * s) / (a_zero / (x * x) + s)
+        x = x - step
+        # the next step would be below |x|/(pole - |x|) + |step/x| of this one
+        if _all(abs(step) * (abs(x) / (pole - abs(x)) + abs(step / x)) <= 4.0 * _EPS * abs(x)):
+            break
+    if not isinstance(mu, np.ndarray):
+        return x
+    mu[near] = x
+    return mu
 
 
 def amplitude_approx(params: SearchParameters, t) -> np.ndarray | float:

@@ -13,15 +13,16 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParameterError
 from .graphs import Graph, _check_graph, laplacian
 from .closed_forms import krawtchouk
-from .linalg import MAX_BASIS_BITS, eig_sym, laplacian_decomposition
-from .search import MarkedState, SearchParameters, _level_params, search_params
+from .linalg import MAX_BASIS_BITS, hypercube_eigenbasis, laplacian_decomposition
+from .search import (NEGLIGIBLE_OVERLAP_SQ, POLE_GUARD, MarkedState, SearchParameters,
+                     _level_params, _secular_roots, search_params)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Support pairs per block of the hypercube Hamming-distance histogram: each of
 # the block's XOR, weight and bin-index arrays takes 2 MiB.
 PAIR_BLOCK = 1 << 18
-# Budget of time-grid points times reduced levels: the phase matrix of a
-# trace holds one complex value per cell, 64 MiB at this bound.
+# Budget of time-grid points, or secular roots per block, times reduced
+# levels: a trace's phase matrix holds one complex value per cell, 64 MiB.
 MAX_TRACE_CELLS = 1 << 22
 PRECISION_LIMIT = 2.0**53
 
@@ -83,10 +84,9 @@ def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",
     """Evolve the uniform state under the search Hamiltonian and trace the
     marked-state amplitude.
 
-    One dense decomposition of the Laplacian gives the search parameters; the
-    dynamics then run in the span of the eigenspace components of the marked
-    state, whose dimension is the number of distinct Laplacian levels of those
-    parameters.
+    One dense decomposition of the Laplacian, the only one, gives the search
+    parameters; the dynamics then run in the span of the eigenspace components
+    of the marked state, one per distinct Laplacian level of those parameters.
 
     ``jump_rate="critical"`` resolves to the critical rate of the instance;
     ``t_max`` defaults to twice the optimal time.  ``t_max=0`` produces the
@@ -102,25 +102,26 @@ def run_hypercube(n_bits: int, w: MarkedState,
                   t_max: float | None = None, steps: int = 1024) -> EvolutionTrace:
     """Exact hypercube dynamics without dense diagonalization.
 
-    The Hamiltonian acts on the span of the components of the marked state in
-    the n+1 Laplacian eigenspaces (level 2j for Hamming weight j), so the
-    evolution reduces to an eigenproblem of order n+1.  The mass of level
-    j >= 1 is (1/N) * sum_d h_d * K_j(d), where h_d sums w_a * w_b over support
-    pairs at Hamming distance d and K_j is the Krawtchouk kernel; level 0 has
-    mass (sum w)**2 / N.  No object of size N is built beyond the state, and
-    the pair histogram costs O(r**2) time for a support of r vertices.
+    The evolution reduces to the n+1 Laplacian levels (2j for Hamming weight
+    j).  The mass of level j >= 1 is (1/N) * sum_d h_d * K_j(d), h_d summing
+    w_a * w_b over support pairs at Hamming distance d and K_j the Krawtchouk
+    kernel, and level 0 has mass (sum w)**2 / N: O(r**2) for r support
+    vertices.  Past r**2 = N*log2(N) the Walsh transform, O(N log N), is used.
     """
     if not 1 <= n_bits <= MAX_BASIS_BITS or w.n != 1 << n_bits:
         raise InvalidInputError(f"marked state of dimension {w.n} does not fit a "
                                 f"hypercube of 1 to {MAX_BASIS_BITS} coordinates, got {n_bits}")
     support = np.flatnonzero(w.weights)
-    wv = w.weights[support]
-    h = _distance_histogram(support.astype(np.uint64), wv, n_bits)
-    ds = np.flatnonzero(h)
-    kernel = np.array([[krawtchouk(n_bits, j, int(d)) for d in ds]
-                       for j in range(n_bits, 0, -1)], dtype=float)
-    masses = np.append(kernel @ h[ds], wv.sum() ** 2) / w.n
-    params = _level_params(2.0 * np.arange(n_bits, -1, -1), masses, w.digest())
+    if support.size**2 > n_bits << n_bits:
+        params = search_params(hypercube_eigenbasis(n_bits), w)
+    else:
+        wv = w.weights[support]
+        h = _distance_histogram(support.astype(np.uint64), wv, n_bits)
+        ds = np.flatnonzero(h)
+        kernel = np.array([[krawtchouk(n_bits, j, int(d)) for d in ds]
+                           for j in range(n_bits, 0, -1)], dtype=float)
+        masses = np.append(kernel @ h[ds], wv.sum() ** 2) / w.n
+        params = _level_params(2.0 * np.arange(n_bits, -1, -1), masses, w.digest())
     return _reduced_trace(_resolve_rate(jump_rate, params), params, t_max, steps)
 
 
@@ -178,8 +179,10 @@ def _resolve_rate(jump_rate: float | str, params: SearchParameters) -> float:
 
 def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
                    steps: int) -> EvolutionTrace:
-    """Trace in the basis P_k w / c_k, c_k = ||P_k w||: there H is
-    rate * diag(levels) - c c^T, w is c and s the zero-level basis vector."""
+    """Trace in the basis P_k w / c_k, c_k = ||P_k w||, where H is rate *
+    diag(levels) - c c^T, w is c and s is e_0: with eigenvectors c/(rate*levels
+    - mu_j) at the secular roots mu_j, <c|exp(-iHt)|s> = sum_j u_j*exp(-i*mu_j*t)
+    for u_j = -c_0/(mu_j*f'(mu_j))."""
     if t_max is None:
         t_max = 2.0 * params.t_opt
     if not 0.0 <= t_max < math.inf:
@@ -201,10 +204,23 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
             f"jump rate {rate:g} with t_max {t_max:g} exceeds float precision: "
             f"rate * lambda_max and |mu| * t_max must stay below 2**53"
         )
-    c = params.overlaps
-    decomp = eig_sym(rate * np.diag(levels) - np.outer(c, c))
-    mu = decomp.eigenvalues
-    u = decomp.overlaps(c) * decomp.eigenvectors[-1]
+    # levels from 0 up; one without mass, or within twice the solver's pole
+    # guard of the one below, joins that one, leaving an eigenvalue of weight 0
+    lam, masses = levels[::-1], params.overlaps[::-1] ** 2
+    first = np.flatnonzero((masses > NEGLIGIBLE_OVERLAP_SQ)
+                           & (np.diff(lam, prepend=-1.0) > 4.0 * POLE_GUARD * lam[-1]))
+    lam, masses = lam[first], np.add.reduceat(masses, first)
+    poles, c = rate * lam, np.sqrt(masses)
+    mu, u = np.empty((2, poles.size))
+    # root j lies between poles j-1 (or -A) and j, with pole j+1 outside
+    lower, a_lower = np.append(-float(c @ c), poles[:-1]), np.append(0.0, masses[:-1])
+    outer, a_outer = np.append(poles[1:], 2.0 * poles[-1]), np.append(masses[1:], 0.0)
+    for i in range(0, poles.size, MAX_TRACE_CELLS // poles.size):
+        j = slice(i, i + MAX_TRACE_CELLS // poles.size)
+        mu[j] = _secular_roots(c, lam, rate, lower[j], poles[j], a_lower[j], masses[j],
+                               outer[j], a_outer[j])
+        with np.errstate(divide="ignore"):  # a root at its pole has weight 0
+            u[j] = -c[0] / (mu[j] * (masses / (poles - mu[j, None]) ** 2).sum(axis=1))
 
     def amplitude(t: float) -> float:
         return abs(complex(np.exp(-1j * mu * t) @ u))

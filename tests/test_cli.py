@@ -248,6 +248,22 @@ class TestSimulate:
         assert summary["t_opt"] == pytest.approx(report["t_opt"], rel=1e-10)
         assert summary["envelope_squared"] == pytest.approx(report["envelope"]**2, rel=1e-10)
 
+    def test_full_support_skips_pair_histogram(self, capsys, tmp_path, monkeypatch):
+        # 1024**2 support pairs exceed N*log2(N): the level masses come from
+        # the Walsh transform, and the O(r**2) histogram is never built
+        import ctqw_search.simulate as simulate_mod
+
+        def refuse(*args):
+            raise AssertionError("pair histogram on a full support")
+
+        monkeypatch.setattr(simulate_mod, "_distance_histogram", refuse)
+        weights = np.random.default_rng(4).uniform(0.05, 1.0, 1 << 10)
+        state = tmp_path / "full.state"
+        state.write_text("".join(f"{v} {x!r}\n" for v, x in enumerate(weights.tolist())))
+        code, out, _ = run_cli(capsys, "simulate", "hypercube:10", str(state))
+        assert code == 0
+        assert json.loads(out)["peak_probability"] > 0.0
+
     def test_explicit_gamma(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "complete:8", "single:0", "--gamma", "0.05",

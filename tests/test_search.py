@@ -1,5 +1,7 @@
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -276,6 +278,29 @@ class TestSecularFunction:
         with pytest.raises(PoleError):
             f_of_mu(2.0, p, lam, 1.0)
 
+    def test_array_matches_scalar_calls(self):
+        _, _, params, _ = coupled_instance(paley(13), seed=3)
+        args = (params.overlaps, params.eigenvalues, params.gamma_c)
+        mu = np.linspace(-0.9, 0.9, 24).reshape(4, 6) * params.gamma_c * params.eigenvalues[0]
+        values = f_of_mu(mu, *args)
+        assert values.shape == mu.shape
+        np.testing.assert_array_equal(values, [[f_of_mu(float(m), *args) for m in row]
+                                               for row in mu])
+        assert type(f_of_mu(0.1, *args)) is float
+        assert type(f_of_mu(np.float64(0.1), *args)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_array_with_non_finite_element(self, bad):
+        with pytest.raises(InvalidParameterError):
+            f_of_mu(np.array([0.5, bad, -0.5]), np.array([0.6, 0.8]), np.array([2.0, 0.0]), 1.0)
+
+    def test_array_with_element_at_pole(self):
+        # 2 + 1e-16 lies inside the guard of the pole at 2; 0 is the zero pole
+        for pole in (2.0, 2.0 + 1e-16, 0.0):
+            with pytest.raises(PoleError):
+                f_of_mu(np.array([0.5, pole, -0.5]), np.array([0.6, 0.8]), np.array([2.0, 0.0]),
+                        1.0)
+
 
 class TestSolveMu:
     def test_roots_are_hamiltonian_eigenvalues(self):
@@ -359,6 +384,27 @@ def bisection_solve_mu(overlaps, eigenvalues, jump_rate):
     return mu_pos, bisect(lo, hi)
 
 
+def exact_roots_next_to_zero(overlaps, eigenvalues, jump_rate):
+    """The roots of f = 1 next to 0 by bisection in 40-digit decimal
+    arithmetic on the float inputs, taken as exact."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        terms = [(Decimal(float(p)) ** 2, Decimal(float(jump_rate)) * Decimal(float(lam)))
+                 for p, lam in zip(overlaps, eigenvalues) if p != 0.0]
+
+        def bisect(lo, hi):  # f - 1 < 0 at lo and > 0 at hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if sum(a / (d - mid) for a, d in terms) < 1:
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2
+
+        pole = min(d for a, d in terms if d > 0 and a > search.NEGLIGIBLE_OVERLAP_SQ)
+        return bisect(Decimal(0), pole), bisect(-sum(a for a, _ in terms), Decimal(0))
+
+
 def split_level(overlaps, eigenvalues, k, rel_gap, share):
     """Split nonzero level k into two poles a relative ``rel_gap`` apart,
     the lower one taking ``share`` of its mass."""
@@ -370,6 +416,15 @@ def split_level(overlaps, eigenvalues, k, rel_gap, share):
 
 
 EPS = float(np.finfo(float).eps)
+
+
+def bisection(func, lo, hi):
+    """Root of an increasing function on (lo, hi) to the float resolution."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if func(mid) < 0.0 else (lo, mid)
 
 
 def conditioned_tol(overlaps, eigenvalues, jump_rate, mu):
@@ -406,28 +461,6 @@ def assert_roots_match_references(p, lam, rate):
     tol = 1e-10 * max(rate * float(np.max(lam)), float(np.sum(p**2)))
     assert abs(roots[1] - ev[0]) <= tol
     assert abs(roots[0] - ev[1]) <= tol
-
-
-def model_roots(a, levels, rate):
-    """Roots x_neg < 0 < x_pos, in units of the smallest active pole P, of
-    -a_0 + C x + S x**2, the second-order Taylor model of mu*(f(mu) - 1)."""
-    a_zero, a, levels = a[-1], a[:-1], levels[:-1]
-    active = a > search.NEGLIGIBLE_OVERLAP_SQ
-    pole = rate * levels[active].min()
-    ratio = pole / (rate * levels[active])
-    c = a[active] @ ratio - pole
-    s = a[active] @ ratio**2
-    q = -0.5 * (c + math.copysign(math.sqrt(c * c + 4.0 * a_zero * s), c))
-    return sorted([q / s, -a_zero / q])
-
-
-def brent_first_point(lo, h_lo, hi, h_hi):
-    """Brent's first iterate: the secant point if it lies within half the
-    bracket of the end with the smaller |h|, else the midpoint."""
-    near = hi if abs(h_hi) <= abs(h_lo) else lo
-    secant = hi - h_hi * (hi - lo) / (h_hi - h_lo)
-    mid = 0.5 * (lo + hi)
-    return secant if abs(secant - near) < abs(mid - near) else mid
 
 
 ACCEPTANCE_POOL = [
@@ -509,21 +542,20 @@ class TestSolveMuMatchesOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(BASES, st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
-    def test_first_steps_use_endpoint_identities(self, basis, seed, log_rate):
-        # the forms h+(mu)/(mu/P - x_neg) on [0, P] and h-(mu)/(x_pos - mu/P)
-        # on [-A, 0] take their endpoint values from h+(0) = -a_0*P,
-        # h+(P) = P*a_P and h-(0) = -a_0, so Brent's first iterate of each
-        # root is fixed by these identities and the model roots x_neg, x_pos
+    def test_first_steps_follow_the_model(self, basis, seed, log_rate):
+        # each root is first evaluated at the middle of its bracket, (0, P)
+        # or (-A, 0), and then at the root of the model that keeps the
+        # bracketing poles and the next pole up with their exact masses and
+        # fits a constant to the first value
         rng = np.random.default_rng(seed)
         state = random_marked_state(rng, basis.n, support=int(rng.integers(1, basis.n + 1)))
         params = search_params(basis, state)
         rate = params.gamma_c * 10.0**log_rate
         a, levels = params.a_k, params.eigenvalues
-        # the smallest active pole: the lowest nonzero level with mass
-        k = np.flatnonzero(a[:-1] > search.NEGLIGIBLE_OVERLAP_SQ)[-1]
-        a_zero, a_pole, pole = a[-1], a[k], rate * levels[k]
-        x_neg, x_pos = model_roots(a, levels, rate)
-        margin = (search.POLE_GUARD + EPS) * rate * levels[0]
+        poles = rate * levels[a > search.NEGLIGIBLE_OVERLAP_SQ][::-1]
+        masses = a[a > search.NEGLIGIBLE_OVERLAP_SQ][::-1]
+        outer = poles[2] if poles.size > 2 else 2.0 * poles[1]
+        a_outer = masses[2] if poles.size > 2 else 0.0
         evaluated = []
 
         def recording(mu, *args):
@@ -533,16 +565,66 @@ class TestSolveMuMatchesOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "f_of_mu", recording)
             solve_mu(params.overlaps, levels, rate)
-        first = brent_first_point(0.0, a_zero * pole / x_neg, pole, pole * a_pole / (1.0 - x_neg))
-        assert evaluated[0] == pytest.approx(min(max(first, margin), pole - margin), rel=1e-9)
-        neg = [mu for mu in evaluated if mu < 0.0]
-        total = float(np.sum(a))
-        assert neg[0] == -total
-        if len(neg) > 1:
-            f_lo = f_of_mu(-total, params.overlaps, levels, rate) - 1.0
-            h_lo = -total * f_lo / (x_pos + total / pole)
-            first = brent_first_point(-total, h_lo, 0.0, -a_zero / x_pos)
-            assert neg[1] == pytest.approx(min(first, -margin), rel=1e-9)
+        brackets = [((0.0, poles[1]), (masses[0], masses[1]), outer, a_outer),
+                    ((-float(np.sum(a)), 0.0), (0.0, masses[0]), poles[1], masses[1])]
+        for sign, ((lower, upper), (a_lower, a_upper), d, a_d) in zip((1.0, -1.0), brackets):
+            steps = [mu for mu in evaluated if sign * mu > 0.0]
+            x = 0.5 * (lower + upper)
+            assert steps[0] == x
+            if len(steps) == 1:
+                continue
+            g = f_of_mu(x, params.overlaps, levels, rate) - 1.0
+
+            def model(mu, c=g - a_lower / (lower - x) - a_upper / (upper - x) - a_d / (d - x)):
+                at_lower = a_lower / (lower - mu) if a_lower else 0.0
+                return at_lower + a_upper / (upper - mu) + a_d / (d - mu) + c
+
+            lo, hi = (lower, x) if g > 0.0 else (x, upper)
+            # without a lower pole the model may stay positive on (-A, 0)
+            root = bisection(model, lower, upper) if a_lower or model(lower) < 0.0 else lower
+            want = root if lo < root < hi else 0.5 * (lo + hi)
+            assert steps[1] == pytest.approx(want, rel=1e-9, abs=1e-12 * abs(x))
+
+    @pytest.mark.parametrize("graph_seed, state_seed", [
+        (13, 11), (35, 8), (88, 17), (116, 1), (119, 7), (150, 18), (175, 16), (216, 12),
+        (236, 1), (323, 7)])
+    def test_small_mass_on_lowest_pole(self, graph_seed, state_seed, monkeypatch):
+        # a small mass on the smallest pole P and a root a few percent below
+        # it: Brent's method on a pole-free form took 14 to 16 evaluations
+        # here, alternating interpolation and bisection
+        rng = np.random.default_rng(graph_seed)
+        n = int(rng.integers(3, 40))
+        g = random_connected_graph(rng, n, float(rng.uniform(0.0, 0.5)))
+        params = search_params(laplacian_decomposition(laplacian(g)),
+                               random_marked_state(np.random.default_rng(state_seed), n))
+        k = np.flatnonzero(params.a_k[:-1] > search.NEGLIGIBLE_OVERLAP_SQ)[-1]
+        pole = params.gamma_c * params.eigenvalues[k]
+        assert 6e-4 <= params.a_k[k] <= 2e-3 and 0.2 <= params.a_k[-1] <= 0.7
+        evaluated = []
+
+        def counting(mu, *args):
+            evaluated.append(mu)
+            return f_of_mu(mu, *args)
+
+        monkeypatch.setattr(search, "f_of_mu", counting)
+        mu_pos, _ = solve_mu(params.overlaps, params.eigenvalues, params.gamma_c)
+        assert 0.02 <= (pole - mu_pos) / pole <= 0.07
+        assert sum(mu > 0.0 for mu in evaluated) <= 10
+
+    @pytest.mark.parametrize("p_n", [1e-8, 1e-6, 1e-4])
+    def test_roots_next_to_zero_at_the_critical_rate(self, p_n):
+        # their distance sets the search dynamics; f - 1 rounds at eps near 0
+        # while they lie about p_n apart, so each alone holds only about
+        # eps/p_n of relative precision, but their distance must hold full
+        # precision against 40-digit arithmetic on the same float inputs
+        rng = np.random.default_rng(29)
+        for g in DEGENERATE_FAMILIES[:5] + [random_connected_graph(rng, 30, 0.2)]:
+            params = search_params(laplacian_decomposition(laplacian(g)),
+                                   random_marked_state(rng, g.n_vertices, p_n=p_n))
+            p, lam, rate = params.overlaps, params.eigenvalues, params.gamma_c
+            mu_pos, mu_neg = solve_mu(p, lam, rate)
+            want = exact_roots_next_to_zero(p, lam, rate)
+            assert abs((mu_pos - mu_neg) - float(want[0] - want[1])) <= 1e-13 * (mu_pos - mu_neg)
 
     def test_negative_root_at_tiny_rate(self):
         # f(-A) - 1 is of order rate*lambda/A, so rounding gives it either

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctqw_search import linalg, search, simulate
+from ctqw_search.search import _level_params
 from ctqw_search import (
     DisconnectedGraphError,
     Graph,
@@ -234,10 +236,13 @@ class TestRunHypercube:
                                            rtol=0, atol=1e-10)
 
 
-    def test_full_support_in_bounded_memory(self):
-        # 4096**2 support pairs go through the distance histogram in blocks
-        n = 12
-        w = MarkedState.from_weights(np.random.default_rng(12).standard_normal(1 << n))
+    def test_wide_support_in_bounded_memory(self):
+        # 1000**2 support pairs, under N*log2(N), go through the distance
+        # histogram in four blocks
+        n, rng = 16, np.random.default_rng(12)
+        weights = np.zeros(1 << n)
+        weights[rng.choice(1 << n, 1000, replace=False)] = rng.standard_normal(1000)
+        w = MarkedState.from_weights(weights)
         tracemalloc.start()
         try:
             params = run_hypercube(n, w, steps=64).params
@@ -247,6 +252,84 @@ class TestRunHypercube:
         assert peak < 100e6
         np.testing.assert_allclose(params.a_k, transform_level_masses(n, w.weights),
                                    rtol=0, atol=1e-12)
+
+    def test_full_support_takes_the_transform(self, monkeypatch):
+        # 4096**2 pairs exceed N*log2(N): the masses come from the transform
+        def refuse(*args):
+            raise AssertionError("pair histogram on a full support")
+
+        monkeypatch.setattr(simulate, "_distance_histogram", refuse)
+        w = MarkedState.from_weights(np.random.default_rng(12).standard_normal(1 << 12))
+        params = run_hypercube(12, w, steps=64).params
+        np.testing.assert_allclose(params.a_k, transform_level_masses(12, w.weights),
+                                   rtol=0, atol=1e-12)
+
+
+class TestOneDecomposition:
+    def test_eig_sym_calls(self, monkeypatch):
+        # run decomposes the Laplacian once and finds the rest from the
+        # secular equation; run_hypercube decomposes nothing
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eig_sym(matrix)
+
+        for module in (linalg, search, simulate):  # every name a call could go through
+            monkeypatch.setattr(module, "eig_sym", counting, raising=False)
+        rng = np.random.default_rng(5)
+        for g in (complete(16), hypercube(4), random_connected_graph(rng, 60, 0.1)):
+            calls.clear()
+            run(g, random_marked_state(rng, g.n_vertices, support=3))
+            assert calls == [(g.n_vertices, g.n_vertices)]
+        calls.clear()
+        run_hypercube(6, MarkedState.pair(64, 0, 5))
+        run_hypercube(6, MarkedState.from_weights(rng.standard_normal(64)))
+        assert calls == []
+
+
+def oracle_trace(levels, c, rate, times):
+    """|<c| exp(-iHt) |s>| for H = rate*diag(levels) - c c^T from eig_sym, and
+    the phase error its eigenvalues, rounded at eps*||H||, allow by time t."""
+    h = rate * np.diag(levels) - np.outer(c, c)
+    decomp = eig_sym(h)
+    u = decomp.overlaps(c) * decomp.eigenvectors[-1]
+    slack = 4.0 * np.finfo(float).eps * max(rate * levels[0], c @ c) * np.abs(u).sum()
+    return np.abs(np.exp(-1j * np.outer(times, decomp.eigenvalues)) @ u), slack * times
+
+
+class TestReducedTrace:
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(st.sampled_from(DEGENERATE_FAMILIES),
+                     st.builds(random_connected_graph,
+                               st.integers(0, 2**32 - 1).map(np.random.default_rng),
+                               st.integers(3, 200), st.floats(0.01, 0.3))),
+           st.integers(0, 2**32 - 1), st.floats(-8.0, math.log10(0.99)), st.floats(-3.0, 3.0),
+           st.one_of(st.none(), st.tuples(st.floats(-14.0, -3.0), st.floats(0.01, 0.99))),
+           st.one_of(st.none(), st.floats(-19.0, -3.0)))
+    def test_matches_reduced_eig_sym(self, g, seed, log_p_n, log_rate, split, log_low_mass):
+        rng = np.random.default_rng(seed)
+        state = random_marked_state(rng, g.n_vertices, p_n=10.0**log_p_n)
+        rate = instance(g, state).gamma_c * 10.0**log_rate
+        run(g, state, rate, steps=8)  # raises no PoleError
+        params = instance(g, state)
+        levels, masses = np.array(params.eigenvalues), np.array(params.a_k)
+        k = int(rng.integers(0, levels.size - 1))  # a nonzero level
+        if split is not None:  # into two poles a relative 10**split[0] apart
+            levels = np.insert(levels, k + 1, levels[k] * (1.0 - 10.0**split[0]))
+            masses = np.insert(masses, k + 1, masses[k] * split[1])
+            masses[k] *= 1.0 - split[1]
+        if log_low_mass is not None:
+            masses[k] = 10.0**log_low_mass
+            masses[:-1] *= (1.0 - masses[-1]) / masses[:-1].sum()
+        params = _level_params(levels, masses, state.digest())
+        trace = simulate._reduced_trace(rate, params, None, 64)
+        oracle, slack = oracle_trace(levels, params.overlaps, rate, trace.times)
+        # 1e-10 plus what the oracle's own rounding allows, which passes 1e-10
+        # only at t of order 1e5/max(rate*lambda_max, 1), reached when p_n < ~1e-4
+        assert np.all(np.abs(trace.amplitudes - oracle) <= 1e-10 + slack)
+        # the weights sum to p_n
+        assert abs(trace.amplitudes[0] - params.p_n) <= 1e-12
 
 
 class TestCompare:
