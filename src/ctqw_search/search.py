@@ -36,7 +36,6 @@ POLE_GUARD = 1e-15
 MAX_SECULAR_STEPS = 200
 
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,8 @@ def _level_params(levels: np.ndarray, masses: np.ndarray,
     )
 
 
-def f_of_mu(mu, overlaps: np.ndarray, eigenvalues: np.ndarray, jump_rate: float):
+def f_of_mu(mu: float | np.ndarray, overlaps: np.ndarray, eigenvalues: np.ndarray,
+            jump_rate: float) -> float | np.ndarray:
     """Secular function sum_j P_j**2 / (jump_rate*lambda_j - mu).
 
     The zero eigenvalue contributes the -p_n**2/mu pole.  Terms with zero
@@ -227,7 +227,8 @@ def f_of_mu(mu, overlaps: np.ndarray, eigenvalues: np.ndarray, jump_rate: float)
     InvalidInputError
         If overlaps and eigenvalues are not 1-D arrays of one shape.
     PoleError
-        If an element of ``mu`` lies within the pole guard of an active pole.
+        If an element of ``mu`` lies within ``POLE_GUARD * max(|jump_rate*lambda|,
+        |mu|)`` of an active pole.
     """
     m = np.asarray(mu, dtype=float)
     if not np.isfinite(m).all():
@@ -340,9 +341,10 @@ def _secular_roots(p, lam, jump_rate, lower, upper, a_lower, a_upper, outer, a_o
         dw = w - 1.0 / (outer - x_old)
         s = _pick(dw != 0.0, (rho - rho_old) / _pick(dw != 0.0, dw, 1.0), a_outer)
         s = _pick(s > 0.0, s, 0.0)
-        # the model root as the offset v from the pole past it from x (o = 1 for
-        # lower): q(v) = v*(a_far/(span - v) + s/(d - v) + c) - a_near, v times the
-        # model, is convex with q(0) < 0 < q(v(x)), so Newton descends to it
+        # the model root as its offset v from the bracketing pole beyond it as
+        # seen from x (o = 1 for lower): q(v) = v*(a_far/(span - v) + s/(d - v)
+        # + c) - a_near, v times the model, is convex with q(0) < 0 < q(v(x)),
+        # so Newton's method descends monotonically to it
         up = g < 0.0
         near, o = _pick(up, upper, lower), 1.0 - 2.0 * up
         a_near, a_far = _pick(up, a_upper, a_lower), _pick(up, a_lower, a_upper)

@@ -196,19 +196,20 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
             f"{points} grid points times {levels.size} levels exceed the trace budget "
             f"of {MAX_TRACE_CELLS} cells"
         )
-    # |mu| <= scale; past 2**53 the marked projector (norm 1) drops below the
-    # rounding of H, and phases mu * t keep no digits
-    scale = rate * float(levels[0]) + 1.0
-    if not (scale <= PRECISION_LIMIT and scale * t_max <= PRECISION_LIMIT):
+    # |mu| <= walk + 1; past 2**53 the marked projector (norm 1) drops below
+    # the rounding of H, and phases mu * t keep no digits; below 2**-53 the
+    # walk drops below the rounding of the projector
+    walk = rate * float(levels[0])
+    if not (1.0 / PRECISION_LIMIT <= walk and (walk + 1.0) * max(t_max, 1.0) <= PRECISION_LIMIT):
         raise InvalidParameterError(
-            f"jump rate {rate:g} with t_max {t_max:g} exceeds float precision: "
-            f"rate * lambda_max and |mu| * t_max must stay below 2**53"
+            f"jump rate {rate:g} with t_max {t_max:g} exceeds float precision: rate * "
+            f"lambda_max must lie within 2**-53 to 2**53, and |mu| * t_max below 2**53"
         )
     # levels from 0 up; one without mass, or within twice the solver's pole
     # guard of the one below, joins that one, leaving an eigenvalue of weight 0
     lam, masses = levels[::-1], params.overlaps[::-1] ** 2
     first = np.flatnonzero((masses > NEGLIGIBLE_OVERLAP_SQ)
-                           & (np.diff(lam, prepend=-1.0) > 4.0 * POLE_GUARD * lam[-1]))
+                           & (np.diff(lam, prepend=-np.inf) > 4.0 * POLE_GUARD * lam[-1]))
     lam, masses = lam[first], np.add.reduceat(masses, first)
     poles, c = rate * lam, np.sqrt(masses)
     mu, u = np.empty((2, poles.size))

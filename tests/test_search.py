@@ -590,7 +590,7 @@ class TestSolveMuMatchesOracle:
         (236, 1), (323, 7)])
     def test_small_mass_on_lowest_pole(self, graph_seed, state_seed, monkeypatch):
         # a small mass on the smallest pole P and a root a few percent below
-        # it: Brent's method on a pole-free form took 14 to 16 evaluations
+        # it: Brent's method on a pole-free form took 15 or 16 evaluations
         # here, alternating interpolation and bisection
         rng = np.random.default_rng(graph_seed)
         n = int(rng.integers(3, 40))
