@@ -378,25 +378,27 @@ def _polish(mu, p, lam, jump_rate):
     (d_k - mu)) and c0 = sum_k a_k/d_k - 1 over the nonzero poles d_k: c0, where
     the rest of f nearly cancels the 1, is rounded once for both roots next to
     0, so their distance stays exact.  The slope a_0/mu**2 + S(mu) misses under
-    |mu|/(P - |mu|) of the true one, so the steps contract."""
+    |mu|/(P - |mu|) of the true one, so the steps contract.  It runs in units
+    of P, y = mu/P, so that no sum overflows however small the rate."""
     nonzero = lam > 0.0
     pole = jump_rate * float(lam[nonzero & (p * p > NEGLIGIBLE_OVERLAP_SQ)].min())
     near = abs(mu) < 0.5 * pole
     if not np.any(near):
         return mu
-    scaled = np.where(nonzero, p, 0.0) / np.sqrt(jump_rate * np.where(nonzero, lam, 1.0))
-    c0, a_zero = scaled @ scaled - 1.0, float(p[~nonzero] @ p[~nonzero])
-    x = mu[near] if isinstance(mu, np.ndarray) else mu
+    unit = np.where(nonzero, lam * (jump_rate / pole), 1.0)  # d_k/P
+    scaled = np.where(nonzero, p, 0.0) / np.sqrt(unit)
+    c0, a_zero = scaled @ scaled - pole, float(p[~nonzero] @ p[~nonzero])  # c0*P
+    y = (mu[near] if isinstance(mu, np.ndarray) else mu) / pole
     for _ in range(MAX_SECULAR_STEPS):
-        s = f_of_mu(x, scaled, lam, jump_rate)
-        step = (c0 - a_zero / x + x * s) / (a_zero / (x * x) + s)
-        x = x - step
-        # the next step would be below |x|/(pole - |x|) + |step/x| of this one
-        if _all(abs(step) * (abs(x) / (pole - abs(x)) + abs(step / x)) <= 4.0 * _EPS * abs(x)):
+        s = f_of_mu(y, scaled, unit, 1.0)  # the zero level has no mass here
+        step = (c0 - a_zero / y + y * s) / (a_zero / (y * y) + s)
+        y = y - step
+        # the next step would be below |y|/(1 - |y|) < 2|y| plus |step/y| of this one
+        if _all(abs(step) * (2.0 * abs(y) + abs(step / y)) <= 4.0 * _EPS * abs(y)):
             break
     if not isinstance(mu, np.ndarray):
-        return x
-    mu[near] = x
+        return y * pole
+    mu[near] = y * pole
     return mu
 
 

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctqw_search import linalg, search, simulate
-from ctqw_search.search import _level_params
 from ctqw_search import (
     DisconnectedGraphError,
     Graph,
@@ -30,6 +28,8 @@ from ctqw_search import (
     solve_mu,
     uniform_state,
 )
+from ctqw_search import linalg, search, simulate
+from ctqw_search.search import _level_params
 from conftest import (
     DEGENERATE_FAMILIES,
     random_connected_graph,
@@ -310,9 +310,9 @@ class TestReducedTrace:
     def test_matches_reduced_eig_sym(self, g, seed, log_p_n, log_rate, split, log_low_mass):
         rng = np.random.default_rng(seed)
         state = random_marked_state(rng, g.n_vertices, p_n=10.0**log_p_n)
-        rate = instance(g, state).gamma_c * 10.0**log_rate
-        run(g, state, rate, steps=8)  # raises no PoleError
         params = instance(g, state)
+        rate = params.gamma_c * 10.0**log_rate
+        run(g, state, rate, steps=8)  # raises no PoleError
         levels, masses = np.array(params.eigenvalues), np.array(params.a_k)
         k = int(rng.integers(0, levels.size - 1))  # a nonzero level
         if split is not None:  # into two poles a relative 10**split[0] apart
@@ -325,8 +325,8 @@ class TestReducedTrace:
         params = _level_params(levels, masses, state.digest())
         trace = simulate._reduced_trace(rate, params, None, 64)
         oracle, slack = oracle_trace(levels, params.overlaps, rate, trace.times)
-        # 1e-10 plus what the oracle's own rounding allows, which passes 1e-10
-        # only at t of order 1e5/max(rate*lambda_max, 1), reached when p_n < ~1e-4
+        # 1e-10 plus the oracle's own phase rounding, which exceeds 1e-10 only
+        # past t ~ 1e5/||H||, that is for p_n below about 1e-4
         assert np.all(np.abs(trace.amplitudes - oracle) <= 1e-10 + slack)
         # the weights sum to p_n
         assert abs(trace.amplitudes[0] - params.p_n) <= 1e-12
