@@ -213,9 +213,14 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
     lam, masses = lam[first], np.add.reduceat(masses, first)
     poles, c = rate * lam, np.sqrt(masses)
     mu, u = np.empty((2, poles.size))
-    # root j lies between poles j-1 (or -A) and j, with pole j+1 outside
+    # root j lies between poles j-1 (or -A) and j; its outer pole is the nearer
+    # of poles j+1 and j-2 (a massless point above when neither exists)
     lower, a_lower = np.append(-float(c @ c), poles[:-1]), np.append(0.0, masses[:-1])
     outer, a_outer = np.append(poles[1:], 2.0 * poles[-1]), np.append(masses[1:], 0.0)
+    below = np.append([-np.inf, -np.inf], poles[:-2])
+    use_below = lower - below < outer - poles
+    outer = np.where(use_below, below, outer)
+    a_outer = np.where(use_below, np.append([0.0, 0.0], masses[:-2]), a_outer)
     for i in range(0, poles.size, MAX_TRACE_CELLS // poles.size):
         j = slice(i, i + MAX_TRACE_CELLS // poles.size)
         mu[j] = _secular_roots(c, lam, rate, lower[j], poles[j], a_lower[j], masses[j],

@@ -558,9 +558,10 @@ class TestSolveMuMatchesOracle:
         a_outer = masses[2] if poles.size > 2 else 0.0
         evaluated = []
 
-        def recording(mu, *args):
-            evaluated.append(mu)
-            return f_of_mu(mu, *args)
+        def recording(mu, overlaps, eigenvalues, jump_rate):
+            if np.min(eigenvalues) == 0.0:  # not the refinement next to zero, in units of P
+                evaluated.append(mu)
+            return f_of_mu(mu, overlaps, eigenvalues, jump_rate)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "f_of_mu", recording)
@@ -582,8 +583,10 @@ class TestSolveMuMatchesOracle:
             lo, hi = (lower, x) if g > 0.0 else (x, upper)
             # without a lower pole the model may stay positive on (-A, 0)
             root = bisection(model, lower, upper) if a_lower or model(lower) < 0.0 else lower
-            want = root if lo < root < hi else 0.5 * (lo + hi)
-            assert steps[1] == pytest.approx(want, rel=1e-9, abs=1e-12 * abs(x))
+            want = [root] if lo < root < hi else [0.5 * (lo + hi)]
+            if min(abs(root - lo), abs(root - hi)) <= 4.0 * EPS * max(abs(lo), abs(hi)):
+                want = [root, 0.5 * (lo + hi)]  # rounding decides which side it falls on
+            assert any(steps[1] == pytest.approx(w, rel=1e-9, abs=1e-12 * abs(x)) for w in want)
 
     @pytest.mark.parametrize("graph_seed, state_seed", [
         (13, 11), (35, 8), (88, 17), (116, 1), (119, 7), (150, 18), (175, 16), (216, 12),
