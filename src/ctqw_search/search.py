@@ -323,8 +323,8 @@ def _secular_roots(p, lam, jump_rate, lower, upper, a_lower, a_upper, outer, a_o
     active pole of mass a_upper, lower the next one (or -A = -p @ p, mass 0).
     Each step evaluates f at one point x per root and moves to the root of a
     model with the bracketing poles at their exact masses plus c + s/(outer
-    - mu) for the next pole up (s = a_outer, then c, s fit to the last two
-    points), or to the bracket's midpoint when that root leaves the bracket
+    - mu) for a pole outer beyond them (s = a_outer, then c, s fit to the last
+    two points), or to the bracket's midpoint when that root leaves the bracket
     or moves over half the step before last; until f is one ulp from 1, the
     bracket 4 eps wide or in f_of_mu's pole guard, or the step below the
     model root's resolution.  Roots next to 0 then go to ``_polish``."""
