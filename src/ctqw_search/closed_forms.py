@@ -20,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     OrthogonalStateError,
 )
-from .linalg import fwht
+from .linalg import hypercube_eigenbasis
 from .search import NEGLIGIBLE_OVERLAP_SQ, MarkedState
 
 
@@ -204,25 +204,25 @@ def single_vertex_sums(n: int) -> tuple[float, float]:
 def hypercube_exact(n: int, marked: MarkedState) -> tuple[float, float, float]:
     """Exact (gamma_c, beta, p_n) of a marked state via the fast transform.
 
-    O(N log N): the oracle against which every closed form is checked.
+    O(N log N) whatever the support: the level masses come from the transform
+    side of the analytic eigenbasis, its overlaps grouped by Hamming weight.
+    This is the oracle against which every closed form, and the Krawtchouk
+    route of ``search_params``, is checked.
     """
-    size = 1 << n
-    if marked.n != size:
+    basis = hypercube_eigenbasis(n)
+    if marked.n != basis.n:
         raise InvalidInputError(
-            f"marked state has dimension {marked.n}, hypercube needs {size}"
+            f"marked state has dimension {marked.n}, hypercube needs {basis.n}"
         )
-    p = fwht(marked.weights) / math.sqrt(size)
-    a = p**2
-    p_n = float(p[0])
-    if a[0] <= NEGLIGIBLE_OVERLAP_SQ:
+    levels, masses = basis.levels(basis.overlaps(marked.weights))
+    if masses[-1] <= NEGLIGIBLE_OVERLAP_SQ:
         raise OrthogonalStateError("marked state is orthogonal to the uniform state")
-    if float(a[1:].sum()) <= NEGLIGIBLE_OVERLAP_SQ:
+    rest, lam = masses[:-1], levels[:-1]
+    if float(rest.sum()) <= NEGLIGIBLE_OVERLAP_SQ:
         raise DegenerateStateError("marked state equals the uniform state")
-    lam = 2.0 * np.bitwise_count(np.arange(1, size, dtype=np.uint64)).astype(float)
-    rest = a[1:]
     gamma_c = float(np.sum(rest / lam))
     beta = math.sqrt(float(np.sum(rest / lam**2)))
-    return gamma_c, beta, p_n
+    return gamma_c, beta, math.sqrt(masses[-1])
 
 
 def krawtchouk(n: int, j: int, d: int) -> int:

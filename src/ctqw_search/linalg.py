@@ -60,6 +60,10 @@ class SpectralDecomposition:
             )
         return self.eigenvectors.T @ vec
 
+    def level_masses(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct eigenvalues and the mass of ``vec`` in each, from its overlaps."""
+        return self.levels(self.overlaps(vec))
+
 
 def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     """Decompose a real symmetric matrix; eigenvalues returned non-increasing.
@@ -131,22 +135,38 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform of a power-of-two-length vector.
 
     Entry z of the result is sum_x (-1)**popcount(x & z) * vec[x], computed in
-    O(N log N) butterfly passes.
+    O(N log N) on a copy; ``vec`` is left as it is.  Each pass applies two
+    radix-2 butterfly levels to blocks of four quarters (a, b, c, d):
+    ((a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d), (a-b)-(c-d)), the same operations in
+    the same order as two radix-2 passes, so the result is bit for bit theirs;
+    an odd log2(N) takes one radix-2 pass first.
     """
     a = np.array(vec, dtype=float)
     n = a.size
     if n == 0 or n & (n - 1):
         raise InvalidInputError(f"transform length must be a power of two, got {n}")
     h = 1
+    if n.bit_length() % 2 == 0:
+        pairs = a.reshape(-1, 2)
+        left = pairs[:, 0].copy()
+        np.add(left, pairs[:, 1], out=pairs[:, 0])
+        np.subtract(left, pairs[:, 1], out=pairs[:, 1])
+        h = 2
     while h < n:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        right = a[:, h:].copy()
-        a[:, :h] = left + right
-        a[:, h:] = left - right
-        a = a.reshape(-1)
-        h *= 2
+        b = a.reshape(-1, 4, h)
+        s0, d0, s1 = b[:, 0] + b[:, 1], b[:, 0] - b[:, 1], b[:, 2] + b[:, 3]
+        d1 = np.subtract(b[:, 2], b[:, 3], out=b[:, 3])
+        np.add(s0, s1, out=b[:, 0])
+        np.subtract(s0, s1, out=b[:, 2])
+        np.add(d0, d1, out=b[:, 1])
+        np.subtract(d0, d1, out=b[:, 3])
+        h *= 4
     return a
+
+
+# Support pairs per block of the hypercube Hamming-distance histogram: each of
+# the block's XOR, weight and bin-index arrays takes 2 MiB.
+PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -155,41 +175,92 @@ class HypercubeEigenbasis:
 
     Eigenvalue 2*popcount(z) belongs to the parity vector with entries
     (-1)**popcount(x & z) / sqrt(N); nothing of size N*N is ever materialized,
-    and overlaps of arbitrary states are computed by the fast transform.
+    overlaps of arbitrary states are computed by the fast transform, and
+    nothing of size N is built until a transform needs it.
     """
 
     n_bits: int
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
 
     @property
     def n(self) -> int:
         return 1 << self.n_bits
 
+    @cached_property
+    def _hamming_weights(self) -> np.ndarray:
+        """popcount(z) of every index z, as uint8."""
+        return np.bitwise_count(np.arange(self.n, dtype=np.uint64))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """2*popcount(z) for every index z: an array of N floats, built on each access."""
+        return 2.0 * self._hamming_weights
+
+    def _level_values(self) -> np.ndarray:
+        return 2.0 * np.arange(self.n_bits, -1, -1)
+
     def levels(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Levels 2n, 2n-2, ..., 0, one per Hamming weight, and the mass
         sum(coeffs**2) of the transform coefficients in each."""
-        masses = np.bincount(self.eigenvalues.astype(np.intp), weights=coeffs**2,
-                             minlength=2 * self.n_bits + 1)[::-2]
-        return 2.0 * np.arange(self.n_bits, -1, -1), masses
+        masses = np.bincount(self._hamming_weights, weights=coeffs**2,
+                             minlength=self.n_bits + 1)[::-1]
+        return self._level_values(), masses
 
     def overlaps(self, vec: np.ndarray) -> np.ndarray:
+        return fwht(self._check(vec)) / math.sqrt(self.n)
+
+    def level_masses(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Levels 2n, ..., 0 and the mass of ``vec`` in each, by the cheaper route.
+
+        For r support vertices with r**2 <= N*log2(N), the mass of level j >= 1
+        is (1/N) * sum_d h_d * K_j(d), h_d summing vec[a] * vec[b] over support
+        pairs at Hamming distance d and K_j the Krawtchouk kernel, and level 0
+        has mass (sum vec)**2 / N: O(r**2 + n**2) with nothing of size N built.
+        Wider supports take the transform, O(N log N).
+        """
+        vec = self._check(vec)
+        support = np.flatnonzero(vec)
+        if self._transform_cheaper(support.size):
+            return self.levels(self.overlaps(vec))
+        from . import closed_forms  # at call time: closed_forms imports this module
+
+        wv = vec[support]
+        h = _distance_histogram(support.astype(np.uint64), wv, self.n_bits)
+        ds = np.flatnonzero(h)
+        kernel = np.array([[closed_forms.krawtchouk(self.n_bits, j, int(d)) for d in ds]
+                           for j in range(self.n_bits, 0, -1)], dtype=float)
+        return self._level_values(), np.append(kernel @ h[ds], wv.sum() ** 2) / self.n
+
+    def _transform_cheaper(self, r: int) -> bool:
+        """Whether r support vertices make more pairs than the N*log2(N) steps
+        of a transform."""
+        return r * r > self.n_bits * self.n
+
+    def _check(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec)
         if vec.shape != (self.n,):
             raise InvalidInputError(
                 f"vector has shape {vec.shape}, expected ({self.n},)"
             )
-        return fwht(vec) / math.sqrt(self.n)
+        return vec
+
+
+def _distance_histogram(support: np.ndarray, wv: np.ndarray, n_bits: int) -> np.ndarray:
+    """h_d = sum of wv_a * wv_b over ordered support pairs (a, b) at Hamming
+    distance d, accumulated over row blocks of at most PAIR_BLOCK pairs."""
+    h = np.zeros(n_bits + 1)
+    rows = max(1, PAIR_BLOCK // support.size)
+    for i in range(0, support.size, rows):
+        dist = np.bitwise_count(support[i:i + rows, None] ^ support[None, :])
+        h += np.bincount(dist.ravel(), weights=np.outer(wv[i:i + rows], wv).ravel(),
+                         minlength=n_bits + 1)
+    return h
 
 
 def hypercube_eigenbasis(n_bits: int) -> HypercubeEigenbasis:
-    """Analytic eigenbasis for the hypercube on 2**n_bits vertices."""
+    """Analytic eigenbasis for the hypercube on 2**n_bits vertices; it allocates
+    nothing of size 2**n_bits until a transform needs it."""
     if n_bits < 1:
         raise InvalidInputError(f"hypercube needs n >= 1, got {n_bits}")
     if n_bits > MAX_BASIS_BITS:
         raise InvalidInputError(f"hypercube basis with n = {n_bits} exceeds the memory budget")
-    z = np.arange(1 << n_bits, dtype=np.uint64)
-    eigenvalues = 2.0 * np.bitwise_count(z).astype(float)
-    return HypercubeEigenbasis(n_bits, eigenvalues)
+    return HypercubeEigenbasis(n_bits)

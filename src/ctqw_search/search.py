@@ -159,24 +159,35 @@ class SearchParameters:
 
 def overlaps(basis: Eigenbasis, state: MarkedState) -> np.ndarray:
     """Eigenbasis overlaps of the marked state, one entry per eigenvector."""
+    _check_dimension(basis, state)
+    return basis.overlaps(state.weights)
+
+
+def _check_dimension(basis: Eigenbasis, state: MarkedState) -> None:
     if state.n != basis.n:
         raise InvalidInputError(
             f"marked state has dimension {state.n}, basis expects {basis.n}"
         )
-    return basis.overlaps(state.weights)
 
 
 def search_params(basis: Eigenbasis, state: MarkedState) -> SearchParameters:
     """Critical jump rate, envelope, optimal time, and two-level eigenvalues.
 
+    The level masses come from ``basis.level_masses``: grouped overlaps for a
+    dense decomposition; for the hypercube, the Krawtchouk kernel on small
+    supports and the Walsh transform on wide ones.
+
     Raises
     ------
+    InvalidInputError
+        If the marked state's dimension differs from the basis'.
     OrthogonalStateError
         If the marked state has no overlap with the uniform state.
     DegenerateStateError
         If the marked state is the uniform state itself.
     """
-    levels, masses = basis.levels(overlaps(basis, state))
+    _check_dimension(basis, state)
+    levels, masses = basis.level_masses(state.weights)
     return _level_params(levels, masses, state.digest())
 
 
@@ -318,6 +329,10 @@ def _all(cond) -> bool:
     return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
 
 
+def _any(cond) -> bool:
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
 def _secular_roots(p, lam, jump_rate, lower, upper, a_lower, a_upper, outer, a_outer):
     """Root of f(mu) = 1 between lower and upper, elementwise: upper is an
     active pole of mass a_upper, lower the next one (or -A = -p @ p, mass 0).
@@ -327,7 +342,9 @@ def _secular_roots(p, lam, jump_rate, lower, upper, a_lower, a_upper, outer, a_o
     two points), or to the bracket's midpoint when that root leaves the bracket
     or moves over half the step before last; until f is one ulp from 1, the
     bracket 4 eps wide or in f_of_mu's pole guard, or the step below the
-    model root's resolution.  Roots next to 0 then go to ``_polish``."""
+    model root's resolution with f - 1 inside ``_residual_bound``; such a step
+    with f - 1 outside it halves the bracket.  Roots next to 0 then go to
+    ``_polish``."""
     guard = 2.0 * POLE_GUARD * jump_rate * float(np.max(lam))
     edge_lo, edge_hi = lower + guard, upper - guard
     lo, hi, rho_old, done = lower, upper, 0.0, lower != lower
@@ -360,16 +377,42 @@ def _secular_roots(p, lam, jump_rate, lower, upper, a_lower, a_upper, outer, a_o
         x_new = near + o * v
         tol = 2.0 * _EPS * (abs(x) + v)  # the resolution of the model root
         at_x = (abs(g) <= _EPS) | (hi - lo <= 2.0 * tol)
-        at_model = (abs(x_new - x) <= tol) | (hi <= edge_lo) | (lo >= edge_hi)
+        # a model step below its resolution ends the search only where f - 1
+        # is within rounding of 0: a model fitted across a pole it does not
+        # hold can stall far from the root, and then the bracket is halved
+        stalled = abs(x_new - x) <= tol
+        if _any(_pick(done, False, stalled)):
+            # |f| and the bracketing poles' terms of f' give the bound from
+            # below, which spares most stalls the pass over every pole
+            bound = 8.0 * (_EPS * (abs(g + 1.0) + 1.0)
+                           + tol * (a_lower / (lower - x) ** 2 + a_upper / (upper - x) ** 2))
+            if _any(_pick(done, False, stalled & (abs(g) > bound))):
+                bound = _residual_bound(x, tol, p, lam, jump_rate)
+            stalled = stalled & (abs(g) <= bound)
+        at_model = stalled | (hi <= edge_lo) | (lo >= edge_hi)
         root = _pick(done, root, _pick(at_x, x, x_new))
         done = done | at_x | at_model
         if _all(done):
             return _polish(root, p, lam, jump_rate)
-        ok = (lo < x_new) & (x_new < hi) & (abs(x_new - x) < 0.5 * abs(step_old))
+        ok = ((lo < x_new) & (x_new < hi) & (tol < abs(x_new - x))
+              & (abs(x_new - x) < 0.5 * abs(step_old)))
         x_new = _pick(ok, x_new, 0.5 * (lo + hi))
         x_new = _pick(x_new < edge_lo, edge_lo, _pick(x_new > edge_hi, edge_hi, x_new))
         x_old, rho_old, step_old, step, x = x, rho, step, x_new - x, _pick(done, x, x_new)
     raise NumericError(f"secular root not converged after {MAX_SECULAR_STEPS} steps")
+
+
+def _residual_bound(mu, tol, p, lam, jump_rate):
+    """8 * (eps * (sum_k |a_k/(d_k - mu)| + 1) + tol * f'(mu)) over the active
+    poles d_k: the rounding of f - 1 at mu, from its terms and their sum, plus
+    its change over tol, the resolution of the root (eps * A, not eps * |mu|,
+    for a root next to 0 found from -A)."""
+    a = p * p
+    active = a > NEGLIGIBLE_OVERLAP_SQ
+    a, poles = a[active], jump_rate * lam[active]
+    terms = a / (poles - np.asarray(mu)[..., None])
+    slope = (terms * terms / a).sum(axis=-1)
+    return 8.0 * (_EPS * (abs(terms).sum(axis=-1) + 1.0) + tol * slope)
 
 
 def _polish(mu, p, lam, jump_rate):

@@ -12,15 +12,11 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 from .graphs import Graph, _check_graph, laplacian
-from .closed_forms import krawtchouk
-from .linalg import MAX_BASIS_BITS, hypercube_eigenbasis, laplacian_decomposition
+from .linalg import hypercube_eigenbasis, laplacian_decomposition
 from .search import (NEGLIGIBLE_OVERLAP_SQ, POLE_GUARD, MarkedState, SearchParameters,
-                     _level_params, _secular_roots, search_params)
+                     _secular_roots, search_params)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Support pairs per block of the hypercube Hamming-distance histogram: each of
-# the block's XOR, weight and bin-index arrays takes 2 MiB.
-PAIR_BLOCK = 1 << 18
 # Budget of time-grid points, or secular roots per block, times reduced
 # levels: a trace's phase matrix holds one complex value per cell, 64 MiB.
 MAX_TRACE_CELLS = 1 << 22
@@ -103,38 +99,12 @@ def run_hypercube(n_bits: int, w: MarkedState,
     """Exact hypercube dynamics without dense diagonalization.
 
     The evolution reduces to the n+1 Laplacian levels (2j for Hamming weight
-    j).  The mass of level j >= 1 is (1/N) * sum_d h_d * K_j(d), h_d summing
-    w_a * w_b over support pairs at Hamming distance d and K_j the Krawtchouk
-    kernel, and level 0 has mass (sum w)**2 / N: O(r**2) for r support
-    vertices.  Past r**2 = N*log2(N) the Walsh transform, O(N log N), is used.
+    j), whose masses ``search_params`` takes from the analytic eigenbasis:
+    by the Krawtchouk kernel, O(r**2 + n**2) for r support vertices, or by the
+    Walsh transform, O(N log N), whichever costs less.
     """
-    if not 1 <= n_bits <= MAX_BASIS_BITS or w.n != 1 << n_bits:
-        raise InvalidInputError(f"marked state of dimension {w.n} does not fit a "
-                                f"hypercube of 1 to {MAX_BASIS_BITS} coordinates, got {n_bits}")
-    support = np.flatnonzero(w.weights)
-    if support.size**2 > n_bits << n_bits:
-        params = search_params(hypercube_eigenbasis(n_bits), w)
-    else:
-        wv = w.weights[support]
-        h = _distance_histogram(support.astype(np.uint64), wv, n_bits)
-        ds = np.flatnonzero(h)
-        kernel = np.array([[krawtchouk(n_bits, j, int(d)) for d in ds]
-                           for j in range(n_bits, 0, -1)], dtype=float)
-        masses = np.append(kernel @ h[ds], wv.sum() ** 2) / w.n
-        params = _level_params(2.0 * np.arange(n_bits, -1, -1), masses, w.digest())
+    params = search_params(hypercube_eigenbasis(n_bits), w)
     return _reduced_trace(_resolve_rate(jump_rate, params), params, t_max, steps)
-
-
-def _distance_histogram(support: np.ndarray, wv: np.ndarray, n_bits: int) -> np.ndarray:
-    """h_d = sum of wv_a * wv_b over ordered support pairs (a, b) at Hamming
-    distance d, accumulated over row blocks of at most PAIR_BLOCK pairs."""
-    h = np.zeros(n_bits + 1)
-    rows = max(1, PAIR_BLOCK // support.size)
-    for i in range(0, support.size, rows):
-        dist = np.bitwise_count(support[i:i + rows, None] ^ support[None, :])
-        h += np.bincount(dist.ravel(), weights=np.outer(wv[i:i + rows], wv).ravel(),
-                         minlength=n_bits + 1)
-    return h
 
 
 def compare(trace: EvolutionTrace, params: SearchParameters) -> DeviationReport:

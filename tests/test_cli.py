@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctqw_search import hypercube_eigenbasis, parse_dot, parse_edge_list
+from ctqw_search import fwht, parse_dot, parse_edge_list
 from ctqw_search.cli import main
 
 
@@ -251,12 +251,12 @@ class TestSimulate:
     def test_full_support_skips_pair_histogram(self, capsys, tmp_path, monkeypatch):
         # 1024**2 support pairs exceed N*log2(N): the level masses come from
         # the Walsh transform, and the O(r**2) histogram is never built
-        import ctqw_search.simulate as simulate_mod
+        import ctqw_search.linalg as linalg_mod
 
         def refuse(*args):
             raise AssertionError("pair histogram on a full support")
 
-        monkeypatch.setattr(simulate_mod, "_distance_histogram", refuse)
+        monkeypatch.setattr(linalg_mod, "_distance_histogram", refuse)
         weights = np.random.default_rng(4).uniform(0.05, 1.0, 1 << 10)
         state = tmp_path / "full.state"
         state.write_text("".join(f"{v} {x!r}\n" for v, x in enumerate(weights.tolist())))
@@ -277,28 +277,33 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, "simulate", "hypercube:5", "pair:0,3")
         assert first == second
 
-    def test_hypercube_builds_no_basis(self, capsys, monkeypatch):
-        import ctqw_search.cli as cli_mod
+    def test_hypercube_transforms_only_wide_supports(self, capsys, tmp_path, monkeypatch):
+        # analyze and simulate share one cost rule: the pair state's level
+        # masses come from the Krawtchouk kernel, a full support's from one
+        # transform; pair-table's oracle transforms once per row
         import ctqw_search.linalg as linalg_mod
 
         calls = []
 
-        def counting(name, fn):
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapped
+        def counting(vec):
+            calls.append(vec.size)
+            return fwht(vec)
 
-        for module in (cli_mod, linalg_mod):
-            monkeypatch.setattr(module, "hypercube_eigenbasis",
-                                counting("basis", hypercube_eigenbasis))
-        monkeypatch.setattr(linalg_mod, "fwht", counting("fwht", linalg_mod.fwht))
-        code, _, _ = run_cli(capsys, "simulate", "hypercube:6", "pair:0,3")
+        monkeypatch.setattr(linalg_mod, "fwht", counting)
+        weights = np.random.default_rng(5).uniform(0.05, 1.0, 1 << 6)
+        full = tmp_path / "full.state"
+        full.write_text("".join(f"{v} {x!r}\n" for v, x in enumerate(weights.tolist())))
+        for command in ("analyze", "simulate"):
+            code, _, _ = run_cli(capsys, command, "hypercube:6", "pair:0,3")
+            assert code == 0
+            assert calls == []
+            code, _, _ = run_cli(capsys, command, "hypercube:6", str(full))
+            assert code == 0
+            assert calls == [1 << 6]
+            calls.clear()
+        code, _, _ = run_cli(capsys, "pair-table", "--bits", "4")
         assert code == 0
-        assert calls == []
-        code, _, _ = run_cli(capsys, "analyze", "hypercube:6", "pair:0,3")
-        assert code == 0
-        assert calls == ["basis", "fwht"]
+        assert calls == [16] * 4
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize("graph", ["hypercube:0", "hypercube:-1", "hypercube:23",

@@ -110,9 +110,35 @@ class TestFwht:
             )
             np.testing.assert_allclose(fwht(v), direct, atol=1e-12)
 
+    def test_bit_identical_to_radix2(self):
+        # even and odd log2(N): two butterfly levels per pass, plus one
+        # radix-2 pass, leave every operation and its order unchanged
+        rng = np.random.default_rng(3)
+        for k in range(14):
+            v = rng.standard_normal(1 << k)
+            before = v.copy()
+            assert np.array_equal(fwht(v), fwht_radix2(v))
+            assert np.array_equal(v, before)
+
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(InvalidInputError):
-            fwht(np.zeros(3))
+        for size in (0, 3, 6, 12, 1000):
+            with pytest.raises(InvalidInputError):
+                fwht(np.zeros(size))
+
+
+def fwht_radix2(vec):
+    """One butterfly level per pass: the reference transform."""
+    a = np.array(vec, dtype=float)
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2 * h)
+        left = a[:, :h].copy()
+        right = a[:, h:].copy()
+        a[:, :h] = left + right
+        a[:, h:] = left - right
+        a = a.reshape(-1)
+        h *= 2
+    return a
 
 
 def walsh_matrix(n):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ctqw_search import (
     DegenerateStateError,
+    HypercubeEigenbasis,
     InvalidInputError,
     InvalidParameterError,
     MarkedState,
@@ -225,6 +226,37 @@ class TestLevels:
         basis_params = search_params(hypercube_eigenbasis(n), state)
         assert params.gamma_c == pytest.approx(basis_params.gamma_c, rel=1e-12)
         assert params.beta == pytest.approx(basis_params.beta, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_kernel_and_transform_routes_match_dense(self, dense_hypercube, n, seed, wide):
+        # each route forced in turn on supports either side of r**2 = N*log2(N)
+        rng = np.random.default_rng(seed)
+        pairs_bound = math.isqrt(n << n)
+        support = int(rng.integers(pairs_bound + 1, (1 << n) + 1) if wide and
+                      pairs_bound < 1 << n else rng.integers(1, pairs_bound + 1))
+        states = [random_marked_state(rng, 1 << n, support=support)]
+        # signed weights whose pair sums cancel, the last one to p_n = 3.75e-5
+        states += [MarkedState.from_mapping(1 << k, amplitudes) for k, amplitudes in (
+            (5, {0: 0.6, 1: 0.8}), (5, {0: 0.6, 5: -0.8}),
+            (7, {3: 0.5, 40: -0.2, 77: 0.7, 127: 0.4}),
+            (6, {1: 0.5, 2: 0.5, 12: -0.5, 7: -0.4997})) if k == n]
+        for state in states:
+            dense = search_params(dense_hypercube(n), state)
+            routes = []
+            for transform in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(HypercubeEigenbasis, "_transform_cheaper",
+                               lambda self, r, transform=transform: transform)
+                    routes.append(search_params(hypercube_eigenbasis(n), state))
+            kernel, transform = routes
+            for params, other in ((kernel, transform), (kernel, dense), (transform, dense)):
+                np.testing.assert_allclose(params.eigenvalues, other.eigenvalues,
+                                           rtol=0, atol=1e-10)
+                np.testing.assert_allclose(params.a_k, other.a_k, rtol=0, atol=1e-10)
+                for key in ("p_n", "gamma_c", "beta"):
+                    assert getattr(params, key) == pytest.approx(getattr(other, key),
+                                                                 rel=1e-10)
 
     def test_pair_kernel_overlaps_finite(self):
         # odd levels of an antipodal pair have zero mass; the pair kernel
@@ -613,6 +645,23 @@ class TestSolveMuMatchesOracle:
         mu_pos, _ = solve_mu(params.overlaps, params.eigenvalues, params.gamma_c)
         assert 0.02 <= (pole - mu_pos) / pole <= 0.07
         assert sum(mu > 0.0 for mu in evaluated) <= 10
+
+    def test_stalled_model_checks_the_residual(self):
+        # a level split 4e-15 apart; the bracket's lower pole is the split's
+        # upper part, of mass 2e-17, so the model, which keeps only that part
+        # and the pole above, stalls at 0.29407 where f - 1 = +0.025: the
+        # residual sends the solver on by bisection to the root 0.2938470
+        levels = np.array([0.0, 1.4638508427108186, 1.838660184389626, 1.8386601843896304,
+                           3.1880207894266777, 3.6264196152860344])
+        masses = np.array([4.2828189466052012e-03, 1.0598783734338599e-01,
+                           4.6356677337655597e-02, 2.1032233079303015e-17,
+                           4.4160437051453522e-01, 4.0176829585781809e-01])
+        p, rate = np.sqrt(masses), 0.14649562091369062
+        poles = rate * levels
+        mu = search._secular_roots(p, levels, rate, poles[3], poles[4], masses[3], masses[4],
+                                   poles[5], masses[5])
+        want = bisection(lambda x: f_of_mu(x, p, levels, rate) - 1.0, poles[3], poles[4])
+        assert abs(mu - want) <= conditioned_tol(p, levels, rate, want)
 
     @pytest.mark.parametrize("p_n", [1e-8, 1e-6, 1e-4])
     def test_roots_next_to_zero_at_the_critical_rate(self, p_n):

@@ -258,7 +258,7 @@ class TestRunHypercube:
         def refuse(*args):
             raise AssertionError("pair histogram on a full support")
 
-        monkeypatch.setattr(simulate, "_distance_histogram", refuse)
+        monkeypatch.setattr(linalg, "_distance_histogram", refuse)
         w = MarkedState.from_weights(np.random.default_rng(12).standard_normal(1 << 12))
         params = run_hypercube(12, w, steps=64).params
         np.testing.assert_allclose(params.a_k, transform_level_masses(12, w.weights),
