@@ -52,16 +52,18 @@ class SpectralDecomposition:
         return self.eigenvalues[starts], np.add.reduceat(coeffs**2, starts)
 
     def overlaps(self, vec: np.ndarray) -> np.ndarray:
-        """Coefficients of ``vec`` in the eigenbasis (one per eigenvector column)."""
+        """Coefficients of ``vec`` in the eigenbasis (one per eigenvector column),
+        for an (N,) vector or, column by column, an (N, k) block."""
         vec = np.asarray(vec)
-        if vec.shape != (self.n,):
+        if vec.ndim not in (1, 2) or vec.shape[0] != self.n:
             raise InvalidInputError(
-                f"vector has shape {vec.shape}, expected ({self.n},)"
+                f"vector has shape {vec.shape}, expected ({self.n},) or ({self.n}, k)"
             )
         return self.eigenvectors.T @ vec
 
     def level_masses(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct eigenvalues and the mass of ``vec`` in each, from its overlaps."""
+        """Distinct eigenvalues and the mass of ``vec`` in each, from its
+        overlaps; one column of masses per column of an (N, k) block."""
         return self.levels(self.overlaps(vec))
 
 
@@ -125,10 +127,11 @@ def laplacian_decomposition(q: np.ndarray) -> SpectralDecomposition:
 
 
 def evolve(decomp: SpectralDecomposition, vec: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(-iHt) to ``vec`` using the eigendecomposition of H."""
+    """Apply exp(-iHt) to ``vec``, an (N,) vector or each column of an (N, k)
+    block, using the eigendecomposition of H."""
     coeffs = decomp.overlaps(vec)
     phases = np.exp(-1j * decomp.eigenvalues * t)
-    return decomp.eigenvectors @ (phases * coeffs)
+    return decomp.eigenvectors @ (phases * coeffs.T).T
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:

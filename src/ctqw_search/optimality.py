@@ -4,6 +4,7 @@ closed-form certifications for the structured graph families."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,11 +12,16 @@ import numpy as np
 from .errors import DisconnectedGraphError, InvalidParameterError
 from .graphs import SrgParams
 from .linalg import ZERO_EIGENVALUE_TOL, SpectralDecomposition
-from .search import MarkedState, search_params, uniform_state
+from .search import _level_sums, _phased_states, uniform_state
 
 # A ratio of extreme nonzero Laplacian eigenvalues at or below this threshold
 # guarantees envelope >= 1/sqrt(2) for every admissible marked state.
 OPTIMALITY_THRESHOLD = 1.0 + 1.0 / math.sqrt(2.0)
+
+# Floats per array of one block of stress states: 256 KiB, max(1, 2**15 // N)
+# states.
+STRESS_BLOCK = 1 << 15
+HISTOGRAM_BINS = 20
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not-certified"
@@ -146,21 +152,76 @@ def stress_random_states(decomp: SpectralDecomposition, trials: int,
     Each state mixes a normalized Gaussian vector orthogonal to the uniform
     state with the uniform state itself, the mixing coefficient drawn uniform
     in [1/sqrt(N), 1] so the uniform overlap meets the search admissibility
-    floor.  Deterministic for a fixed seed.
-    """
-    if trials < 1:
-        raise InvalidParameterError(f"need at least one trial, got {trials}")
-    n = decomp.n
-    rng = np.random.default_rng(seed)
-    s = uniform_state(n)
-    report = certify(decomp)
-    theta = report.theta
+    floor.  Every trial draws its Gaussian vector (again while its part
+    orthogonal to the uniform state has norm below 1e-12) and then its mixing
+    coefficient, in trial order, so a seed fixes every state whatever the
+    blocking.  The states are evaluated a block of columns at a time, about
+    ``STRESS_BLOCK`` floats each: one eigenvector product, the level masses
+    and the sums of ``search_params``, then block minima, sums, maxima and
+    histogram counts, so memory stays O(block) for any number of trials.
 
-    envelopes = np.empty(trials)
-    reduced = np.empty(trials)
-    margin_exact = np.empty(trials)
-    margin_approx = np.empty(trials)
-    for i in range(trials):
+    Raises
+    ------
+    InvalidParameterError
+        If ``trials`` is not an integer >= 1 or ``seed`` not an integer >= 0
+        (bools are refused, numpy integers accepted), or the spectrum is not
+        a Laplacian's.
+    DisconnectedGraphError
+        If the zero eigenvalue repeats.
+    """
+    trials = _integer("trials", trials, 1)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
+    n = decomp.n
+    s = uniform_state(n)
+    theta = certify(decomp).theta
+    columns = max(1, STRESS_BLOCK // n)
+    # minimum and sum of (envelope, reduced envelope), maximum of the (exact,
+    # approximate) variance margins
+    low, total, high = np.full(2, np.inf), np.zeros(2), np.full(2, -np.inf)
+    edges = np.histogram_bin_edges([], bins=HISTOGRAM_BINS, range=(0.0, 1.0))
+    counts = np.zeros(HISTOGRAM_BINS, dtype=np.intp)
+    # one draw buffer for every block and one temporary d for the spread: with
+    # more block-sized arrays allocated per block, the heap fragmented and the
+    # state-sweep benchmark peaked 2.9 MB higher after equal rounds
+    rows = np.empty((min(columns, trials), n))
+    for start in range(0, trials, columns):
+        states = _phased_states(_draw_states(rng, s, rows[:trials - start]))
+        levels, masses = decomp.level_masses(states)
+        p_n, gamma_c, beta = _level_sums(levels, masses)
+        envelope = gamma_c / beta
+        reduced = envelope / np.sqrt(1.0 - p_n**2)
+        # the nonzero levels and their masses; the zero level is last
+        a = masses[:-1]
+        mass = a.sum(axis=0)
+        d = 1.0 / levels[:-1, None] - gamma_c / mass
+        d *= d
+        d *= a
+        spread = d.sum(axis=0)
+        margins = (spread - theta**2 * mass, (beta**2 - gamma_c**2) - theta**2)
+        low = np.minimum(low, (envelope.min(), reduced.min()))
+        total += (envelope.sum(), reduced.sum())
+        high = np.maximum(high, [m.max() for m in margins])
+        counts += np.histogram(np.clip(reduced, 0.0, 1.0), bins=HISTOGRAM_BINS,
+                               range=(0.0, 1.0))[0]
+    return StressStatistics(
+        trials=trials,
+        min_envelope=float(low[0]),
+        mean_envelope=float(total[0] / trials),
+        min_reduced_envelope=float(low[1]),
+        mean_reduced_envelope=float(total[1] / trials),
+        histogram_counts=counts,
+        histogram_edges=edges,
+        variance_margin_exact_max=float(high[0]),
+        variance_margin_approx_max=float(high[1]),
+        theta=theta,
+    )
+
+
+def _draw_states(rng: np.random.Generator, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill ``rows`` with the next random states of ``stress_random_states``,
+    trial by trial, and return them as the columns of an (N, k) block."""
+    n = s.size
+    for row in rows:
         g = rng.standard_normal(n)
         g -= (s @ g) * s
         norm = np.linalg.norm(g)
@@ -170,26 +231,13 @@ def stress_random_states(decomp: SpectralDecomposition, trials: int,
             norm = np.linalg.norm(g)
         g /= norm
         c = rng.uniform(1.0 / math.sqrt(n), 1.0)
-        state = MarkedState(math.sqrt(1.0 - c * c) * g + c * s)
-        params = search_params(decomp, state)
-        envelopes[i] = params.envelope
-        reduced[i] = params.reduced_envelope
-        # the nonzero levels and their masses; the zero level is last
-        a = params.a_k[:-1]
-        mass = float(a.sum())
-        spread = float(np.sum(a * (1.0 / params.eigenvalues[:-1] - params.gamma_c / mass) ** 2))
-        margin_exact[i] = spread - theta**2 * mass
-        margin_approx[i] = (params.beta**2 - params.gamma_c**2) - theta**2
-    counts, edges = np.histogram(np.clip(reduced, 0.0, 1.0), bins=20, range=(0.0, 1.0))
-    return StressStatistics(
-        trials=trials,
-        min_envelope=float(envelopes.min()),
-        mean_envelope=float(envelopes.mean()),
-        min_reduced_envelope=float(reduced.min()),
-        mean_reduced_envelope=float(reduced.mean()),
-        histogram_counts=counts,
-        histogram_edges=edges,
-        variance_margin_exact_max=float(margin_exact.max()),
-        variance_margin_approx_max=float(margin_approx.max()),
-        theta=theta,
-    )
+        row[:] = math.sqrt(1.0 - c * c) * g + c * s
+    return rows.T
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParameterError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)

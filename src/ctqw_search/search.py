@@ -46,19 +46,9 @@ class MarkedState:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
+        if w.ndim != 1:
             raise InvalidInputError("marked state must be a non-empty vector")
-        if not np.all(np.isfinite(w)):
-            raise InvalidInputError("marked state has non-finite amplitudes")
-        norm_sq = float(w @ w)
-        if abs(norm_sq - 1.0) > 1e-10:
-            raise InvalidInputError(
-                f"marked state norm deviates from 1 by {abs(math.sqrt(norm_sq) - 1):.3e}"
-            )
-        if not np.any(w != 0.0):
-            raise InvalidInputError("marked state has empty support")
-        if w.sum() < 0.0:
-            w = -w
+        w = _phased_states(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -109,11 +99,39 @@ class MarkedState:
         return tuple(int(v) for v in np.nonzero(self.weights)[0])
 
     def digest(self) -> str:
-        """Stable identifier of (dimension, amplitudes) for instance matching."""
+        """Stable identifier of (dimension, amplitudes) for instance matching:
+        the dimension, the support indices and the support amplitudes rounded
+        to 12 decimals, so its cost grows with the support, not the dimension."""
+        support = self.weights.nonzero()[0]
         h = hashlib.sha256()
         h.update(self.n.to_bytes(8, "little"))
-        h.update(np.round(self.weights, 12).tobytes())
+        h.update(support.astype(np.int64, copy=False).tobytes())
+        h.update(self.weights[support].round(12).tobytes())
         return h.hexdigest()[:16]
+
+
+def _phased_states(w: np.ndarray) -> np.ndarray:
+    """Marked-state amplitudes along axis 0, a vector or one state per column
+    of a block, checked finite, non-empty and unit-norm (so none has empty
+    support), each negated where its amplitudes sum below zero so that its
+    uniform overlap is >= 0.
+
+    Raises
+    ------
+    InvalidInputError
+        If ``w`` is empty, or a state is non-finite or off unit norm by more
+        than 1e-10.
+    """
+    if w.size == 0:
+        raise InvalidInputError("marked state must be a non-empty vector")
+    if not np.isfinite(w).all():
+        raise InvalidInputError("marked state has non-finite amplitudes")
+    norm_sq = np.vecdot(w, w, axis=0)
+    if (abs(norm_sq - 1.0) > 1e-10).any():
+        deviation = float(np.max(abs(np.sqrt(norm_sq) - 1.0)))
+        raise InvalidInputError(f"marked state norm deviates from 1 by {deviation:.3e}")
+    flip = w.sum(axis=0) < 0.0
+    return w * np.where(flip, -1.0, 1.0) if flip.any() else w
 
 
 @dataclass(frozen=True)
@@ -195,16 +213,7 @@ def _level_params(levels: np.ndarray, masses: np.ndarray,
                   state_digest: str) -> SearchParameters:
     """Search parameters from the distinct Laplacian levels (non-increasing,
     zero last) and the marked state's mass in each."""
-    zero_mass = float(masses[-1])
-    if zero_mass <= NEGLIGIBLE_OVERLAP_SQ:
-        raise OrthogonalStateError("marked state is orthogonal to the uniform state")
-    rest = masses[:-1]
-    if float(rest.sum()) <= NEGLIGIBLE_OVERLAP_SQ:
-        raise DegenerateStateError("marked state equals the uniform state")
-    lam_rest = levels[:-1]
-    p_n = math.sqrt(zero_mass)
-    gamma_c = float(np.sum(rest / lam_rest))
-    beta = math.sqrt(float(np.sum(rest / lam_rest**2)))
+    p_n, gamma_c, beta = (float(x) for x in _level_sums(levels, masses))
     envelope = gamma_c / beta
     t_opt = math.pi * beta / (2.0 * gamma_c * p_n)
     mu1 = gamma_c * p_n / beta
@@ -220,6 +229,33 @@ def _level_params(levels: np.ndarray, masses: np.ndarray,
         mu2=-mu1,
         state_digest=state_digest,
     )
+
+
+def _level_sums(levels: np.ndarray,
+               masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p_n, gamma_c and beta along axis 0 of the level masses: a vector, or one
+    state per column of a block, over the distinct levels (non-increasing,
+    zero last).
+
+    p_n = sqrt(a_0), gamma_c = sum_k a_k/lambda_k and beta**2 =
+    sum_k a_k/lambda_k**2 over the nonzero levels.
+
+    Raises
+    ------
+    OrthogonalStateError
+        If a state has no mass on the zero level.
+    DegenerateStateError
+        If a state has no mass on the nonzero levels.
+    """
+    zero_mass = masses[-1]
+    if (zero_mass <= NEGLIGIBLE_OVERLAP_SQ).any():
+        raise OrthogonalStateError("marked state is orthogonal to the uniform state")
+    rest = masses[:-1]
+    if (rest.sum(axis=0) <= NEGLIGIBLE_OVERLAP_SQ).any():
+        raise DegenerateStateError("marked state equals the uniform state")
+    lam_rest = levels[:-1].reshape((-1,) + (1,) * (masses.ndim - 1))
+    return (np.sqrt(zero_mass), (rest / lam_rest).sum(axis=0),
+            np.sqrt((rest / lam_rest**2).sum(axis=0)))
 
 
 def f_of_mu(mu: float | np.ndarray, overlaps: np.ndarray, eigenvalues: np.ndarray,
@@ -459,6 +495,9 @@ def amplitude_exact_sum(decomp_h: SpectralDecomposition, w: np.ndarray,
     """Exact detection amplitude <w| exp(-iHt) |s> as a spectral sum."""
     if isinstance(w, MarkedState):
         w = w.weights
+    if np.ndim(w) != 1 or np.ndim(s) != 1:
+        raise InvalidInputError(
+            f"amplitude needs two vectors, got shapes {np.shape(w)} and {np.shape(s)}")
     u = decomp_h.overlaps(w) * decomp_h.overlaps(s)
     t_arr = np.asarray(t, dtype=float)
     phases = np.exp(-1j * np.multiply.outer(t_arr, decomp_h.eigenvalues))

@@ -202,6 +202,15 @@ class TestEvolve:
         np.testing.assert_allclose(np.abs(out), np.abs(v), atol=1e-12)
         np.testing.assert_allclose(out, np.exp(-1.7j) * v, atol=1e-12)
 
+    def test_square_block_evolves_column_by_column(self):
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((7, 7))
+        d = eig_sym((m + m.T) / 2)
+        block = rng.standard_normal((7, 7))
+        out = evolve(d, block, 0.9)
+        for j in range(7):
+            np.testing.assert_allclose(out[:, j], evolve(d, block[:, j], 0.9), atol=1e-12)
+
     def test_two_vertex_search_reaches_oracle_peak(self):
         # 2x2 closed-form oracle: H = gamma_c*Q - |0><0| has eigenpairs whose
         # aligned-phase amplitude bound (|u_1| + |u_2|)**2 gives the exact

@@ -1,13 +1,19 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctqw_search import optimality
 from ctqw_search import (
     OPTIMALITY_THRESHOLD,
     DisconnectedGraphError,
     Graph,
     InvalidParameterError,
+    MarkedState,
     SrgParams,
     certify,
     certify_induced_complete,
@@ -20,10 +26,49 @@ from ctqw_search import (
     laplacian_decomposition,
     paley,
     regular_multipartite,
+    search_params,
     stress_random_states,
+    uniform_state,
 )
+from ctqw_search.search import _phased_states as phased_states
+from conftest import DEGENERATE_FAMILIES, random_connected_graph
 
 INV_SQRT2 = 1 / math.sqrt(2)
+
+GRAPHS = st.one_of(
+    st.sampled_from([g for g in DEGENERATE_FAMILIES if g.n_vertices <= 40]),
+    st.builds(random_connected_graph, st.integers(0, 2**32 - 1).map(np.random.default_rng),
+              st.integers(2, 24), st.floats(0.0, 0.5)))
+
+
+def stress_oracle(decomp, trials, seed):
+    """The states of ``stress_random_states`` and their envelopes, reduced
+    envelopes and exact and approximate variance margins, one trial at a time
+    through ``MarkedState`` and ``search_params``."""
+    n = decomp.n
+    rng = np.random.default_rng(seed)
+    s = uniform_state(n)
+    theta = certify(decomp).theta
+    states, rows = [], []
+    for _ in range(trials):
+        g = rng.standard_normal(n)
+        g -= (s @ g) * s
+        norm = np.linalg.norm(g)
+        while norm < 1e-12:
+            g = rng.standard_normal(n)
+            g -= (s @ g) * s
+            norm = np.linalg.norm(g)
+        g /= norm
+        c = rng.uniform(1.0 / math.sqrt(n), 1.0)
+        state = MarkedState(math.sqrt(1.0 - c * c) * g + c * s)
+        params = search_params(decomp, state)
+        a = params.a_k[:-1]
+        mass = float(a.sum())
+        spread = float(np.sum(a * (1.0 / params.eigenvalues[:-1] - params.gamma_c / mass) ** 2))
+        states.append(state.weights)
+        rows.append((params.envelope, params.reduced_envelope, spread - theta**2 * mass,
+                     (params.beta**2 - params.gamma_c**2) - theta**2))
+    return np.stack(states, axis=1), np.array(rows).T
 
 
 def certify_graph(g):
@@ -209,8 +254,67 @@ class TestStress:
 
     def test_invalid_trials(self):
         decomp = laplacian_decomposition(laplacian(complete(4)))
-        with pytest.raises(InvalidParameterError):
-            stress_random_states(decomp, trials=0, seed=0)
+        for trials in (0, -3, 2.5, 3.0, True, False, "10", None, np.float64(4.0)):
+            with pytest.raises(InvalidParameterError):
+                stress_random_states(decomp, trials=trials, seed=0)
+        stats = stress_random_states(decomp, trials=np.int64(5), seed=np.uint32(3))
+        assert stats.trials == 5 and type(stats.trials) is int
+
+    def test_invalid_seed(self):
+        decomp = laplacian_decomposition(laplacian(complete(4)))
+        for seed in (-1, 1.5, True, "1", None, np.int64(-2)):
+            with pytest.raises(InvalidParameterError):
+                stress_random_states(decomp, trials=3, seed=seed)
+
+    def test_memory_stays_per_block(self):
+        decomp = laplacian_decomposition(laplacian(paley(101)))
+        stress_random_states(decomp, trials=1, seed=2)
+        peaks = []
+        for trials in (400, 4000):
+            tracemalloc.start()
+            try:
+                stress_random_states(decomp, trials=trials, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0] + 65536, peaks
+
+    @pytest.mark.parametrize("layout", ["one column", "divisor", "non-divisor"])
+    @settings(max_examples=30, deadline=None)
+    @given(GRAPHS, st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 4),
+           st.integers(0, 5))
+    def test_blocks_match_per_trial_oracle(self, layout, g, seed, columns, blocks, extra):
+        trials = columns * blocks + {"one column": extra,
+                                     "divisor": 0,
+                                     "non-divisor": 1 + extra % (columns - 1)}[layout]
+        if layout == "one column":
+            columns = 1
+        decomp = laplacian_decomposition(laplacian(g))
+        evaluated = []
+
+        def recorded(w):
+            evaluated.append(phased_states(w).copy())
+            return evaluated[-1]
+
+        with (mock.patch.object(optimality, "STRESS_BLOCK", columns * g.n_vertices),
+              mock.patch.object(optimality, "_phased_states", recorded)):
+            stats = stress_random_states(decomp, trials=trials, seed=seed)
+        states, (envelope, reduced, exact, approx) = stress_oracle(decomp, trials, seed)
+        assert [w.shape[1] for w in evaluated[:-1]] == [columns] * (len(evaluated) - 1)
+        assert np.array_equal(np.concatenate(evaluated, axis=1), states)
+        assert stats.trials == trials
+        for got, want in ((stats.min_envelope, envelope.min()),
+                          (stats.mean_envelope, envelope.mean()),
+                          (stats.min_reduced_envelope, reduced.min()),
+                          (stats.mean_reduced_envelope, reduced.mean()),
+                          (stats.variance_margin_exact_max, exact.max()),
+                          (stats.variance_margin_approx_max, approx.max())):
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+        counts, edges = np.histogram(np.clip(reduced, 0.0, 1.0), bins=20, range=(0.0, 1.0))
+        np.testing.assert_array_equal(stats.histogram_edges, edges)
+        assert int(stats.histogram_counts.sum()) == trials
+        if np.abs(reduced[:, None] - edges[1:-1]).min() > 1e-12:
+            np.testing.assert_array_equal(stats.histogram_counts, counts)
 
 
 class TestVarianceIdentity:

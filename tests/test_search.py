@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctqw_search import cli
 from ctqw_search import (
     DegenerateStateError,
     HypercubeEigenbasis,
@@ -76,11 +77,21 @@ class TestMarkedState:
             MarkedState.uniform_over(4, [1, 2]).weights[1], 1 / math.sqrt(2)
         )
 
-    def test_digest_stability(self):
+    def test_digest_stability(self, tmp_path):
         a = MarkedState.pair(8, 1, 5)
         b = MarkedState.pair(8, 1, 5)
         assert a.digest() == b.digest()
         assert a.digest() != MarkedState.pair(8, 1, 6).digest()
+        # one state from every constructor gives one digest
+        state_file = tmp_path / "state.txt"
+        state_file.write_text("1 0.6\n5 -0.8\n")
+        built = [MarkedState.from_mapping(8, {1: 0.6, 5: -0.8}),
+                 MarkedState.from_weights([0, 0.6, 0, 0, 0, -0.8, 0, 0]),
+                 cli._load_state(str(state_file), 8)]
+        assert len({state.digest() for state in built}) == 1
+        moved = MarkedState.from_mapping(8, {1: 0.6, 4: -0.8})
+        assert moved.digest() != built[0].digest()
+        assert MarkedState.from_mapping(9, {1: 0.6, 5: -0.8}).digest() != built[0].digest()
 
 
 class TestOverlaps:
@@ -119,6 +130,28 @@ class TestOverlaps:
         decomp = laplacian_decomposition(laplacian(complete(4)))
         with pytest.raises(InvalidInputError):
             overlaps(decomp, MarkedState.single(5, 0))
+
+
+    def test_blocks_of_columns(self):
+        decomp = laplacian_decomposition(laplacian(paley(13)))
+        rng = np.random.default_rng(5)
+        block = np.stack([random_marked_state(rng, 13).weights for _ in range(4)], axis=1)
+        p = decomp.overlaps(block)
+        levels, masses = decomp.level_masses(block)
+        assert p.shape == (13, 4) and masses.shape == (levels.size, 4)
+        for j in range(4):
+            np.testing.assert_allclose(p[:, j], decomp.overlaps(block[:, j]), atol=1e-14)
+            np.testing.assert_allclose(masses[:, j], decomp.level_masses(block[:, j])[1],
+                                       atol=1e-14)
+        for shape in [(), (12,), (14,), (12, 4), (4, 13), (13, 2, 2), (13, 1, 1)]:
+            for method in (decomp.overlaps, decomp.level_masses):
+                with pytest.raises(InvalidInputError):
+                    method(np.zeros(shape))
+        # the exact amplitude pairs two vectors, not a vector with a block
+        s = uniform_state(13)
+        for w in (block[:, :1], np.eye(13)):
+            with pytest.raises(InvalidInputError):
+                amplitude_exact_sum(decomp, w, s, 0.5)
 
 
 class TestSearchParams:
