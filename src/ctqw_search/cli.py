@@ -29,7 +29,7 @@ from .errors import (
 # checks through it that a tracer rebinds by-name imports.
 from .graphs import Graph, SrgParams, _check_graph, laplacian, validate  # noqa: F401
 from .closed_forms import general_pair, hypercube_exact
-from .linalg import MAX_BASIS_BITS, hypercube_eigenbasis, laplacian_decomposition
+from .linalg import MAX_BASIS_BITS, hypercube_eigenbasis, laplacian_eigenvalues
 from .optimality import (
     OptimalityReport,
     certify,
@@ -37,7 +37,7 @@ from .optimality import (
     certify_multipartite,
     certify_srg,
 )
-from .search import MarkedState, search_params
+from .search import MarkedState, graph_search_params, search_params
 from .simulate import run, run_hypercube
 
 # family name -> (constructor, parameter names, order from the parameters);
@@ -207,9 +207,7 @@ def _analysis_report(g_spec: str, state_spec: str) -> dict:
         n_bits, state = hypercube
         return _params_dict(search_params(hypercube_eigenbasis(n_bits), state))
     g = _dense_graph(g_spec)
-    _check_graph(g)
-    decomp = laplacian_decomposition(laplacian(g))
-    return _params_dict(search_params(decomp, _load_state(state_spec, g.n_vertices)))
+    return _params_dict(graph_search_params(g, _load_state(state_spec, g.n_vertices)))
 
 
 def _params_dict(p) -> dict:
@@ -339,7 +337,7 @@ def cmd_certify(args) -> int:
         else:
             g = _family_graph(name, params, dense=True) if name else _dense_graph(head)
             _check_graph(g)
-            report = certify(laplacian_decomposition(laplacian(g)))
+            report = certify(laplacian_eigenvalues(laplacian(g)))
     _print_report(_report_dict(report), args.json)
     return 0
 

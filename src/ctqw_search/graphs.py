@@ -234,28 +234,40 @@ def _check_graph(g: Graph) -> None:
 
 
 def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether edges (u, v), all within 0..n-1, connect every vertex:
-    frontier-at-a-time breadth-first search over a CSR neighbour array."""
-    tail = np.concatenate([u, v])
-    neighbors = np.concatenate([v, u])[np.argsort(tail)]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=n), out=offsets[1:])
+    """Whether canonical edges (u, v), all within 0..n-1, connect every
+    vertex: frontier-at-a-time breadth-first search over two CSR neighbour
+    arrays.  Canonical rows are grouped by u, so the forward lists (u -> v)
+    are the v column as it stands; only the backward lists (v -> u) need a
+    stable sort of v, a radix sort when the indices fit 16 bits."""
+    order = np.argsort(v.astype(np.uint16) if n <= 1 << 16 else v, kind="stable")
+    targets = np.concatenate([v, u[order]])
+    starts = np.stack([_row_offsets(u, n), u.size + _row_offsets(v, n)])
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     slot = np.empty(n, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        lo, counts = offsets[frontier], offsets[frontier + 1] - offsets[frontier]
-        # flat CSR positions of every neighbour of every frontier vertex
+    count = 1
+    while frontier.size and count < n:
+        # flat positions of every neighbour of every frontier vertex, forward
+        # lists first
+        lo = starts[:, frontier].ravel()
+        counts = starts[:, frontier + 1].ravel() - lo
         ends = np.cumsum(counts)
-        at = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
-        reached = neighbors[at]
+        reached = targets[np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)]
         reached = reached[~seen[reached]]
         seen[reached] = True
         # keep one copy of each vertex: the position whose write survived
         slot[reached] = np.arange(reached.size)
         frontier = reached[slot[reached] == np.arange(reached.size)]
-    return bool(seen.all())
+        count += frontier.size
+    return count == n
+
+
+def _row_offsets(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of rows grouped by ``keys``, in 0..n-1."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return offsets
 
 
 def export_dot(g: Graph) -> str:
@@ -274,7 +286,11 @@ _DOT_VERTEX = re.compile(r"^(\d+);?$")
 
 
 def parse_dot(text: str) -> Graph:
-    """Parse the DOT subset emitted by ``export_dot``."""
+    """Parse the DOT subset emitted by ``export_dot``.
+
+    The body is read as one integer array by ``_scan_dot``; a body that scan
+    does not take goes through the line loop, which words any error.
+    """
     header = _DOT_HEADER.search(text)
     if header is None:
         raise InvalidParameterError("not a DOT graph")
@@ -284,9 +300,15 @@ def parse_dot(text: str) -> Graph:
     close = body.rfind("}")
     if close < 0:
         raise InvalidParameterError("unterminated DOT graph")
+    n, edges = _scan_dot(body[:close]) or _dot_lines(body[:close])
+    return Graph.from_edges(n, edges, family=family)
+
+
+def _dot_lines(body: str) -> tuple[int, list[tuple[int, int]]]:
+    """Order and edges of a DOT body, line by line."""
     vertices: set[int] = set()
     edges: list[tuple[int, int]] = []
-    for raw in body[:close].splitlines():
+    for raw in body.splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -303,7 +325,45 @@ def parse_dot(text: str) -> Graph:
         raise InvalidParameterError(f"unsupported DOT line: {line!r}")
     if not vertices:
         raise InvalidParameterError("DOT graph has no vertices")
-    return Graph.from_edges(max(vertices) + 1, edges, family=family)
+    return max(vertices) + 1, edges
+
+
+def _scan_dot(body: str) -> tuple[int, np.ndarray] | None:
+    """Order and (E, 2) edges of a DOT body whose every non-blank line is
+    'v' or 'u -- v', each optionally ended by ';' right after its last digit,
+    as ``_dot_lines`` reads it; None for any other body, or one without
+    vertices."""
+    scan = _scan_numbers(body, b"-;")
+    if scan is None or scan[4].size == 0:
+        return None
+    chars, line, starts, ends, values = scan
+    per_line = np.bincount(line[starts], minlength=line[-1] + 1)
+    first = np.ones(starts.size, dtype=bool)
+    first[1:] = line[starts[1:]] != line[starts[:-1]]
+    # per line: end of its first number, start of its second (the end of the
+    # text if none) and end of its last (-1 if none)
+    first_end = np.zeros(per_line.size, dtype=np.int64)
+    first_end[line[starts[first]]] = ends[first]
+    second_start = np.full(per_line.size, chars.size)
+    second_start[line[starts[~first]]] = starts[~first]
+    last_end = np.full(per_line.size, -1)
+    last_end[line[starts]] = ends
+    dash = np.flatnonzero(chars == ord("-"))
+    semi = np.flatnonzero(chars == ord(";"))
+    twin = np.zeros(chars.size + 1, dtype=bool)
+    twin[dash] = True
+    ok = (per_line.max() <= 2
+          # 'u -- v': exactly two adjacent dashes between the two numbers
+          and np.array_equal(np.bincount(line[dash], minlength=per_line.size),
+                             2 * np.maximum(per_line - 1, 0))
+          and (twin[dash - 1] | twin[dash + 1]).all()
+          and ((first_end[line[dash]] <= dash) & (dash < second_start[line[dash]])).all()
+          # at most one ';' per line, right after its last digit
+          and (semi == last_end[line[semi]]).all()
+          and np.bincount(line[semi], minlength=1).max() <= 1)
+    if not ok:
+        return None
+    return int(values.max()) + 1, values[np.repeat(per_line == 2, per_line)].reshape(-1, 2)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -315,22 +375,53 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A comment of ASCII text: from a line's first '#' to its end, at any line
+# boundary of str.splitlines.
+_COMMENT = re.compile(r"#([^\n\r\v\f\x1c-\x1e]*)")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; '#' starts a comment, vertex count from the header
-    comment when present, otherwise max index + 1."""
+    comment when present, otherwise max index + 1.
+
+    The text is read as one integer array by ``_scan_edge_list``; text that
+    scan does not take goes through the line loop, which words any error.
+    """
+    return _scan_edge_list(text) or _edge_list_lines(text)
+
+
+def _scan_edge_list(text: str) -> Graph | None:
+    """``parse_edge_list`` of ASCII text whose every line, its comment
+    removed, is blank or holds two numbers; None for any other text, or one
+    with neither an edge nor a vertex count."""
+    if not text.isascii():
+        return None
+    n_declared = family = None
+    for comment in _COMMENT.finditer(text):
+        n_declared, family = _directive(comment.group(1), n_declared, family)
+    scan = _scan_numbers(_COMMENT.sub("", text))
+    if scan is None:
+        return None
+    _, line, starts, _, values = scan
+    per_line = np.bincount(line[starts], minlength=1)
+    if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    if n_declared is None:
+        if values.size == 0:
+            return None
+        n_declared = int(values.max()) + 1
+    return Graph.from_edges(n_declared, values.reshape(-1, 2), family=family)
+
+
+def _edge_list_lines(text: str) -> Graph:
+    """``parse_edge_list`` line by line."""
     n_declared: int | None = None
     family: str | None = None
     edges: list[tuple[int, int]] = []
     for raw in text.splitlines():
         comment = raw.split("#", 1)
         if len(comment) == 2:
-            directive = comment[1].strip()
-            header = re.match(r"vertices:\s*(\d+)$", directive)
-            if header:
-                n_declared = int(header.group(1))
-            header = re.match(r"family:\s*(\S+)$", directive)
-            if header:
-                family = header.group(1)
+            n_declared, family = _directive(comment[1], n_declared, family)
         line = comment[0].strip()
         if not line:
             continue
@@ -347,6 +438,58 @@ def parse_edge_list(text: str) -> Graph:
             raise InvalidParameterError("edge list is empty and declares no vertex count")
         n_declared = max(max(u, v) for u, v in edges) + 1
     return Graph.from_edges(n_declared, edges, family=family)
+
+
+def _directive(comment: str, n_declared: int | None,
+               family: str | None) -> tuple[int | None, str | None]:
+    """The vertex count and family after an edge-list comment (the text after
+    its '#'): 'vertices: N' and 'family: NAME' set them."""
+    directive = comment.strip()
+    header = re.match(r"vertices:\s*(\d+)$", directive)
+    if header:
+        n_declared = int(header.group(1))
+    header = re.match(r"family:\s*(\S+)$", directive)
+    if header:
+        family = header.group(1)
+    return n_declared, family
+
+
+# Powers of ten of the digits of a number of at most 18 digits, below 2**63.
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _scan_numbers(text: str, extra: bytes = b""):
+    """The unsigned decimal numbers of ASCII ``text``, in one vectorized pass.
+
+    Returns (chars, line, starts, ends, values): the characters as uint8,
+    the line of each character (a count of the '\\n' and '\\r' before it),
+    the start and end offsets of each run of digits and its value as int64;
+    or None if ``text`` is not ASCII, holds a character other than digits,
+    ' ', '\\t', '\\n', '\\r' and those of ``extra``, or holds a number of
+    more than 18 digits.
+    """
+    if not text.isascii():
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    breaks = (chars == ord("\n")) | (chars == ord("\r"))
+    allowed = digit | breaks | (chars == ord(" ")) | (chars == ord("\t"))
+    for c in extra:
+        allowed |= chars == c
+    if not allowed.all():
+        return None
+    line = np.cumsum(breaks)
+    step = np.diff(digit.astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    lengths = ends - starts
+    if lengths.size == 0:
+        return chars, line, starts, ends, np.zeros(0, dtype=np.int64)
+    if lengths.max() > _POW10.size:
+        return None
+    # each digit times ten to its distance from the end of its number
+    place = np.repeat(ends, lengths) - 1 - np.flatnonzero(digit)
+    terms = (chars[digit] - ord("0")).astype(np.int64) * _POW10[place]
+    return chars, line, starts, ends, np.add.reduceat(terms, np.cumsum(lengths) - lengths)
 
 
 def _is_prime(q: int) -> bool:

@@ -1,5 +1,6 @@
 """Dense symmetric spectral decompositions, the analytic hypercube eigenbasis,
-and exact eigenbasis-driven time evolution."""
+exact eigenbasis-driven time evolution, and conjugate-gradient solves on a
+sparse graph Laplacian."""
 
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ ZERO_EIGENVALUE_TOL = 1e-9
 # Memory budget of anything holding one value per hypercube vertex: a 2**22
 # float64 array is 32 MiB.
 MAX_BASIS_BITS = 22
+# Conjugate-gradient steps allowed per vertex: exact arithmetic needs at most
+# N - 1 steps, rounding on an ill-conditioned Laplacian a few times that.
+CG_STEPS_PER_VERTEX = 10
+# c of the conjugate-gradient stop ||b - Qx|| <= c * eps * (2*d_max*||x|| + ||b||).
+CG_BACKWARD_ERROR = 8.0
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,19 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     NumericError
         If the underlying solver fails to converge.
     """
+    m = _symmetric(matrix)
+    try:
+        lam, vec = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed to converge: {exc}") from exc
+    order = np.argsort(-lam, kind="stable")
+    return SpectralDecomposition(np.ascontiguousarray(lam[order]),
+                                 np.ascontiguousarray(vec[:, order]))
+
+
+def _symmetric(matrix: np.ndarray) -> np.ndarray:
+    """The symmetric part of ``matrix`` as floats, after checking that it is
+    square and symmetric to relative 1e-12."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"matrix has shape {m.shape}, expected square")
@@ -86,13 +105,7 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
         raise InvalidInputError(
             f"matrix is not symmetric: max asymmetry {asym:.3e} at scale {scale:.3e}"
         )
-    try:
-        lam, vec = np.linalg.eigh((m + m.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed to converge: {exc}") from exc
-    order = np.argsort(-lam, kind="stable")
-    return SpectralDecomposition(np.ascontiguousarray(lam[order]),
-                                 np.ascontiguousarray(vec[:, order]))
+    return (m + m.T) / 2.0
 
 
 def laplacian_decomposition(q: np.ndarray) -> SpectralDecomposition:
@@ -112,18 +125,109 @@ def laplacian_decomposition(q: np.ndarray) -> SpectralDecomposition:
     decomp = eig_sym(q)
     lam = decomp.eigenvalues.copy()
     vec = decomp.eigenvectors.copy()
-    n = lam.size
+    _snap_zero_mode(lam)
+    vec[:, -1] = 1.0 / math.sqrt(lam.size)
+    return SpectralDecomposition(lam, vec)
+
+
+def laplacian_eigenvalues(q: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a connected-graph Laplacian, non-increasing with the
+    zero mode snapped to exactly 0, as ``laplacian_decomposition`` gives them
+    but from ``np.linalg.eigvalsh``: no eigenvectors are computed.
+
+    Raises
+    ------
+    InvalidInputError
+        If ``q`` is not square and symmetric, or its smallest eigenvalue is
+        not zero to 1e-9 (not a Laplacian).
+    DisconnectedGraphError
+        If a second eigenvalue lies within the zero tolerance.
+    NumericError
+        If the underlying solver fails to converge.
+    """
+    m = _symmetric(q)
+    try:
+        lam = np.linalg.eigvalsh(m)[::-1].copy()
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue computation failed to converge: {exc}") from exc
+    _snap_zero_mode(lam)
+    return lam
+
+
+def _snap_zero_mode(lam: np.ndarray) -> None:
+    """Pin the last of the non-increasing eigenvalues ``lam`` to exactly 0,
+    after checking that it alone is zero to ``ZERO_EIGENVALUE_TOL``."""
     if abs(lam[-1]) > ZERO_EIGENVALUE_TOL:
         raise InvalidInputError(
             f"smallest eigenvalue {lam[-1]:.3e} is not zero: not a graph Laplacian"
         )
-    if n >= 2 and lam[-2] <= ZERO_EIGENVALUE_TOL:
+    if lam.size >= 2 and lam[-2] <= ZERO_EIGENVALUE_TOL:
         raise DisconnectedGraphError(
             f"repeated zero eigenvalue (second smallest is {lam[-2]:.3e})"
         )
     lam[-1] = 0.0
-    vec[:, -1] = 1.0 / math.sqrt(n)
-    return SpectralDecomposition(lam, vec)
+
+
+def laplacian_solve(n: int, edges: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x = Q^+ b for the Laplacian Q of a connected simple graph on n vertices
+    with (E, 2) ``edges``, and b orthogonal to the uniform vector, by
+    conjugate gradients in the complement of the uniform vector.
+
+    Q is applied from the edges as the degree scaling minus two scatters, O(E)
+    per step, with nothing of size N*N built; the residual is projected
+    orthogonal to the uniform vector at every step, and so is x at the end.
+    The solve stops on the normwise backward error ||b - Qx|| <= c * eps *
+    (2*d_max*||x|| + ||b||), c = ``CG_BACKWARD_ERROR`` and 2*d_max >= ||Q||,
+    checked on the true residual: a recurrence residual that passes while the
+    true one does not restarts the iteration from the true one.  Each step
+    contracts the error by at least (sqrt(k) - 1)/(sqrt(k) + 1), k =
+    lambda_max/lambda_2.
+
+    Raises
+    ------
+    InvalidInputError
+        If ``b`` is not a finite (n,) vector.
+    NumericError
+        If the stop is not reached within ``CG_STEPS_PER_VERTEX * n`` steps.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.shape != (n,) or not np.isfinite(b).all():
+        raise InvalidInputError(f"right-hand side must be a finite ({n},) vector")
+    u, v = np.ascontiguousarray(np.asarray(edges, dtype=np.int64).T)
+    degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+
+    def apply(x):
+        y = degrees * x
+        y -= np.bincount(u, weights=x[v], minlength=n)
+        y -= np.bincount(v, weights=x[u], minlength=n)
+        return y
+
+    scale = 2.0 * float(degrees.max())
+    b_norm = float(np.linalg.norm(b))
+    tol = CG_BACKWARD_ERROR * np.finfo(float).eps
+    x = np.zeros(n)
+    r = b - b.mean()
+    p, rr = r.copy(), float(r @ r)
+    steps = int(CG_STEPS_PER_VERTEX * n)
+    for _ in range(steps + 1):
+        if math.sqrt(rr) <= tol * (scale * np.linalg.norm(x) + b_norm):
+            r = b - apply(x)
+            r -= r.mean()
+            rr = float(r @ r)
+            if math.sqrt(rr) <= tol * (scale * np.linalg.norm(x) + b_norm):
+                return x - x.mean()
+            p = r.copy()
+        q = apply(p)
+        alpha = rr / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        r -= r.mean()
+        rr, rr_old = float(r @ r), rr
+        p *= rr / rr_old
+        p += r
+    raise NumericError(
+        f"conjugate gradients did not converge in {steps} steps on {n} vertices"
+    )
 
 
 def evolve(decomp: SpectralDecomposition, vec: np.ndarray, t: float) -> np.ndarray:

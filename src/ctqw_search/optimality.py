@@ -55,10 +55,12 @@ def _report(lambda_max: float, lambda_min_nonzero: float) -> OptimalityReport:
     )
 
 
-def certify(decomp: SpectralDecomposition) -> OptimalityReport:
-    """Certificate from a computed Laplacian spectrum."""
-    lam = decomp.eigenvalues
-    if lam.size < 2:
+def certify(eigenvalues: np.ndarray) -> OptimalityReport:
+    """Certificate from a computed Laplacian spectrum, sorted non-increasing
+    with the zero eigenvalue last, as ``laplacian_eigenvalues`` and
+    ``laplacian_decomposition`` give it."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.ndim != 1 or lam.size < 2:
         raise InvalidParameterError("certificate needs at least two vertices")
     if abs(lam[-1]) > ZERO_EIGENVALUE_TOL:
         raise InvalidParameterError("spectrum has no zero eigenvalue: not a Laplacian")
@@ -173,7 +175,7 @@ def stress_random_states(decomp: SpectralDecomposition, trials: int,
     rng = np.random.default_rng(_integer("seed", seed, 0))
     n = decomp.n
     s = uniform_state(n)
-    theta = certify(decomp).theta
+    theta = certify(decomp.eigenvalues).theta
     columns = max(1, STRESS_BLOCK // n)
     # minimum and sum of (envelope, reduced envelope), maximum of the (exact,
     # approximate) variance margins

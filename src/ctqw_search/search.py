@@ -1,11 +1,14 @@
-"""Core search analysis: eigenbasis overlaps, critical jump rate, the secular
-function and its roots, and the sinusoidal amplitude approximation."""
+"""Core search analysis: eigenbasis overlaps, critical jump rate (from the
+levels of an eigenbasis, or from one conjugate-gradient solve on a general
+graph), the secular function and its roots, and the sinusoidal amplitude
+approximation."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -18,7 +21,8 @@ from .errors import (
     OrthogonalStateError,
     PoleError,
 )
-from .linalg import HypercubeEigenbasis, SpectralDecomposition
+from .graphs import Graph, _check_graph
+from .linalg import HypercubeEigenbasis, SpectralDecomposition, laplacian_solve
 
 Eigenbasis = Union[SpectralDecomposition, HypercubeEigenbasis]
 
@@ -101,7 +105,12 @@ class MarkedState:
     def digest(self) -> str:
         """Stable identifier of (dimension, amplitudes) for instance matching:
         the dimension, the support indices and the support amplitudes rounded
-        to 12 decimals, so its cost grows with the support, not the dimension."""
+        to 12 decimals, so its cost grows with the support, not the dimension.
+        The state is frozen, so it is hashed once."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         support = self.weights.nonzero()[0]
         h = hashlib.sha256()
         h.update(self.n.to_bytes(8, "little"))
@@ -144,8 +153,8 @@ class SearchParameters:
     the exact secular roots come from ``solve_mu``.
     """
 
-    eigenvalues: np.ndarray
-    overlaps: np.ndarray
+    eigenvalues: np.ndarray | None
+    overlaps: np.ndarray | None
     p_n: float
     gamma_c: float
     beta: float
@@ -156,8 +165,9 @@ class SearchParameters:
     state_digest: str
 
     def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.overlaps.setflags(write=False)
+        for levels in (self.eigenvalues, self.overlaps):
+            if levels is not None:
+                levels.setflags(write=False)
 
     @property
     def a_k(self) -> np.ndarray:
@@ -214,21 +224,69 @@ def _level_params(levels: np.ndarray, masses: np.ndarray,
     """Search parameters from the distinct Laplacian levels (non-increasing,
     zero last) and the marked state's mass in each."""
     p_n, gamma_c, beta = (float(x) for x in _level_sums(levels, masses))
-    envelope = gamma_c / beta
-    t_opt = math.pi * beta / (2.0 * gamma_c * p_n)
+    return _parameters(p_n, gamma_c, beta, state_digest,
+                       levels, np.sqrt(np.maximum(masses, 0.0)))
+
+
+def _parameters(p_n: float, gamma_c: float, beta: float, state_digest: str,
+                levels: np.ndarray | None = None,
+                overlaps: np.ndarray | None = None) -> SearchParameters:
+    """Search parameters from p_n, gamma_c and beta: the envelope gamma_c/beta,
+    t_opt = pi*beta/(2*gamma_c*p_n) and the two-level eigenvalues
+    +-gamma_c*p_n/beta."""
     mu1 = gamma_c * p_n / beta
     return SearchParameters(
         eigenvalues=levels,
-        overlaps=np.sqrt(np.maximum(masses, 0.0)),
+        overlaps=overlaps,
         p_n=p_n,
         gamma_c=gamma_c,
         beta=beta,
-        envelope=envelope,
-        t_opt=t_opt,
+        envelope=gamma_c / beta,
+        t_opt=math.pi * beta / (2.0 * gamma_c * p_n),
         mu1=mu1,
         mu2=-mu1,
         state_digest=state_digest,
     )
+
+
+def graph_search_params(g: Graph, state: MarkedState) -> SearchParameters:
+    """Search parameters of a general graph from one conjugate-gradient solve,
+    with no eigensolver and nothing of size N*N.
+
+    p_n = s.w for the uniform state s, and with x = Q^+ (w - p_n s) from
+    ``laplacian_solve``, gamma_c = w.x = sum_k a_k/lambda_k and beta = ||x||
+    = sqrt(sum_k a_k/lambda_k**2): the sums ``search_params`` takes over the
+    levels.  No levels are computed, so ``eigenvalues`` and ``overlaps`` of
+    the result are None.
+
+    Raises
+    ------
+    InvalidInputError
+        If the graph is malformed (see ``graphs.validate``) or the marked
+        state's dimension differs from its order.
+    DisconnectedGraphError
+        If the graph is disconnected.
+    OrthogonalStateError
+        If p_n**2 is at most ``NEGLIGIBLE_OVERLAP_SQ``.
+    DegenerateStateError
+        If ||w - p_n s||**2 is at most ``NEGLIGIBLE_OVERLAP_SQ``.
+    NumericError
+        If the solve does not converge (see ``laplacian_solve``).
+    """
+    _check_graph(g)
+    n = g.n_vertices
+    if state.n != n:
+        raise InvalidInputError(f"marked state has dimension {state.n}, graph has {n} vertices")
+    w = state.weights
+    s = uniform_state(n)
+    p_n = float(s @ w)
+    if p_n * p_n <= NEGLIGIBLE_OVERLAP_SQ:
+        raise OrthogonalStateError("marked state is orthogonal to the uniform state")
+    b = w - p_n * s
+    if b @ b <= NEGLIGIBLE_OVERLAP_SQ:
+        raise DegenerateStateError("marked state equals the uniform state")
+    x = laplacian_solve(n, g.edges, b)
+    return _parameters(p_n, float(w @ x), float(np.linalg.norm(x)), state.digest())
 
 
 def _level_sums(levels: np.ndarray,

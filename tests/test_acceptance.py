@@ -26,6 +26,7 @@ from ctqw_search import (
     hypercube_exact,
     laplacian,
     laplacian_decomposition,
+    laplacian_eigenvalues,
     pair_sums,
     paley,
     regular_multipartite,
@@ -146,7 +147,7 @@ def test_certification_table():
             closed = certify_induced_complete(n, l)
             assert closed.certified == (n >= 5), f"n={n}, l={l}"
             constructed = certify(
-                laplacian_decomposition(laplacian(complete_minus_disjoint_edges(n, l)))
+                laplacian_eigenvalues(laplacian(complete_minus_disjoint_edges(n, l)))
             )
             assert closed.verdict == constructed.verdict, f"n={n}, l={l}"
 
@@ -155,13 +156,13 @@ def test_certification_table():
             closed = certify_multipartite(m, k)
             assert closed.certified == (m >= 3), f"m={m}, k={k}"
             constructed = certify(
-                laplacian_decomposition(laplacian(regular_multipartite(m, k)))
+                laplacian_eigenvalues(laplacian(regular_multipartite(m, k)))
             )
             assert closed.verdict == constructed.verdict, f"m={m}, k={k}"
 
     srg_report = certify_srg(SrgParams(29, 14, 6, 7))
     assert srg_report.certified
-    paley_report = certify(laplacian_decomposition(laplacian(paley(29))))
+    paley_report = certify(laplacian_eigenvalues(laplacian(paley(29))))
     assert paley_report.verdict == srg_report.verdict
 
     for k in range(2, 6):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctqw_search import fwht, parse_dot, parse_edge_list
+from ctqw_search import fwht, graphs, linalg, parse_dot, parse_edge_list
+from ctqw_search import cli
 from ctqw_search.cli import main
 
 
@@ -110,6 +111,62 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", "/nonexistent/path", "single:0")
         assert code == 1
 
+    def test_general_graph_takes_no_eigensolver(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze of a general graph called an eigensolver")
+
+        for module, name in [(linalg, "eig_sym"), (linalg, "laplacian_decomposition"),
+                             (linalg, "laplacian_eigenvalues"), (graphs, "laplacian"),
+                             (cli, "laplacian"), (np.linalg, "eigh"),
+                             (np.linalg, "eigvalsh")]:
+            monkeypatch.setattr(module, name, refuse)
+        path = tmp_path / "c5.dot"
+        path.write_text("graph G {\n" + "".join(f"  {v} -- {(v + 1) % 5};\n"
+                                                  for v in range(5)) + "}\n")
+        for graph in (str(path), "complete:8", "paley:13"):
+            code, out, err = run_cli(capsys, "analyze", graph, "single:0", "--json")
+            assert (code, err) == (0, "")
+        # the 5-cycle: levels 2 - 2cos(2 pi k/5), each pair carrying mass 2/5
+        levels = [2 - 2 * math.cos(2 * math.pi * k / 5) for k in (1, 2)]
+        report = json.loads(run_cli(capsys, "analyze", str(path), "single:0", "--json")[1])
+        assert report["gamma_c"] == pytest.approx(sum(0.4 / lam for lam in levels), rel=1e-11)
+
+    @pytest.mark.parametrize("text, state", [
+        ("0 1\n1 2\n2 3\n", "0 0.5\n1 0.5\n2 -0.5\n3 -0.5\n"),
+        ("0 1\n1 2\n2 3\n", "uniform:0,1,2,3"),
+        ("0 1\n2 3\n", "single:0"),
+        ("# vertices: 1\n", "single:0"),
+        ("0 1\n", "uniform:0,1")])
+    def test_domain_errors_exit_two(self, capsys, tmp_path, text, state):
+        """Orthogonal and degenerate states, a disconnected graph, and the
+        one-vertex graph, where every state is the uniform one."""
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        if ":" not in state:
+            (tmp_path / "w.state").write_text(state)
+            state = str(tmp_path / "w.state")
+        code, out, err = run_cli(capsys, "analyze", str(path), state, "--json")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+
+    def test_two_vertices(self, capsys, tmp_path):
+        path = tmp_path / "k2.edges"
+        path.write_text("0 1\n")
+        code, out, _ = run_cli(capsys, "analyze", str(path), "single:1", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["gamma_c"] == pytest.approx(0.25, rel=1e-11)
+        assert report["beta"] == pytest.approx(math.sqrt(2) / 4, rel=1e-11)
+
+    def test_iteration_cap_is_numeric_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(linalg, "CG_STEPS_PER_VERTEX", 0.05)
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(99)))
+        code, out, err = run_cli(capsys, "analyze", str(path), "single:0", "--json")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert "did not converge" in err
+
 
 class TestCertify:
     def test_srg(self, capsys):
@@ -153,6 +210,19 @@ class TestCertify:
         path.write_text("0 1\n2 3\n")
         code, _, _ = run_cli(capsys, "certify", str(path))
         assert code == 2
+
+    def test_computes_no_eigenvectors(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify computed eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        path = tmp_path / "c6.edges"
+        path.write_text("".join(f"{v} {(v + 1) % 6}\n" for v in range(6)))
+        code, out, _ = run_cli(capsys, "certify", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["lambda_max"] == pytest.approx(4.0, rel=1e-12)
+        assert report["lambda_min_nonzero"] == pytest.approx(1.0, rel=1e-12)
 
     def test_file_over_dense_limit_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "path.edges"
@@ -392,22 +462,65 @@ VALID_STATE = _states(st.integers(0, 5))
 STATE = _states(SIZE) | st.just("tripod:1")
 
 
+JUNK_LINE = st.sampled_from(["1 2 3", "x y", "7", "1 -- ", "0 1 # note", "--", ";", "\t",
+                             "", "1\t2", "+1 2", "# family: f", "99999999999999999999 0"])
+
+
+@st.composite
+def graph_file(draw):
+    """Text, suffix and order n of a small edge-list or DOT file: about two
+    in three of them simple, the rest with duplicates in either orientation,
+    self-loops and indices out of range; isolated vertices, disconnected
+    parts and, in about one file of four, a junk line."""
+    n = draw(st.integers(0, 9))
+    edges = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0))), max_size=8))
+    often = st.sampled_from([True, True, False])
+    if draw(often):  # a spanning path, so that connected graphs occur
+        edges += [(v, v + 1) for v in range(n - 1)]
+    if draw(often):
+        edges = sorted({(min(e), max(e)) for e in edges if e[0] != e[1]})
+    elif edges:
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=3))]
+        edges += draw(st.lists(st.tuples(st.integers(-1, n + 2), st.integers(-1, n + 2)),
+                               max_size=2))
+    dot = draw(st.booleans())
+    lines = [f"  {u} -- {v};" if dot else f"{u} {v}" for u, v in draw(st.permutations(edges))]
+    if draw(st.sampled_from([False, False, False, True])):
+        lines.insert(draw(st.integers(0, len(lines))), draw(JUNK_LINE))
+    if dot:
+        # vertex lines, possibly past every edge: isolated vertices
+        lines = [f"  {v};" for v in range(draw(st.integers(0, n + 2)))] + lines
+        close = draw(st.sampled_from(["}\n"] * 5 + [""]))
+        return "graph G {\n" + "".join(line + "\n" for line in lines) + close, ".dot", n
+    if draw(st.booleans()):
+        lines.insert(0, f"# vertices: {draw(st.integers(0, n + 2))}")
+    return "".join(line + "\n" for line in lines), ".edges", n
+
+
 @st.composite
 def argv(draw):
+    """CLI arguments, and the ``graph_file`` that stands for "{graph}" in
+    them, or None."""
     command = draw(st.sampled_from(["family", "analyze", "certify", "pair-table", "simulate"]))
     valid = draw(st.booleans())
     graph = draw(VALID_GRAPH if valid else GRAPH)
     state = draw(VALID_STATE if valid else STATE)
     if command == "family":
         name, _, params = graph.partition(":")
-        return ["family", name, *params.split(",")[:2], "--output", "{out}"]
+        return ["family", name, *params.split(",")[:2], "--output", "{out}"], None
+    if command == "pair-table":
+        return ["pair-table", "--bits", str(draw(BITS)), "--output", "{out}"], None
+    file = draw(st.none() | graph_file())
+    if file:
+        graph = "{graph}"
+        if valid:
+            state = draw(_states(st.integers(0, max(file[2] - 1, 0))))
     if command == "analyze":
-        return ["analyze", graph, state, "--json"]
+        return ["analyze", graph, state, "--json"], file
     if command == "certify":
         target = draw(st.just(graph) | _params(SIZE, SIZE, SIZE, SIZE).map("srg:{}".format))
-        return ["certify", target, "--json"]
-    if command == "pair-table":
-        return ["pair-table", "--bits", str(draw(BITS)), "--output", "{out}"]
+        return ["certify", target, "--json"], file
     args = ["simulate", graph, state]
     if draw(st.booleans()):
         args += ["--steps", str(draw(SIZE))]
@@ -415,7 +528,7 @@ def argv(draw):
         args += ["--tmax", draw(NUMBER)]
     if draw(st.booleans()):
         args += ["--gamma", draw(NUMBER | st.sampled_from(["critical", "fast"]))]
-    return args
+    return args, file
 
 
 def _reject_constant(name):
@@ -426,8 +539,13 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(argv())
     def test_exit_code_one_line_and_strict_json(self, args):
+        args, file = args
         with tempfile.TemporaryDirectory() as tmp:
-            args = [a.replace("{out}", f"{tmp}/out") for a in args]
+            graph = f"{tmp}/graph{file[1] if file else ''}"
+            if file:
+                with open(graph, "w") as handle:
+                    handle.write(file[0])
+            args = [a.replace("{out}", f"{tmp}/out").replace("{graph}", graph) for a in args]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(args)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctqw_search import graphs
 from ctqw_search import (
     Graph,
+    InvalidInputError,
     InvalidParameterError,
     SrgParams,
     complete,
@@ -418,3 +420,56 @@ class TestArrayCoreMatchesLoopOracle:
         assert Graph.from_edges(3, [(0, 1)]) != Graph.from_edges(3, [(0, 2)])
         with pytest.raises(TypeError):
             hash(complete(3))
+
+
+# --- Array scan of graph text against the line loop ---------------------------
+
+TEXT_PIECES = st.sampled_from([
+    "0", "1", "2", "17", "007", "99999999999999999999", " ", "\t", "\n", "\r", "\r\n",
+    "\x0b", "\x1c", "\x1f", "--", "-", ";", "#", "# vertices: 5", "# family: x",
+    "#vertices:3", "1 2", "3 -- 4;", "5;", "+1", "-3", "é", "٣", "}"])
+TEXTS = st.lists(TEXT_PIECES, max_size=30).map("".join)
+
+
+def parse_outcome(func, *args):
+    """(order, edges, family) of the parsed graph, or the error raised."""
+    try:
+        result = func(*args)
+        if not isinstance(result, Graph):
+            result = Graph.from_edges(*result)
+    except (InvalidParameterError, InvalidInputError) as exc:
+        return type(exc), str(exc)
+    return result.n_vertices, result.edges.tolist(), result.family
+
+
+class TestParseScanMatchesLineLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(TEXTS)
+    def test_edge_list(self, text):
+        assert (parse_outcome(parse_edge_list, text)
+                == parse_outcome(graphs._edge_list_lines, text))
+
+    @settings(max_examples=500, deadline=None)
+    @given(TEXTS)
+    def test_dot_body(self, body):
+        assert (parse_outcome(lambda b: graphs._scan_dot(b) or graphs._dot_lines(b), body)
+                == parse_outcome(graphs._dot_lines, body))
+
+    def test_exported_text_takes_the_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("line loop used")
+
+        monkeypatch.setattr(graphs, "_edge_list_lines", refuse)
+        monkeypatch.setattr(graphs, "_dot_lines", refuse)
+        for g in ALL_FAMILY_GRAPHS:
+            assert parse_edge_list(format_edge_list(g)) == g
+            assert parse_dot(export_dot(g)) == g
+        text = "# vertices: 6\r\n5 0 # trailing\n\n 1\t2  \n"
+        assert parse_edge_list(text).edges.tolist() == [[0, 5], [1, 2]]
+        assert parse_dot("graph G {\n 0;\n3--1\n 2 -- 0;\n}").edges.tolist() == [[0, 2], [1, 3]]
+
+    def test_errors_keep_their_wording(self):
+        with pytest.raises(InvalidParameterError, match=r"bad edge-list line: '1 2 3'"):
+            parse_edge_list("0 1\n1 2 3\n")
+        with pytest.raises(InvalidParameterError, match=r"unsupported DOT line: '1 - 2'"):
+            parse_dot("graph G {\n0;\n1 - 2\n}")

@@ -8,6 +8,7 @@ from ctqw_search import (
     Graph,
     InvalidInputError,
     MarkedState,
+    NumericError,
     complete,
     eig_sym,
     evolve,
@@ -16,9 +17,14 @@ from ctqw_search import (
     hypercube_eigenbasis,
     laplacian,
     laplacian_decomposition,
+    laplacian_eigenvalues,
+    laplacian_solve,
+    linalg,
+    paley,
     search_params,
     uniform_state,
 )
+from conftest import DEGENERATE_FAMILIES, random_connected_graph
 
 
 class TestEigSym:
@@ -94,6 +100,73 @@ class TestLaplacianDecomposition:
     def test_non_laplacian_raises(self):
         with pytest.raises(InvalidInputError):
             laplacian_decomposition(np.eye(3))
+
+
+class TestLaplacianEigenvalues:
+    def test_match_decomposition(self):
+        rng = np.random.default_rng(3)
+        graphs = DEGENERATE_FAMILIES + [random_connected_graph(rng, n, 0.2)
+                                        for n in (2, 3, 17, 60)]
+        for g in graphs:
+            q = laplacian(g)
+            lam = laplacian_eigenvalues(q)
+            want = laplacian_decomposition(q).eigenvalues
+            assert lam[-1] == 0.0
+            assert np.all(np.diff(lam) <= 0.0)
+            np.testing.assert_allclose(lam, want, rtol=0.0,
+                                       atol=64 * np.finfo(float).eps * g.n_vertices * want[0])
+
+    def test_disconnected_raises(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(DisconnectedGraphError):
+            laplacian_eigenvalues(laplacian(g))
+
+    def test_non_laplacian_raises(self):
+        with pytest.raises(InvalidInputError):
+            laplacian_eigenvalues(np.eye(3))
+
+    def test_rejects_non_symmetric(self):
+        with pytest.raises(InvalidInputError):
+            laplacian_eigenvalues(np.array([[1.0, -1.0], [0.0, 0.0]]))
+
+
+class TestLaplacianSolve:
+    @pytest.mark.parametrize("g", [complete(7), paley(29), hypercube(5),
+                                   Graph.from_edges(40, [(v, v + 1) for v in range(39)]),
+                                   Graph.from_edges(30, [(0, v) for v in range(1, 30)])])
+    def test_matches_lu(self, g):
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal(g.n_vertices)
+        b -= b.mean()
+        x = laplacian_solve(g.n_vertices, g.edges, b)
+        # Q^+ b from an LU solve of (Q + J/N) x = b: J/N adds 1 on the
+        # uniform vector and nothing on its complement, where b lies
+        want = np.linalg.solve(laplacian(g) + 1.0 / g.n_vertices, b)
+        np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        assert abs(x.sum()) <= 1e-12 * np.abs(x).sum()
+
+    def test_backward_error(self):
+        g = random_connected_graph(np.random.default_rng(5), 80, 0.1)
+        b = np.zeros(80)
+        b[[3, 9]] = (1.0, -1.0)
+        x = laplacian_solve(80, g.edges, b)
+        d_max = laplacian(g).diagonal().max()
+        bound = linalg.CG_BACKWARD_ERROR * np.finfo(float).eps * (
+            2 * d_max * np.linalg.norm(x) + np.linalg.norm(b))
+        assert np.linalg.norm(b - laplacian(g) @ x) <= 4 * bound
+
+    def test_iteration_cap(self, monkeypatch):
+        # a 100-vertex path needs about 100 steps; allow 5
+        monkeypatch.setattr(linalg, "CG_STEPS_PER_VERTEX", 0.05)
+        b = np.zeros(100)
+        b[[0, 99]] = (1.0, -1.0)
+        with pytest.raises(NumericError, match="5 steps"):
+            laplacian_solve(100, np.array([(v, v + 1) for v in range(99)]), b)
+
+    @pytest.mark.parametrize("b", [np.zeros(3), np.array([1.0, np.nan, -1.0, 0.0])])
+    def test_rejects_bad_right_hand_side(self, b):
+        with pytest.raises(InvalidInputError):
+            laplacian_solve(4, complete(4).edges, b)
 
 
 class TestFwht:

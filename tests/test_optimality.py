@@ -24,6 +24,7 @@ from ctqw_search import (
     hypercube,
     laplacian,
     laplacian_decomposition,
+    laplacian_eigenvalues,
     paley,
     regular_multipartite,
     search_params,
@@ -48,7 +49,7 @@ def stress_oracle(decomp, trials, seed):
     n = decomp.n
     rng = np.random.default_rng(seed)
     s = uniform_state(n)
-    theta = certify(decomp).theta
+    theta = certify(decomp.eigenvalues).theta
     states, rows = [], []
     for _ in range(trials):
         g = rng.standard_normal(n)
@@ -72,7 +73,7 @@ def stress_oracle(decomp, trials, seed):
 
 
 def certify_graph(g):
-    return certify(laplacian_decomposition(laplacian(g)))
+    return certify(laplacian_eigenvalues(laplacian(g)))
 
 
 def petersen():
@@ -120,7 +121,7 @@ class TestCertify:
 
         decomp = eig_sym(laplacian(g))
         with pytest.raises(DisconnectedGraphError):
-            certify(decomp)
+            certify(decomp.eigenvalues)
 
 
 class TestInducedComplete:

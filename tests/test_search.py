@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from ctqw_search import cli
 from ctqw_search import (
     DegenerateStateError,
+    DisconnectedGraphError,
+    Graph,
     HypercubeEigenbasis,
     InvalidInputError,
     InvalidParameterError,
@@ -25,6 +27,7 @@ from ctqw_search import (
     eig_sym,
     evolve,
     f_of_mu,
+    graph_search_params,
     hypercube,
     hypercube_eigenbasis,
     laplacian,
@@ -76,6 +79,15 @@ class TestMarkedState:
         np.testing.assert_allclose(
             MarkedState.uniform_over(4, [1, 2]).weights[1], 1 / math.sqrt(2)
         )
+
+    def test_digest_computed_once(self, monkeypatch):
+        a = MarkedState.from_mapping(9, {2: 0.6, 7: 0.8})
+        first = a.digest()
+        monkeypatch.setattr(search.hashlib, "sha256", None)
+        assert a.digest() == first
+        monkeypatch.undo()
+        # an equal state built apart hashes to the same digest
+        assert MarkedState.from_weights(a.weights.copy()).digest() == first
 
     def test_digest_stability(self, tmp_path):
         a = MarkedState.pair(8, 1, 5)
@@ -303,6 +315,91 @@ class TestLevels:
                     params = run_hypercube(n, state, steps=2).params
                     assert np.all(np.isfinite(params.overlaps))
                     assert np.all(params.overlaps >= 0.0)
+
+
+def path_graph(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def star_graph(n):
+    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+
+
+def barbell_graph(k, m):
+    """Two k-cliques joined by a path of m vertices."""
+    clique = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    far = k + m
+    bridge = [(v, v + 1) for v in range(k - 1, far)]
+    return Graph.from_edges(2 * k + m, clique + bridge + [(far + u, far + v) for u, v in clique])
+
+
+SOLVE_GRAPHS = st.one_of(
+    st.builds(random_connected_graph, st.integers(0, 2**32 - 1).map(np.random.default_rng),
+              st.integers(2, 40), st.floats(0.0, 0.5)),
+    st.builds(path_graph, st.integers(2, 120)),
+    st.builds(star_graph, st.integers(2, 60)),
+    st.builds(barbell_graph, st.integers(2, 12), st.integers(0, 30)),
+    st.sampled_from(DEGENERATE_FAMILIES),
+)
+
+
+class TestGraphSearchParams:
+    """The conjugate-gradient route against the dense ``search_params`` and an
+    LU solve of (Q + J/N) x = w - p_n s, to 1e-10 relative, or 16*kappa*eps
+    where kappa = lambda_max/lambda_2 makes that the larger."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(SOLVE_GRAPHS, st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 5]))
+    def test_matches_dense_and_lu(self, g, seed, support):
+        n = g.n_vertices
+        rng = np.random.default_rng(seed)
+        state = random_marked_state(rng, n, support=support)
+        q = laplacian(g)
+        decomp = laplacian_decomposition(q)
+        kappa = decomp.eigenvalues[0] / decomp.eigenvalues[-2]
+        tol = max(1e-10, 16 * kappa * np.finfo(float).eps)
+        try:
+            want = search_params(decomp, state)
+        except (OrthogonalStateError, DegenerateStateError) as exc:
+            with pytest.raises(type(exc)):
+                graph_search_params(g, state)
+            return
+        got = graph_search_params(g, state)
+        assert got.eigenvalues is None and got.overlaps is None
+        assert got.state_digest == want.state_digest
+        for name in ("p_n", "gamma_c", "beta", "envelope", "t_opt", "mu1", "mu2"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=tol, abs=0.0), name
+        w = state.weights
+        x = np.linalg.solve(q + 1.0 / n, w - got.p_n * uniform_state(n))
+        assert got.gamma_c == pytest.approx(w @ x, rel=tol, abs=0.0)
+        assert got.beta == pytest.approx(np.linalg.norm(x), rel=tol, abs=0.0)
+
+    def test_two_vertices(self):
+        params = graph_search_params(complete(2), MarkedState.single(2, 0))
+        # w - p_n s = (1/2, -1/2) in the level 2: x = (1/4, -1/4)
+        assert params.p_n == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert params.gamma_c == pytest.approx(0.25, rel=1e-15)
+        assert params.beta == pytest.approx(math.sqrt(2) / 4, rel=1e-15)
+
+    def test_one_vertex_is_degenerate(self):
+        with pytest.raises(DegenerateStateError):
+            graph_search_params(Graph.from_edges(1, []), MarkedState.single(1, 0))
+
+    def test_domain_errors(self):
+        g = path_graph(6)
+        with pytest.raises(OrthogonalStateError):
+            graph_search_params(g, MarkedState.from_mapping(6, {0: 1.0, 3: -1.0}))
+        with pytest.raises(DegenerateStateError):
+            graph_search_params(g, MarkedState.uniform_over(6, range(6)))
+        with pytest.raises(DisconnectedGraphError):
+            graph_search_params(Graph.from_edges(4, [(0, 1), (2, 3)]), MarkedState.single(4, 0))
+
+    def test_rejects_malformed_graph_and_dimension(self):
+        with pytest.raises(InvalidInputError):
+            graph_search_params(Graph.from_edges(3, [(0, 1), (1, 1), (1, 2)]),
+                                MarkedState.single(3, 0))
+        with pytest.raises(InvalidInputError):
+            graph_search_params(path_graph(4), MarkedState.single(5, 0))
 
 
 class TestSecularFunction:
