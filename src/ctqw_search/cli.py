@@ -8,6 +8,7 @@ disconnected graph), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -19,6 +20,7 @@ from . import graphs as graphs_mod
 from .errors import (
     DegenerateStateError,
     DisconnectedGraphError,
+    FloatRangeError,
     InvalidInputError,
     InvalidParameterError,
     NumericError,
@@ -33,25 +35,31 @@ from .linalg import MAX_BASIS_BITS, hypercube_eigenbasis, laplacian_eigenvalues
 from .optimality import (
     OptimalityReport,
     certify,
+    certify_hypercube,
     certify_induced_complete,
     certify_multipartite,
+    certify_paley,
     certify_srg,
 )
 from .search import MarkedState, graph_search_params, search_params
 from .simulate import run, run_hypercube
 
-# family name -> (constructor, parameter names, order from the parameters);
-# the hypercube exponent is capped because the order only meets DENSE_LIMIT
+# family name -> (constructor, parameter names, certificate from the
+# parameters); srg names parameters that no constructor builds
 FAMILIES = {
-    "complete": (graphs_mod.complete, ("n",), lambda n: n),
-    "hypercube": (graphs_mod.hypercube, ("n",), lambda n: 2 ** min(n, 64)),
+    "complete": (graphs_mod.complete, ("n",), lambda n: certify_induced_complete(n, 0)),
+    "hypercube": (graphs_mod.hypercube, ("n",), certify_hypercube),
     "complete-minus": (graphs_mod.complete_minus_disjoint_edges, ("n", "l"),
-                       lambda n, l: n),
-    "paley": (graphs_mod.paley, ("q",), lambda q: q),
-    "multipartite": (graphs_mod.regular_multipartite, ("m", "k"), lambda m, k: m * k),
+                       certify_induced_complete),
+    "paley": (graphs_mod.paley, ("q",), certify_paley),
+    "multipartite": (graphs_mod.regular_multipartite, ("m", "k"), certify_multipartite),
+    "srg": (None, ("n", "k", "a", "c"), lambda *p: certify_srg(SrgParams(*p))),
 }
+BUILDABLE = sorted(name for name, (ctor, _, _) in FAMILIES.items() if ctor)
 
 DENSE_LIMIT = 4096
+# rows of a --grid sweep, which are collected before any is printed
+GRID_LIMIT = 1 << 16
 
 
 class _UsageError(Exception):
@@ -68,21 +76,26 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _family_graph(name: str, params: list[int], dense: bool = False) -> Graph:
-    """Build a family graph; ``dense`` refuses an order past DENSE_LIMIT,
-    derived from the parameters before anything is built."""
+def _family_graph(name: str, params: list[int]) -> Graph:
+    if name not in BUILDABLE:
+        raise InvalidParameterError(
+            f"unknown family {name!r}; choose from {', '.join(BUILDABLE)}"
+        )
+    return _family_entry(name, params)[0](*params)
+
+
+def _family_entry(name: str, params: list[int]) -> tuple:
+    """The ``FAMILIES`` entry of ``name``, after checking the parameter count."""
     if name not in FAMILIES:
         raise InvalidParameterError(
             f"unknown family {name!r}; choose from {', '.join(sorted(FAMILIES))}"
         )
-    ctor, names, order = FAMILIES[name]
-    if len(params) != len(names):
+    entry = FAMILIES[name]
+    if len(params) != len(entry[1]):
         raise InvalidParameterError(
-            f"family {name} takes parameters {' '.join(names)}, got {len(params)}"
+            f"family {name} takes parameters {' '.join(entry[1])}, got {len(params)}"
         )
-    if dense:
-        _check_dense(order(*params))
-    return ctor(*params)
+    return entry
 
 
 def _parse_family_spec(spec: str) -> tuple[str, list[int]]:
@@ -96,26 +109,24 @@ def _parse_family_spec(spec: str) -> tuple[str, list[int]]:
 
 def _dense_graph(spec: str) -> Graph:
     """Family:params form when a colon is present, otherwise a file path; a
-    graph of more than DENSE_LIMIT vertices is refused."""
+    graph of more than DENSE_LIMIT vertices is refused.  The family builders
+    refuse an order past their own budget before they allocate."""
     if ":" in spec:
-        return _family_graph(*_parse_family_spec(spec), dense=True)
-    try:
-        text = Path(spec).read_text()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read graph file {spec!r}: {exc}") from exc
-    if text.lstrip().startswith("graph"):
-        g = graphs_mod.parse_dot(text)
+        g = _family_graph(*_parse_family_spec(spec))
     else:
-        g = graphs_mod.parse_edge_list(text)
-    _check_dense(g.n_vertices)
-    return g
-
-
-def _check_dense(order: int) -> None:
-    if order > DENSE_LIMIT:
+        try:
+            text = Path(spec).read_text()
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read graph file {spec!r}: {exc}") from exc
+        if text.lstrip().startswith("graph"):
+            g = graphs_mod.parse_dot(text)
+        else:
+            g = graphs_mod.parse_edge_list(text)
+    if g.n_vertices > DENSE_LIMIT:
         raise InvalidParameterError(
-            f"graph with {order} vertices exceeds the dense limit {DENSE_LIMIT}"
+            f"graph with {g.n_vertices} vertices exceeds the dense limit {DENSE_LIMIT}"
         )
+    return g
 
 
 def _load_state(spec: str, n: int) -> MarkedState:
@@ -288,67 +299,46 @@ def _parse_grid_spec(specs: list[str], names: tuple[str, ...]) -> dict[str, rang
     return grid
 
 
-_CLOSED_FORM_CERTIFIERS = {
-    "complete-minus": (certify_induced_complete, ("n", "l")),
-    "multipartite": (certify_multipartite, ("m", "k")),
-}
-
-
 def cmd_certify(args) -> int:
-    target = args.target
-    head = target[0]
-    extra = target[1:]
+    """A family or srg certifies from its parameters through its ``FAMILIES``
+    entry, with no graph or eigensolver; a file, from its dense spectrum."""
+    head, *extra = args.target
+    if head in FAMILIES:  # the name p1 p2 ... form
+        head, extra = f"{head}:{','.join(extra)}", []
+    if extra:
+        raise InvalidParameterError(f"unexpected arguments after {head!r}: {' '.join(extra)}")
     if args.grid:
-        if head not in _CLOSED_FORM_CERTIFIERS:
+        name, params = _parse_family_spec(head)
+        if params or name not in FAMILIES:
             raise InvalidParameterError(
-                f"--grid supports {', '.join(_CLOSED_FORM_CERTIFIERS)}, got {head!r}"
+                f"--grid takes one of {', '.join(sorted(FAMILIES))}, got {head!r}"
             )
-        certifier, names = _CLOSED_FORM_CERTIFIERS[head]
+        _, names, certifier = FAMILIES[name]
         grid = _parse_grid_spec(args.grid, names)
-        print(",".join(names) + ",ratio,verdict")
-        for first in grid[names[0]]:
-            for second in grid[names[1]]:
-                try:
-                    report = certifier(first, second)
-                except (InvalidParameterError, DisconnectedGraphError):
-                    continue
-                print(f"{first},{second},{_fmt(report.ratio)},{report.verdict}")
+        count = math.prod(max(0, r.stop - r.start) for r in grid.values())
+        if count > GRID_LIMIT:
+            raise InvalidParameterError(f"grid of {count} rows exceeds the budget of {GRID_LIMIT}")
+        rows = [",".join(names) + ",ratio,verdict"]
+        for values in itertools.product(*(grid[p] for p in names)):
+            try:
+                report = certifier(*values)
+            except FloatRangeError:
+                raise
+            except (InvalidParameterError, DisconnectedGraphError):
+                continue
+            rows.append(",".join(map(str, values)) + f",{_fmt(report.ratio)},{report.verdict}")
+        print("\n".join(rows))
         return 0
 
-    if head == "srg" or head.startswith("srg:"):
-        values = (
-            _parse_family_spec(head)[1] if ":" in head
-            else _int_params(head, extra, 4)
-        )
-        if len(values) != 4:
-            raise InvalidParameterError(f"srg takes 4 integer parameters, got {len(values)}")
-        report = certify_srg(SrgParams(*values))
+    if ":" in head:
+        name, params = _parse_family_spec(head)
+        report = _family_entry(name, params)[2](*params)
     else:
-        if ":" in head:
-            name, params = _parse_family_spec(head)
-        elif head in FAMILIES:
-            name = head
-            params = _int_params(head, extra, len(FAMILIES[head][1]))
-        else:
-            name, params = None, []
-        if name in _CLOSED_FORM_CERTIFIERS:
-            certifier, _ = _CLOSED_FORM_CERTIFIERS[name]
-            report = certifier(*params)
-        else:
-            g = _family_graph(name, params, dense=True) if name else _dense_graph(head)
-            _check_graph(g)
-            report = certify(laplacian_eigenvalues(laplacian(g)))
+        g = _dense_graph(head)
+        _check_graph(g)
+        report = certify(laplacian_eigenvalues(laplacian(g)))
     _print_report(_report_dict(report), args.json)
     return 0
-
-
-def _int_params(name: str, raw: list[str], count: int) -> list[int]:
-    if len(raw) != count:
-        raise InvalidParameterError(f"{name} takes {count} integer parameters, got {len(raw)}")
-    try:
-        return [int(p) for p in raw]
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad integer parameter for {name}: {raw}") from exc
 
 
 def cmd_pair_table(args) -> int:
@@ -410,7 +400,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="generate a graph family and write it to a file")
-    p.add_argument("family", choices=sorted(FAMILIES))
+    p.add_argument("family", choices=BUILDABLE)
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--out", choices=("edgelist", "dot"), default="edgelist")
     p.add_argument("--output", help="output path (defaults to a name derived from the family)")
@@ -424,9 +414,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="spectral optimality certificate")
     p.add_argument("target", nargs="+",
-                   help="family name with parameters, family:params, srg n k a c, or a file path")
+                   help="family or srg name with parameters, family:params, or a file path")
     p.add_argument("--grid", nargs="+", metavar="NAME=A..B",
-                   help="sweep closed-form parameters and emit CSV rows")
+                   help="sweep a family's or srg's parameters and emit CSV rows")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=cmd_certify)
 

@@ -12,16 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .errors import (
-    DegenerateStateError,
-    InvalidInputError,
-    InvalidParameterError,
-    OrthogonalStateError,
-)
+from .errors import DegenerateStateError, InvalidInputError, InvalidParameterError
 from .linalg import hypercube_eigenbasis
-from .search import NEGLIGIBLE_OVERLAP_SQ, MarkedState
+from .search import MarkedState, _check_dimension, _level_sums
 
 
 @dataclass(frozen=True)
@@ -210,19 +203,9 @@ def hypercube_exact(n: int, marked: MarkedState) -> tuple[float, float, float]:
     route of ``search_params``, is checked.
     """
     basis = hypercube_eigenbasis(n)
-    if marked.n != basis.n:
-        raise InvalidInputError(
-            f"marked state has dimension {marked.n}, hypercube needs {basis.n}"
-        )
-    levels, masses = basis.levels(basis.overlaps(marked.weights))
-    if masses[-1] <= NEGLIGIBLE_OVERLAP_SQ:
-        raise OrthogonalStateError("marked state is orthogonal to the uniform state")
-    rest, lam = masses[:-1], levels[:-1]
-    if float(rest.sum()) <= NEGLIGIBLE_OVERLAP_SQ:
-        raise DegenerateStateError("marked state equals the uniform state")
-    gamma_c = float(np.sum(rest / lam))
-    beta = math.sqrt(float(np.sum(rest / lam**2)))
-    return gamma_c, beta, math.sqrt(masses[-1])
+    _check_dimension(basis, marked)
+    p_n, gamma_c, beta = _level_sums(*basis.levels(basis.overlaps(marked.weights)))
+    return float(gamma_c), float(beta), float(p_n)
 
 
 def krawtchouk(n: int, j: int, d: int) -> int:

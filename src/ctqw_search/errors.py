@@ -5,6 +5,10 @@ class InvalidParameterError(ValueError):
     """A family or operation parameter is out of its admissible range."""
 
 
+class FloatRangeError(InvalidParameterError):
+    """A certificate's Laplacian levels lie past the float range."""
+
+
 class InvalidInputError(ValueError):
     """Malformed input data: non-symmetric matrix, bad file, dimension mismatch."""
 

@@ -147,17 +147,21 @@ def complete_minus_disjoint_edges(n: int, l: int) -> Graph:
 
 def paley(q: int) -> Graph:
     """Paley graph on a prime q = 1 (mod 4): u ~ v iff u - v is a nonzero square mod q."""
+    _check_paley_order(q)
+    is_residue = np.zeros(q, dtype=bool)
+    is_residue[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
+    edges = _pairs(q)
+    u, v = edges.T
+    return Graph.from_edges(q, edges[is_residue[(u - v) % q]], family=f"paley{{{q}}}")
+
+
+def _check_paley_order(q: int) -> None:
     # bounded before the trial-division primality test and the residue table
     _check_pair_order(q)
     if not _is_prime(q):
         raise InvalidParameterError(f"paley order must be prime, got {q}")
     if q % 4 != 1:
         raise InvalidParameterError(f"paley order must be 1 mod 4, got {q}")
-    is_residue = np.zeros(q, dtype=bool)
-    is_residue[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
-    edges = _pairs(q)
-    u, v = edges.T
-    return Graph.from_edges(q, edges[is_residue[(u - v) % q]], family=f"paley{{{q}}}")
 
 
 def regular_multipartite(m: int, k: int) -> Graph:

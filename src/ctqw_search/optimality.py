@@ -6,11 +6,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InvalidParameterError
-from .graphs import SrgParams
+from .errors import DisconnectedGraphError, FloatRangeError, InvalidParameterError
+from .graphs import SrgParams, _check_paley_order
 from .linalg import ZERO_EIGENVALUE_TOL, SpectralDecomposition
 from .search import _level_sums, _phased_states, uniform_state
 
@@ -43,7 +44,22 @@ class OptimalityReport:
         return self.verdict == CERTIFIED
 
 
-def _report(lambda_max: float, lambda_min_nonzero: float) -> OptimalityReport:
+def certify(levels) -> OptimalityReport:
+    """Certificate from Laplacian levels, non-increasing with the zero level
+    last: a spectrum as ``laplacian_eigenvalues`` gives it, or the distinct
+    levels of a closed form as exact numbers, rounded to floats here; a level
+    past the float range raises ``FloatRangeError``."""
+    try:
+        lam = np.asarray(levels, dtype=float)
+    except OverflowError as exc:
+        raise FloatRangeError("Laplacian levels lie past the float range") from exc
+    if lam.ndim != 1 or lam.size < 2:
+        raise InvalidParameterError("certificate needs at least two vertices")
+    if abs(lam[-1]) > ZERO_EIGENVALUE_TOL:
+        raise InvalidParameterError("spectrum has no zero eigenvalue: not a Laplacian")
+    if lam[-2] <= ZERO_EIGENVALUE_TOL:
+        raise DisconnectedGraphError("repeated zero eigenvalue")
+    lambda_max, lambda_min_nonzero = float(lam[0]), float(lam[-2])
     ratio = lambda_max / lambda_min_nonzero
     return OptimalityReport(
         lambda_max=lambda_max,
@@ -55,56 +71,49 @@ def _report(lambda_max: float, lambda_min_nonzero: float) -> OptimalityReport:
     )
 
 
-def certify(eigenvalues: np.ndarray) -> OptimalityReport:
-    """Certificate from a computed Laplacian spectrum, sorted non-increasing
-    with the zero eigenvalue last, as ``laplacian_eigenvalues`` and
-    ``laplacian_decomposition`` give it."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size < 2:
-        raise InvalidParameterError("certificate needs at least two vertices")
-    if abs(lam[-1]) > ZERO_EIGENVALUE_TOL:
-        raise InvalidParameterError("spectrum has no zero eigenvalue: not a Laplacian")
-    if lam[-2] <= ZERO_EIGENVALUE_TOL:
-        raise DisconnectedGraphError("repeated zero eigenvalue")
-    return _report(float(lam[0]), float(lam[-2]))
-
-
 def certify_induced_complete(n: int, l: int) -> OptimalityReport:
     """Closed form for the complete graph with l disjoint edges deleted.
 
-    Spectrum {n, n-2, 0}, so the ratio is n/(n-2) for l >= 1 and the verdict
+    Levels {n, n-2, 0}, so the ratio is n/(n-2) for l >= 1 and the verdict
     flips to certified at n = 5.  l = 0 is the plain complete graph.
     """
     if l < 0 or 2 * l > n:
         raise InvalidParameterError(f"need 0 <= 2l <= n, got n={n}, l={l}")
     if n < 2:
         raise InvalidParameterError(f"need n >= 2 vertices, got {n}")
-    if l == 0:
-        return _report(float(n), float(n))
-    if n == 2:
-        raise DisconnectedGraphError("deleting the only edge of K_2 disconnects it")
-    return _report(float(n), float(n - 2))
+    return certify([n, n - 2, 0] if l else [n, 0])
+
+
+def certify_hypercube(n: int) -> OptimalityReport:
+    """Closed form for the hypercube on 2**n vertices: levels 2n, ..., 2, 0,
+    so the ratio is n and only n = 1 (the complete graph K_2) is certified."""
+    if n < 1:
+        raise InvalidParameterError(f"hypercube needs n >= 1, got {n}")
+    return certify([2 * n, 2, 0])
 
 
 def certify_srg(params: SrgParams) -> OptimalityReport:
     """Closed form from strongly-regular-graph parameters.
 
-    Laplacian eigenvalues are k - (a-c +- sqrt(delta))/2 and 0.
+    Laplacian levels k - (a-c +- sqrt(delta))/2 and 0.  The root is taken to
+    2**-64 in exact arithmetic, so that ``certify`` rounds each level once.
     """
-    root = math.sqrt(params.delta)
-    lam_max = params.k - 0.5 * (params.a - params.c - root)
-    lam_min = params.k - 0.5 * (params.a - params.c + root)
-    if lam_min <= ZERO_EIGENVALUE_TOL:
-        raise DisconnectedGraphError(
-            "SRG parameters describe a disconnected graph (zero eigenvalue repeats)"
-        )
-    return _report(lam_max, lam_min)
+    half_root = Fraction(math.isqrt(params.delta << 128), 1 << 65)
+    middle = params.k - Fraction(params.a - params.c, 2)
+    return certify([middle + half_root, middle - half_root, 0])
+
+
+def certify_paley(q: int) -> OptimalityReport:
+    """Closed form for the Paley graph on a prime q = 1 (mod 4), the strongly
+    regular graph (q, (q-1)/2, (q-5)/4, (q-1)/4)."""
+    _check_paley_order(q)
+    return certify_srg(SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4))
 
 
 def certify_multipartite(m: int, k: int) -> OptimalityReport:
     """Closed form for the regular complete m-partite graph with block size k.
 
-    For k >= 2 the spectrum is {mk, (m-1)k, 0}: ratio m/(m-1), certified
+    For k >= 2 the levels are {mk, (m-1)k, 0}: ratio m/(m-1), certified
     exactly when m >= 3.  Singleton blocks (k = 1) collapse to the complete
     graph: the (m-1)k eigenvalue has multiplicity m(k-1) = 0, so the ratio
     is 1.
@@ -113,9 +122,7 @@ def certify_multipartite(m: int, k: int) -> OptimalityReport:
         raise InvalidParameterError(f"multipartite graph needs m >= 2, got {m}")
     if k < 1:
         raise InvalidParameterError(f"block size must be >= 1, got {k}")
-    if k == 1:
-        return _report(float(m), float(m))
-    return _report(float(m * k), float((m - 1) * k))
+    return certify([m * k, (m - 1) * k, 0] if k > 1 else [m, 0])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from .errors import InvalidInputError, InvalidParameterError
 from .graphs import Graph, _check_graph, laplacian
 from .linalg import hypercube_eigenbasis, laplacian_decomposition
 from .search import (NEGLIGIBLE_OVERLAP_SQ, POLE_GUARD, MarkedState, SearchParameters,
-                     _secular_roots, search_params)
+                     _secular_roots, amplitude_approx, search_params)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Budget of time-grid points, or secular roots per block, times reduced
@@ -122,9 +122,7 @@ def compare(trace: EvolutionTrace, params: SearchParameters) -> DeviationReport:
         )
     if trace.times.size < 2:
         raise InvalidInputError("trace has fewer than two grid points")
-    rate = params.gamma_c * params.p_n / params.beta
-    approx = params.envelope * np.abs(np.sin(rate * trace.times))
-    dev = np.abs(trace.amplitudes - approx)
+    dev = np.abs(trace.amplitudes - amplitude_approx(params, trace.times))
     peak_amp = math.sqrt(trace.peak_probability)
     return DeviationReport(
         max_abs_deviation=float(dev.max()),
@@ -176,11 +174,19 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
             f"lambda_max must lie within 2**-53 to 2**53, and |mu| * t_max below 2**53"
         )
     # levels from 0 up; one without mass, or within twice the solver's pole
-    # guard of the one below, joins that one, leaving an eigenvalue of weight 0
+    # guard of the one below, joins that one, leaving an eigenvalue of weight 0;
+    # the group sits at the mass-weighted mean of its massive levels, exact to
+    # first order in their spread, so that late phases do not drift by
+    # spread * t, and a level alone keeps its value
     lam, masses = levels[::-1], params.overlaps[::-1] ** 2
     first = np.flatnonzero((masses > NEGLIGIBLE_OVERLAP_SQ)
                            & (np.diff(lam, prepend=-np.inf) > 4.0 * POLE_GUARD * lam[-1]))
-    lam, masses = lam[first], np.add.reduceat(masses, first)
+    weight = np.where(masses > NEGLIGIBLE_OVERLAP_SQ, masses, 0.0)
+    start = np.zeros(lam.size, dtype=np.intp)
+    start[first] = first
+    spread = weight * (lam - lam[np.maximum.accumulate(start)])
+    lam = lam[first] + np.add.reduceat(spread, first) / np.add.reduceat(weight, first)
+    masses = np.add.reduceat(masses, first)
     poles, c = rate * lam, np.sqrt(masses)
     mu, u = np.empty((2, poles.size))
     # root j lies between poles j-1 (or -A) and j; its outer pole is the nearer

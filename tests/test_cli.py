@@ -224,6 +224,52 @@ class TestCertify:
         assert report["lambda_max"] == pytest.approx(4.0, rel=1e-12)
         assert report["lambda_min_nonzero"] == pytest.approx(1.0, rel=1e-12)
 
+    def test_named_family_past_dense_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "complete:100000", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["lambda_max"], report["ratio"]) == (100000.0, 1.0)
+        assert report["verdict"] == "certified"
+        code, out, _ = run_cli(capsys, "certify", "hypercube:16", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["lambda_max"], report["lambda_min_nonzero"]) == (32.0, 2.0)
+        assert (report["ratio"], report["verdict"]) == (16.0, "not-certified")
+
+    @pytest.mark.parametrize("spec, ratio", [
+        ("complete:12", 1.0), ("hypercube:6", 6.0), ("complete-minus:12,3", 1.2),
+        ("paley:29", (29 + math.sqrt(29)) / (29 - math.sqrt(29))),
+        ("multipartite:5,4", 1.25), ("srg:10,3,0,1", 2.5)])
+    def test_family_builds_no_graph(self, capsys, monkeypatch, spec, ratio):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify of a named family built a graph or a spectrum")
+
+        for name, (ctor, names, certifier) in cli.FAMILIES.items():
+            monkeypatch.setitem(cli.FAMILIES, name, (ctor and refuse, names, certifier))
+        for module, attr in [(graphs, "_pairs"), (graphs, "laplacian"), (cli, "laplacian"),
+                             (linalg, "laplacian_eigenvalues"), (cli, "laplacian_eigenvalues"),
+                             (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
+            monkeypatch.setattr(module, attr, refuse)
+        code, out, _ = run_cli(capsys, "certify", spec, "--json")
+        assert code == 0
+        assert json.loads(out)["ratio"] == pytest.approx(ratio, rel=1e-11)
+
+    def test_srg_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "srg", "--grid", "n=10", "k=3", "a=0..1",
+                               "c=1")
+        assert code == 0
+        assert out.splitlines() == ["n,k,a,c,ratio,verdict", "10,3,0,1,2.5,not-certified"]
+
+    @pytest.mark.parametrize("argv", [["paley:29", "17"], ["complete:8", "junk"],
+                                      ["{file}", "extra"], ["complete", "8", "--grid", "n=2..4"]])
+    def test_stray_arguments_are_usage_errors(self, capsys, tmp_path, argv):
+        path = tmp_path / "k4.edges"
+        path.write_text("".join(f"{u} {v}\n" for u in range(4) for v in range(u + 1, 4)))
+        argv = [a.replace("{file}", str(path)) for a in argv]
+        code, out, err = run_cli(capsys, "certify", *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+
     def test_file_over_dense_limit_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "path.edges"
         path.write_text("".join(f"{v} {v + 1}\n" for v in range(99999)))
@@ -405,11 +451,17 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "complete:100000", "single:0"],
-        ["certify", "complete:100000"],
+        ["certify", f"complete:{10**400}"],
         ["certify", "paley", "100049"],
-        ["certify", "hypercube:16"],
+        ["certify", f"hypercube:{10**400}"],
         ["family", "complete", "100000"],
-        ["simulate", "complete:8", "single:0", "--steps", "2000000000"]])
+        ["simulate", "complete:8", "single:0", "--steps", "2000000000"],
+        # levels past the float range
+        ["certify", f"complete-minus:{10**400},1"],
+        ["certify", "multipartite", str(10**400), "2"],
+        ["certify", "complete-minus", "--grid", f"n={10**400}", "l=1"],
+        # a grid past its row budget
+        ["certify", "complete", "--grid", "n=2..1000000000"]])
     def test_oversized_instance_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
@@ -422,11 +474,12 @@ class TestUsage:
         assert len(err.splitlines()) == 1
 
 
-# Sizes are either small and valid or far past every budget; mid-sized ones
-# are valid but slow (a dense 4096-vertex decomposition, a 2**22 transform).
-# About half the instances are small valid graphs with states on vertices
-# 0..5, so that runs get past the argument checks.
-SIZE = st.integers(-2, 64) | st.integers(10**5, 10**18)
+# Sizes are either small and valid or far past every budget, up to past the
+# float range; mid-sized ones are valid but slow (a dense 4096-vertex
+# decomposition, a 2**22 transform).  About half the instances are small
+# valid graphs with states on vertices 0..5, so that runs get past the
+# argument checks.
+SIZE = st.integers(-2, 64) | st.integers(10**5, 10**18) | st.integers(2**1024, 10**400)
 BITS = st.integers(-1, 6) | st.integers(10**5, 10**18)
 NUMBER = (st.floats(-1.0, 64.0) | st.floats(1e5, 1e300)
           | st.sampled_from([math.nan, math.inf, -math.inf])).map(repr)
@@ -519,8 +572,8 @@ def argv(draw):
     if command == "analyze":
         return ["analyze", graph, state, "--json"], file
     if command == "certify":
-        target = draw(st.just(graph) | _params(SIZE, SIZE, SIZE, SIZE).map("srg:{}".format))
-        return ["certify", target, "--json"], file
+        return certify_argv(draw, draw(st.just(graph) | _params(SIZE, SIZE, SIZE, SIZE).map(
+            "srg:{}".format))), file
     args = ["simulate", graph, state]
     if draw(st.booleans()):
         args += ["--steps", str(draw(SIZE))]
@@ -529,6 +582,22 @@ def argv(draw):
     if draw(st.booleans()):
         args += ["--gamma", draw(NUMBER | st.sampled_from(["critical", "fast"]))]
     return args, file
+
+
+def certify_argv(draw, target):
+    """``certify`` arguments for a ``name:params`` target, in that form with
+    perhaps a stray argument, as ``name p1 p2 ...`` or as a ``--grid`` that
+    sweeps each parameter from its given value to up to four past it."""
+    name, _, params = target.partition(":")
+    params = params.split(",") if params else []
+    form = draw(st.sampled_from(["spec", "words", "grid"]))
+    if form == "words":
+        return ["certify", name, *params, "--json"]
+    if form == "spec":
+        return ["certify", target, *draw(st.lists(SIZE.map(str), max_size=1)), "--json"]
+    names = cli.FAMILIES[name][1] if name in cli.FAMILIES else ("n",)
+    grid = [f"{p}={lo}..{int(lo) + draw(st.integers(-1, 4))}" for p, lo in zip(names, params)]
+    return ["certify", name, "--grid", *grid]
 
 
 def _reject_constant(name):
@@ -551,5 +620,8 @@ class TestFuzz:
                 code = main(args)
         assert code in (0, 1, 2, 3)
         assert len(err.getvalue().splitlines()) <= 1
-        if code == 0 and args[0] in ("analyze", "certify", "simulate"):
+        if code == 0 and "--grid" in args:
+            for row in out.getvalue().splitlines()[1:]:
+                assert math.isfinite(float(row.split(",")[-2]))
+        elif code == 0 and args[0] in ("analyze", "certify", "simulate"):
             json.loads(out.getvalue(), parse_constant=_reject_constant)

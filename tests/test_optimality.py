@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctqw_search import optimality
+from ctqw_search import cli, optimality
 from ctqw_search import (
     OPTIMALITY_THRESHOLD,
     DisconnectedGraphError,
+    FloatRangeError,
     Graph,
     InvalidParameterError,
     MarkedState,
@@ -81,6 +82,55 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     return Graph.from_edges(10, outer + inner + spokes, family="petersen")
+
+
+# small parameters of every named certificate and the graph of each, for the
+# dense route; srg is checked on the Petersen graph and on Paley(29)
+TABLE_CASES = {
+    "complete": [(n,) for n in range(2, 13)],
+    "hypercube": [(n,) for n in range(1, 7)],
+    "complete-minus": [(n, l) for n in range(2, 13) for l in range(n // 2 + 1)],
+    "paley": [(5,), (13,), (17,), (29,)],
+    "multipartite": [(m, k) for m in range(2, 6) for k in range(1, 5)],
+    "srg": [(10, 3, 0, 1), (29, 14, 6, 7)],
+}
+SRG_GRAPHS = {(10, 3, 0, 1): petersen, (29, 14, 6, 7): lambda: paley(29)}
+
+
+class TestFamilyTable:
+    """Each entry of the CLI's family table certifies from its parameters what
+    the dense route certifies from the graph those parameters build."""
+
+    def test_every_entry_is_covered(self):
+        assert set(TABLE_CASES) == set(cli.FAMILIES)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CASES))
+    def test_matches_dense_route(self, name):
+        build, _, certifier = cli.FAMILIES[name]
+        for params in TABLE_CASES[name]:
+            g = build(*params) if build else SRG_GRAPHS[params]()
+            try:
+                dense = certify_graph(g)
+            except DisconnectedGraphError:
+                with pytest.raises(DisconnectedGraphError):
+                    certifier(*params)
+                continue
+            closed = certifier(*params)
+            for field in ("lambda_max", "lambda_min_nonzero", "ratio"):
+                assert getattr(closed, field) == pytest.approx(
+                    getattr(dense, field), rel=1e-12), (name, params, field)
+            # theta is a difference of reciprocals: 0 for the complete graph
+            assert closed.theta == pytest.approx(
+                dense.theta, rel=1e-12, abs=1e-12 / dense.lambda_min_nonzero), (name, params)
+            assert closed.verdict == dense.verdict, (name, params)
+
+    def test_levels_past_float_range(self):
+        for certifier, params in [(certify_induced_complete, (10**400, 1)),
+                                  (certify_multipartite, (10**400, 2)),
+                                  (optimality.certify_hypercube, (10**308,)),
+                                  (certify_srg, (SrgParams(1, 10**400, 10**400, 1),))]:
+            with pytest.raises(FloatRangeError):
+                certifier(*params)
 
 
 class TestCertify:

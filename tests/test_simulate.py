@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctqw_search import (
@@ -307,6 +307,10 @@ class TestReducedTrace:
            st.integers(0, 2**32 - 1), st.floats(-8.0, math.log10(0.99)), st.floats(-3.0, 3.0),
            st.one_of(st.none(), st.tuples(st.floats(-14.0, -3.0), st.floats(0.01, 0.99))),
            st.one_of(st.none(), st.floats(-19.0, -3.0)))
+    # a level split 1e-14 apart merges: at its lowest level the trace missed
+    # by 2.8e-8 at p_n = 1e-8
+    @example(random_connected_graph(np.random.default_rng(0), 3, 0.03125), 3, -8.0,
+             1.192092896e-07, (-14.0, 0.0625), None)
     def test_matches_reduced_eig_sym(self, g, seed, log_p_n, log_rate, split, log_low_mass):
         rng = np.random.default_rng(seed)
         state = random_marked_state(rng, g.n_vertices, p_n=10.0**log_p_n)
