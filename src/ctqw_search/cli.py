@@ -40,6 +40,7 @@ from .optimality import (
     certify_multipartite,
     certify_paley,
     certify_srg,
+    prove_not_certified,
 )
 from .search import MarkedState, graph_search_params, search_params
 from .simulate import run, run_hypercube
@@ -301,7 +302,9 @@ def _parse_grid_spec(specs: list[str], names: tuple[str, ...]) -> dict[str, rang
 
 def cmd_certify(args) -> int:
     """A family or srg certifies from its parameters through its ``FAMILIES``
-    entry, with no graph or eigensolver; a file, from its dense spectrum."""
+    entry, with no graph or eigensolver.  A file is proven "not-certified" by
+    Lanczos on its edges when it can be; otherwise it certifies from its
+    dense spectrum."""
     head, *extra = args.target
     if head in FAMILIES:  # the name p1 p2 ... form
         head, extra = f"{head}:{','.join(extra)}", []
@@ -336,7 +339,8 @@ def cmd_certify(args) -> int:
     else:
         g = _dense_graph(head)
         _check_graph(g)
-        report = certify(laplacian_eigenvalues(laplacian(g)))
+        report = (prove_not_certified(g.n_vertices, g.edges)
+                  or certify(laplacian_eigenvalues(laplacian(g))))
     _print_report(_report_dict(report), args.json)
     return 0
 

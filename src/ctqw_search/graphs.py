@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -15,6 +16,10 @@ MAX_HYPERCUBE_BITS = 16
 # Order bound of the families built from all vertex pairs: at 4096 vertices
 # the pair arrays take about 270 MB.
 MAX_PAIR_VERTICES = 4096
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +93,14 @@ def _canonical_edges(edges) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SrgParams:
-    """Strongly-regular-graph parameters (order, degree, common neighbors)."""
+    """Strongly-regular-graph parameters (order, degree, common neighbors of
+    adjacent and of non-adjacent vertices).
+
+    Feasible parameters have 0 <= a < k < n, 0 <= c <= k and k(k-a-1) =
+    (n-k-1)c, and the two adjacency eigenvalues besides k have multiplicities
+    f, g = ((n-1) -+ (2k + (n-1)(a-c))/sqrt(delta))/2 that are non-negative
+    integers.  c = 0 is a disjoint union of cliques, which these admit.
+    """
 
     n: int
     k: int
@@ -96,15 +108,29 @@ class SrgParams:
     c: int
 
     def __post_init__(self):
-        if min(self.n, self.k, self.a, self.c) < 0:
+        n, k, a, c = self.n, self.k, self.a, self.c
+        if min(n, k, a, c) < 0:
             raise InvalidParameterError("SRG parameters must be non-negative")
-        if self.k * (self.k - self.a - 1) != (self.n - self.k - 1) * self.c:
+        if not (a < k < n and c <= k):
             raise InvalidParameterError(
-                f"infeasible SRG parameters ({self.n},{self.k},{self.a},{self.c}): "
-                "k(k-a-1) != (n-k-1)c"
+                f"infeasible SRG parameters ({n},{k},{a},{c}): need a < k < n and c <= k"
             )
-        if self.delta < 0:
-            raise InvalidParameterError("SRG discriminant is negative")
+        if k * (k - a - 1) != (n - k - 1) * c:
+            raise InvalidParameterError(
+                f"infeasible SRG parameters ({n},{k},{a},{c}): k(k-a-1) != (n-k-1)c"
+            )
+        # delta > 0 here; f - g = -(2k + (n-1)(a-c))/sqrt(delta)
+        spread, root = 2 * k + (n - 1) * (a - c), math.isqrt(self.delta)
+        if root * root != self.delta:
+            integral = spread == 0 and (n - 1) % 2 == 0
+        else:
+            integral = spread % root == 0 and abs(spread // root) <= n - 1 and (
+                (n - 1 - spread // root) % 2 == 0)
+        if not integral:
+            raise InvalidParameterError(
+                f"infeasible SRG parameters ({n},{k},{a},{c}): "
+                "eigenvalue multiplicities are not non-negative integers"
+            )
 
     @property
     def delta(self) -> int:
@@ -147,6 +173,7 @@ def complete_minus_disjoint_edges(n: int, l: int) -> Graph:
 
 def paley(q: int) -> Graph:
     """Paley graph on a prime q = 1 (mod 4): u ~ v iff u - v is a nonzero square mod q."""
+    _check_pair_order(q)
     _check_paley_order(q)
     is_residue = np.zeros(q, dtype=bool)
     is_residue[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
@@ -156,8 +183,10 @@ def paley(q: int) -> Graph:
 
 
 def _check_paley_order(q: int) -> None:
-    # bounded before the trial-division primality test and the residue table
-    _check_pair_order(q)
+    if q >= PRIME_TEST_LIMIT:
+        raise InvalidParameterError(
+            f"paley order {q} is past the primality test's bound {PRIME_TEST_LIMIT}"
+        )
     if not _is_prime(q):
         raise InvalidParameterError(f"paley order must be prime, got {q}")
     if q % 4 != 1:
@@ -497,13 +526,23 @@ def _scan_numbers(text: str, extra: bytes = b""):
 
 
 def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin primality of 0 <= q < ``PRIME_TEST_LIMIT``."""
     if q < 2:
         return False
-    if q % 2 == 0:
-        return q == 2
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
+    for p in _PRIME_TEST_BASES:
+        if q % p == 0:
+            return q == p
+    # q - 1 = d * 2**r with d odd
+    r = ((q - 1) & (1 - q)).bit_length() - 1
+    d = (q - 1) >> r
+    for base in _PRIME_TEST_BASES:
+        x = pow(base, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 2
     return True

@@ -1,6 +1,6 @@
 """Dense symmetric spectral decompositions, the analytic hypercube eigenbasis,
-exact eigenbasis-driven time evolution, and conjugate-gradient solves on a
-sparse graph Laplacian."""
+exact eigenbasis-driven time evolution, and conjugate-gradient solves and
+Lanczos extreme eigenvalues on a sparse graph Laplacian."""
 
 from __future__ import annotations
 
@@ -22,6 +22,13 @@ MAX_BASIS_BITS = 22
 CG_STEPS_PER_VERTEX = 10
 # c of the conjugate-gradient stop ||b - Qx|| <= c * eps * (2*d_max*||x|| + ||b||).
 CG_BACKWARD_ERROR = 8.0
+# Largest Lanczos basis: N times this many floats, and O(N * m**2) flops of
+# reorthogonalization; the extremes of random sparse graphs of 1000 to 4000
+# vertices converge in under 100 steps.
+LANCZOS_MAX_BASIS = 256
+# Residual ||Qy - rho*y|| <= LANCZOS_RESIDUAL * rho_max of a converged extreme
+# Ritz pair, for unit y.
+LANCZOS_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -193,16 +200,7 @@ def laplacian_solve(n: int, edges: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (n,) or not np.isfinite(b).all():
         raise InvalidInputError(f"right-hand side must be a finite ({n},) vector")
-    u, v = np.ascontiguousarray(np.asarray(edges, dtype=np.int64).T)
-    degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-
-    def apply(x):
-        y = degrees * x
-        y -= np.bincount(u, weights=x[v], minlength=n)
-        y -= np.bincount(v, weights=x[u], minlength=n)
-        return y
-
-    scale = 2.0 * float(degrees.max())
+    apply, scale = _edge_laplacian(n, edges)
     b_norm = float(np.linalg.norm(b))
     tol = CG_BACKWARD_ERROR * np.finfo(float).eps
     x = np.zeros(n)
@@ -227,6 +225,143 @@ def laplacian_solve(n: int, edges: np.ndarray, b: np.ndarray) -> np.ndarray:
         p += r
     raise NumericError(
         f"conjugate gradients did not converge in {steps} steps on {n} vertices"
+    )
+
+
+def _edge_laplacian(n: int, edges: np.ndarray):
+    """x -> Qx for the Laplacian Q of a simple graph on n vertices with (E, 2)
+    ``edges``, applied as the degree scaling minus two scatters, O(E) with
+    nothing of size N*N built; and 2*d_max, a bound on ||Q|| and ||D + A||."""
+    u, v = np.ascontiguousarray(np.asarray(edges, dtype=np.int64).T)
+    degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+
+    def apply(x):
+        y = degrees * x
+        y -= np.bincount(u, weights=x[v], minlength=n)
+        y -= np.bincount(v, weights=x[u], minlength=n)
+        return y
+
+    return apply, 2.0 * float(degrees.max())
+
+
+@dataclass(frozen=True)
+class LanczosExtremes:
+    """The extreme Ritz pairs of a graph Laplacian in the complement of the
+    uniform vector (see ``laplacian_extremes``)."""
+
+    theta_max: float
+    theta_min: float
+    # Rayleigh quotients of the explicit, mean-free Ritz vectors, as evaluated
+    rho_max: float
+    rho_min: float
+    # bound on the rounding error of each evaluated Rayleigh quotient
+    delta: float
+    steps: int
+    converged: bool
+
+
+def laplacian_extremes(n: int, edges: np.ndarray) -> LanczosExtremes:
+    """Largest and smallest eigenvalue of the Laplacian Q of a connected
+    simple graph on n >= 2 vertices with (E, 2) ``edges``, restricted to the
+    complement s-perp of the uniform vector: lambda_max and lambda_2, by
+    Lanczos with Q applied from the edges.
+
+    The start vector is seeded, so the result is deterministic.  Each new
+    basis vector is orthogonalized twice against the whole basis, then its
+    mean is projected out again, without which a spurious Ritz value near 0
+    appears.  The Ritz values theta are the eigenvalues of the tridiagonal T
+    (``eigvalsh``); the two extreme Ritz vectors come from inverse iteration
+    on T, shifted just outside its spectrum, so no eigenvector solver runs.
+    The pairs are checked every 8 steps, or every m/8 past 64, and the basis
+    stops growing when both extreme Ritz vectors y, mean-free and of unit
+    norm, have ||Qy - rho*y|| <= ``LANCZOS_RESIDUAL`` * rho_max and
+    |theta - rho| within the same bound, where rho = y'Qy is evaluated on y
+    itself; or when it reaches ``LANCZOS_MAX_BASIS`` vectors, or all of
+    s-perp, and ``converged`` is false unless the check passed.
+
+    Each rho is the Rayleigh quotient of a vector of s-perp, so rho_max <=
+    lambda_max and rho_min >= lambda_2 whether or not the iteration
+    converged, up to the rounding of their evaluation, bounded by
+    delta = (2N + d_max + 4) * eps * 2*d_max: each entry of Qy sums at most
+    d_max + 2 terms and y'(Qy) N more, |Q| = D + A has norm at most 2*d_max,
+    the rounded norm of y is 1 to the rounding of an N-term sum, and the
+    rounded mean of y leaves a component along the uniform vector of
+    relative size at most (N + 1) * eps, which lowers rho by a second-order
+    amount.
+
+    Raises
+    ------
+    InvalidInputError
+        If n < 2.
+    """
+    if n < 2:
+        raise InvalidInputError(f"Lanczos needs at least two vertices, got {n}")
+    apply, scale = _edge_laplacian(n, edges)
+    size = min(n - 1, LANCZOS_MAX_BASIS)
+    basis = np.empty((size, n))
+    alpha, beta = np.empty(size), np.empty(size)
+    v = np.random.default_rng(0).standard_normal(n)
+    v -= v.mean()
+    v /= np.linalg.norm(v)
+    check = 8
+    for j in range(size):
+        basis[j] = v
+        w = apply(v)
+        alpha[j] = v @ w
+        w -= alpha[j] * v
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        for _ in range(2):
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+        w -= w.mean()
+        beta[j] = np.linalg.norm(w)
+        steps = j + 1
+        # a full basis, or an invariant subspace: every Ritz residual is at most beta
+        exhausted = steps == size or beta[j] <= LANCZOS_RESIDUAL * alpha[:steps].max()
+        if exhausted or steps == check:
+            result = _ritz_extremes(apply, basis[:steps], alpha[:steps], beta[:steps - 1],
+                                    scale)
+            if result.converged or exhausted:
+                break
+            check += max(8, steps // 8)
+        v = w / beta[j]
+    return result
+
+
+def _ritz_extremes(apply, basis: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                   scale: float) -> LanczosExtremes:
+    """The extreme Ritz pairs of the Lanczos ``basis`` rows and tridiagonal
+    (``alpha``, ``beta``), checked on the explicit Ritz vectors."""
+    n = basis.shape[1]
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    theta = np.linalg.eigvalsh(t)
+    ends = (float(theta[-1]), float(theta[0]))
+    rho, residual = [], []
+    # shifted just past the end of T's spectrum, inverse iteration converges
+    # on that end's eigenvector in a step or two
+    offset = 4.0 * t.shape[0] * np.finfo(float).eps * max(abs(ends[0]), abs(ends[1]), 1.0)
+    for end, side in zip(ends, (1.0, -1.0)):
+        shifted = t - (end + side * offset) * np.eye(t.shape[0])
+        s = np.ones(t.shape[0])
+        for _ in range(3):
+            try:
+                s = np.linalg.solve(shifted, s)
+            except np.linalg.LinAlgError:  # an exactly singular shift: no check passes
+                s = np.full(t.shape[0], np.nan)
+            s /= np.linalg.norm(s)
+        y = s @ basis
+        y -= y.mean()
+        y /= np.linalg.norm(y)
+        qy = apply(y)
+        rho.append(float(y @ qy))
+        residual.append(float(np.linalg.norm(qy - rho[-1] * y)))
+    tol = LANCZOS_RESIDUAL * rho[0]
+    converged = all(r <= tol for r in residual) and all(
+        abs(a - b) <= tol for a, b in zip(ends, rho))
+    return LanczosExtremes(
+        theta_max=ends[0], theta_min=ends[1], rho_max=rho[0], rho_min=rho[1],
+        delta=float((2 * n + scale / 2 + 4) * np.finfo(float).eps * scale),
+        steps=basis.shape[0], converged=converged,
     )
 
 

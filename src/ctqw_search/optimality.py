@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, FloatRangeError, InvalidParameterError
 from .graphs import SrgParams, _check_paley_order
-from .linalg import ZERO_EIGENVALUE_TOL, SpectralDecomposition
+from .linalg import ZERO_EIGENVALUE_TOL, SpectralDecomposition, laplacian_extremes
 from .search import _level_sums, _phased_states, uniform_state
 
 # A ratio of extreme nonzero Laplacian eigenvalues at or below this threshold
@@ -69,6 +69,29 @@ def certify(levels) -> OptimalityReport:
         threshold=OPTIMALITY_THRESHOLD,
         verdict=CERTIFIED if ratio <= OPTIMALITY_THRESHOLD else NOT_CERTIFIED,
     )
+
+
+def prove_not_certified(n: int, edges: np.ndarray) -> OptimalityReport | None:
+    """The "not-certified" report of a connected simple graph on n vertices
+    with (E, 2) ``edges`` when Lanczos on the edges proves it, else None.
+
+    Lanczos (``linalg.laplacian_extremes``) gives mean-free Ritz vectors
+    whose Rayleigh quotients, evaluated within delta, satisfy rho_max <=
+    lambda_max and rho_min >= lambda_2.  So (rho_max - delta)/(rho_min +
+    delta) > ``OPTIMALITY_THRESHOLD`` proves lambda_max/lambda_2 past it, and
+    the report is ``certify`` of the converged Ritz values [theta_max,
+    theta_min, 0].  Lanczos gives no lower bound on lambda_2, so a ratio within
+    the rounding bound of the threshold, or under it, or an iteration that
+    stopped unconverged, proves nothing: the caller takes the dense route.
+    """
+    if n < 2:
+        return None
+    ritz = laplacian_extremes(n, edges)
+    if not ritz.converged or (
+            ritz.rho_max - ritz.delta <= OPTIMALITY_THRESHOLD * (ritz.rho_min + ritz.delta)):
+        return None
+    report = certify([ritz.theta_max, ritz.theta_min, 0.0])
+    return None if report.certified else report
 
 
 def certify_induced_complete(n: int, l: int) -> OptimalityReport:

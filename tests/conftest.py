@@ -60,6 +60,16 @@ def random_connected_graph(rng, n, p):
     return Graph.from_edges(n, edges)
 
 
+def sparse_random_graph(rng, n, degree):
+    """A random recursive spanning tree plus uniform random edges, up to
+    n*degree/2 edges: the shape of the benchmark's edge-list graphs."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(edges) < n * degree // 2:
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges.add((u, v))
+    return Graph.from_edges(n, edges)
+
+
 def transform_level_masses(n_bits, weights):
     """Level masses of a hypercube state from its Walsh transform, grouped by
     Hamming weight and listed for levels 2n, ..., 2, 0."""

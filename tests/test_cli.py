@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctqw_search import fwht, graphs, linalg, parse_dot, parse_edge_list
+from ctqw_search import fwht, graphs, linalg, optimality, parse_dot, parse_edge_list
 from ctqw_search import cli
 from ctqw_search.cli import main
+from conftest import sparse_random_graph
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +255,28 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["ratio"] == pytest.approx(ratio, rel=1e-11)
 
+    @pytest.mark.parametrize("q", [4129, 100049])
+    def test_paley_past_pair_budget(self, capsys, q):
+        code, out, _ = run_cli(capsys, "certify", "paley", str(q), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["ratio"] == pytest.approx((q + math.sqrt(q)) / (q - math.sqrt(q)),
+                                                rel=1e-11)
+        assert report["verdict"] == "certified"
+
+    # the last satisfies k(k-a-1) = (n-k-1)c but has multiplicities 4 -+ 8/sqrt(13)
+    @pytest.mark.parametrize("argv", [["srg", "1", "5", "10", "6"], ["srg:3,3,3,3"],
+                                      ["srg:9,4,0,3"]])
+    def test_infeasible_srg_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "certify", *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert "infeasible SRG parameters" in err
+
+    def test_srg_disjoint_cliques_are_disconnected(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "srg:6,2,1,0")
+        assert (code, out, err) == (2, "", "error: repeated zero eigenvalue\n")
+
     def test_srg_grid(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "srg", "--grid", "n=10", "k=3", "a=0..1",
                                "c=1")
@@ -277,6 +300,86 @@ class TestCertify:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert "dense limit" in err
+
+
+def _dense_report(g):
+    """The report of the dense route, as ``certify --json`` prints it."""
+    spectrum = linalg.laplacian_eigenvalues(graphs.laplacian(g))
+    return json.loads(json.dumps(cli._report_dict(optimality.certify(spectrum))))
+
+
+class TestCertifyFileRoutes:
+    """A file is proven "not-certified" by Lanczos on its edges; every other
+    file takes the dense spectrum."""
+
+    @pytest.mark.parametrize("g", [
+        graphs.Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)]),
+        sparse_random_graph(np.random.default_rng(300), 300, 8)])
+    def test_not_certified_file_takes_no_dense_solver(self, capsys, tmp_path, monkeypatch, g):
+        want = _dense_report(g)
+        path = tmp_path / "g.edges"
+        path.write_text(graphs.format_edge_list(g))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify took the dense route")
+
+        for module, attr in [(graphs, "laplacian"), (cli, "laplacian"),
+                             (linalg, "laplacian_eigenvalues"), (cli, "laplacian_eigenvalues"),
+                             (np.linalg, "eigh")]:
+            monkeypatch.setattr(module, attr, refuse)
+        eigvalsh = np.linalg.eigvalsh
+
+        def small_only(a, *args, **kwargs):
+            if np.shape(a)[0] >= g.n_vertices:
+                raise AssertionError("certify ran an N x N eigvalsh")
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("verdict") == want.pop("verdict") == "not-certified"
+        for key, value in want.items():
+            assert report[key] == pytest.approx(value, rel=1e-10), key
+
+    @pytest.mark.parametrize("g", [graphs.complete_minus_disjoint_edges(6, 3),
+                                   graphs.regular_multipartite(3, 3)])
+    def test_certified_file_takes_the_dense_route(self, capsys, tmp_path, monkeypatch, g):
+        want = _dense_report(g)
+        assert want["verdict"] == "certified"
+        path = tmp_path / "g.edges"
+        path.write_text(graphs.format_edge_list(g))
+        calls = []
+        dense = cli.laplacian_eigenvalues
+        monkeypatch.setattr(cli, "laplacian_eigenvalues", lambda q: calls.append(q) or dense(q))
+        code, out, _ = run_cli(capsys, "certify", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == want
+        assert len(calls) == 1
+
+    def test_singular_inverse_iteration_falls_back(self, capsys, tmp_path, monkeypatch):
+        g = graphs.Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
+        want = _dense_report(g)
+        path = tmp_path / "c5.edges"
+        path.write_text(graphs.format_edge_list(g))
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--json")
+        assert (code, json.loads(out)) == (0, want)
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("0 1\n2 3\n", 2, "error: disconnected"),
+        ("# vertices: 1\n", 1, "error: certificate needs at least two vertices"),
+        ("".join(f"{v} {v + 1}\n" for v in range(99999)), 1,
+         "error: graph with 100000 vertices exceeds the dense limit 4096")])
+    def test_refused_files_keep_exit_code_and_message(self, capsys, tmp_path, text, code,
+                                                      message):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        assert run_cli(capsys, "certify", str(path)) == (code, "", message + "\n")
 
 
 class TestPairTable:
@@ -452,7 +555,8 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["analyze", "complete:100000", "single:0"],
         ["certify", f"complete:{10**400}"],
-        ["certify", "paley", "100049"],
+        # past the bound of the deterministic primality test
+        ["certify", "paley", str(10**25 + 1)],
         ["certify", f"hypercube:{10**400}"],
         ["family", "complete", "100000"],
         ["simulate", "complete:8", "single:0", "--steps", "2000000000"],

@@ -255,6 +255,64 @@ class TestSrgParams:
         with pytest.raises(InvalidParameterError):
             SrgParams(29, 14, 6, 6)
 
+    @pytest.mark.parametrize("params", [
+        (10, 3, 0, 1), (29, 14, 6, 7), (16, 5, 0, 2), (16, 6, 2, 2), (27, 10, 1, 5),
+        # complete multipartite K_{m x s}: (ms, (m-1)s, (m-2)s, (m-1)s)
+        (8, 4, 0, 4), (12, 8, 4, 8), (20, 15, 10, 15),
+        # disjoint cliques: c = 0
+        (6, 2, 1, 0), (12, 3, 2, 0)])
+    def test_feasible(self, params):
+        SrgParams(*params)
+
+    def test_every_paley_order_is_feasible(self):
+        for q in range(5, 2000, 4):
+            if graphs._is_prime(q):
+                SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
+
+    @pytest.mark.parametrize("params", [
+        # orders, degrees and common neighbours out of range
+        (1, 5, 10, 6), (3, 3, 3, 3), (5, 4, 4, 4), (10, 3, 3, 0), (6, 2, 0, 3),
+        # k(k-a-1) = (n-k-1)c holds, the multiplicities are not integers
+        (9, 4, 0, 3), (7, 3, 1, 1), (4, 2, 1, 0)])
+    def test_no_graph_has_these(self, params):
+        with pytest.raises(InvalidParameterError, match="infeasible SRG"):
+            SrgParams(*params)
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        primes = [q for q in range(2, 20000)
+                  if all(q % d for d in range(2, math.isqrt(q) + 1))]
+        assert [q for q in range(20000) if graphs._is_prime(q)] == primes
+
+    # the least strong pseudoprimes to the first 2, 4, 9 and 12 prime bases
+    @pytest.mark.parametrize("q", [1373653, 3215031751, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, q):
+        assert not graphs._is_prime(q)
+
+    def test_bound_is_the_least_pseudoprime_to_all_bases(self):
+        q = graphs.PRIME_TEST_LIMIT
+        assert q == 1287836182261 * 2575672364521
+        assert graphs._is_prime(q)
+
+    @pytest.mark.parametrize("q", [4129, 100049, 2**61 - 1, 10**24 + 7])
+    def test_large_primes(self, q):
+        assert graphs._is_prime(q)
+
+    def test_paley_order_past_the_test_bound(self):
+        with pytest.raises(InvalidParameterError, match="primality"):
+            graphs._check_paley_order(graphs.PRIME_TEST_LIMIT + 4)
+
+    def test_paley_graph_checks_the_pair_budget_first(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("paley tested primality or allocated past the pair budget")
+
+        monkeypatch.setattr(graphs, "_is_prime", refuse)
+        monkeypatch.setattr(np, "triu_indices", refuse)
+        with pytest.raises(InvalidParameterError, match="pair budget"):
+            paley(4129)
+
 
 # --- Loop reference implementations -----------------------------------------
 # The tuple-and-loop graph core the array core replaced, kept as the oracle.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw_search import (
     DisconnectedGraphError,
@@ -18,13 +20,14 @@ from ctqw_search import (
     laplacian,
     laplacian_decomposition,
     laplacian_eigenvalues,
+    laplacian_extremes,
     laplacian_solve,
     linalg,
     paley,
     search_params,
     uniform_state,
 )
-from conftest import DEGENERATE_FAMILIES, random_connected_graph
+from conftest import DEGENERATE_FAMILIES, random_connected_graph, sparse_random_graph
 
 
 class TestEigSym:
@@ -167,6 +170,77 @@ class TestLaplacianSolve:
     def test_rejects_bad_right_hand_side(self, b):
         with pytest.raises(InvalidInputError):
             laplacian_solve(4, complete(4).edges, b)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected simple graphs of 2 to 200 vertices: paths, cycles, stars,
+    complete bipartite graphs, random recursive trees, and random trees
+    with extra random edges."""
+    kind = draw(st.sampled_from(["path", "cycle", "star", "bipartite", "tree", "tree+"]))
+    n = draw(st.integers(3 if kind == "cycle" else 2, 200))
+    if kind == "path":
+        edges = [(v, v + 1) for v in range(n - 1)]
+    elif kind == "cycle":
+        edges = [(v, (v + 1) % n) for v in range(n)]
+    elif kind == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif kind == "bipartite":
+        a = draw(st.integers(1, n - 1))
+        edges = [(u, v) for u in range(a) for v in range(a, n)]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+        if kind == "tree+":
+            extra = draw(st.integers(1, 4 * n))
+            edges |= {tuple(sorted(p)) for p in rng.integers(0, n, size=(extra, 2)).tolist()
+                      if p[0] != p[1]}
+    return Graph.from_edges(n, edges)
+
+
+class TestLaplacianExtremes:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs())
+    def test_matches_dense_spectrum(self, g):
+        ritz = laplacian_extremes(g.n_vertices, g.edges)
+        lam = laplacian_eigenvalues(laplacian(g))
+        if not ritz.converged:
+            assert ritz.steps == linalg.LANCZOS_MAX_BASIS
+            return
+        tol = 1e-10 * lam[0]
+        assert abs(ritz.theta_max - lam[0]) <= tol
+        assert abs(ritz.theta_min - lam[-2]) <= tol
+        # the bounds the proof rests on, up to the dense solver's own error
+        dense_error = 64 * np.finfo(float).eps * g.n_vertices * lam[0]
+        assert ritz.rho_max - ritz.delta <= lam[0] + dense_error
+        assert ritz.rho_min + ritz.delta >= lam[-2] - dense_error
+
+    @pytest.mark.parametrize("n, degree", [(1600, 8), (1000, 16)])
+    def test_benchmark_shapes_converge_under_the_cap(self, n, degree):
+        g = sparse_random_graph(np.random.default_rng(n), n, degree)
+        ritz = laplacian_extremes(n, g.edges)
+        assert ritz.converged
+        assert ritz.steps < linalg.LANCZOS_MAX_BASIS
+        lam = laplacian_eigenvalues(laplacian(g))
+        np.testing.assert_allclose([ritz.theta_max, ritz.theta_min], lam[[0, -2]],
+                                   rtol=0.0, atol=1e-10 * lam[0])
+
+    def test_basis_cap(self, monkeypatch):
+        # the low end of a 100-vertex path needs about 100 steps; allow 16
+        monkeypatch.setattr(linalg, "LANCZOS_MAX_BASIS", 16)
+        ritz = laplacian_extremes(100, np.array([(v, v + 1) for v in range(99)]))
+        assert (ritz.steps, ritz.converged) == (16, False)
+        # unconverged Ritz values still bound the spectrum from inside
+        assert ritz.rho_max <= 2 - 2 * math.cos(99 * math.pi / 100) + ritz.delta
+        assert ritz.rho_min >= 2 - 2 * math.cos(math.pi / 100) - ritz.delta
+
+    def test_deterministic(self):
+        g = random_connected_graph(np.random.default_rng(4), 60, 0.1)
+        assert laplacian_extremes(60, g.edges) == laplacian_extremes(60, g.edges)
+
+    def test_needs_two_vertices(self):
+        with pytest.raises(InvalidInputError):
+            laplacian_extremes(1, np.zeros((0, 2), dtype=np.int64))
 
 
 class TestFwht:

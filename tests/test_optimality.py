@@ -32,6 +32,8 @@ from ctqw_search import (
     stress_random_states,
     uniform_state,
 )
+from ctqw_search.linalg import LanczosExtremes
+from ctqw_search.optimality import prove_not_certified
 from ctqw_search.search import _phased_states as phased_states
 from conftest import DEGENERATE_FAMILIES, random_connected_graph
 
@@ -128,7 +130,8 @@ class TestFamilyTable:
         for certifier, params in [(certify_induced_complete, (10**400, 1)),
                                   (certify_multipartite, (10**400, 2)),
                                   (optimality.certify_hypercube, (10**308,)),
-                                  (certify_srg, (SrgParams(1, 10**400, 10**400, 1),))]:
+                                  # the complete bipartite graph as an SRG
+                                  (certify_srg, (SrgParams(2 * 10**400, 10**400, 0, 10**400),))]:
             with pytest.raises(FloatRangeError):
                 certifier(*params)
 
@@ -172,6 +175,53 @@ class TestCertify:
         decomp = eig_sym(laplacian(g))
         with pytest.raises(DisconnectedGraphError):
             certify(decomp.eigenvalues)
+
+
+def ritz(rho_max, rho_min, delta, converged=True):
+    return LanczosExtremes(theta_max=rho_max, theta_min=rho_min, rho_max=rho_max,
+                           rho_min=rho_min, delta=delta, steps=8, converged=converged)
+
+
+class TestProveNotCertified:
+    @pytest.mark.parametrize("g", [
+        hypercube(5), petersen(), regular_multipartite(2, 4),
+        Graph.from_edges(7, [(v, (v + 1) % 7) for v in range(7)]),
+        random_connected_graph(np.random.default_rng(11), 60, 0.1)])
+    def test_matches_dense_route(self, g):
+        report = prove_not_certified(g.n_vertices, g.edges)
+        dense = certify_graph(g)
+        assert report.verdict == dense.verdict == "not-certified"
+        for field in ("lambda_max", "lambda_min_nonzero", "theta", "ratio", "threshold"):
+            assert getattr(report, field) == pytest.approx(getattr(dense, field), rel=1e-10)
+
+    @pytest.mark.parametrize("g", [complete(2), complete(6), paley(29),
+                                   regular_multipartite(3, 3)])
+    def test_certified_graphs_prove_nothing(self, g):
+        assert certify_graph(g).certified
+        assert prove_not_certified(g.n_vertices, g.edges) is None
+
+    def test_single_vertex_proves_nothing(self):
+        assert prove_not_certified(1, np.zeros((0, 2), dtype=np.int64)) is None
+
+    @pytest.mark.parametrize("extremes, proven", [
+        # the ratio passes the threshold by more than the rounding bound
+        (ritz(1.71, 1.0, 1e-3), True),
+        # by less than the rounding bound, on either quotient
+        (ritz(1.71, 1.0, 2e-3), False),
+        (ritz(OPTIMALITY_THRESHOLD * (1 + 1e-15), 1.0, 1e-12), False),
+        # under the threshold
+        (ritz(1.5, 1.0, 0.0), False),
+        # past it, but unconverged
+        (ritz(4.0, 1.0, 0.0, converged=False), False)])
+    def test_verdict_needs_the_margin(self, monkeypatch, extremes, proven):
+        monkeypatch.setattr(optimality, "laplacian_extremes", lambda n, edges: extremes)
+        report = prove_not_certified(4, complete(4).edges)
+        if proven:
+            assert (report.lambda_max, report.lambda_min_nonzero) == (extremes.theta_max,
+                                                                      extremes.theta_min)
+            assert report.verdict == "not-certified"
+        else:
+            assert report is None
 
 
 class TestInducedComplete:
