@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, FloatRangeError, InvalidParameterError
+from .errors import FloatRangeError, InvalidParameterError
 from .graphs import SrgParams, _check_paley_order
-from .linalg import ZERO_EIGENVALUE_TOL, SpectralDecomposition, laplacian_extremes
+from .linalg import SpectralDecomposition, _snap_zero_mode, laplacian_extremes
 from .search import _level_sums, _phased_states, uniform_state
 
 # A ratio of extreme nonzero Laplacian eigenvalues at or below this threshold
@@ -46,19 +46,33 @@ class OptimalityReport:
 
 def certify(levels) -> OptimalityReport:
     """Certificate from Laplacian levels, non-increasing with the zero level
-    last: a spectrum as ``laplacian_eigenvalues`` gives it, or the distinct
-    levels of a closed form as exact numbers, rounded to floats here; a level
-    past the float range raises ``FloatRangeError``."""
+    last: a spectrum as ``laplacian_eigenvalues`` or ``eig_sym`` gives it, or
+    the distinct levels of a closed form as exact numbers (ints or
+    fractions), rounded to floats here.  The zero level is decided on a copy
+    by ``linalg._snap_zero_mode``, the rule every Laplacian spectrum of the
+    package passes.  Exact levels carry no rounding, so they take the rule
+    with tolerance 0: their last must be 0 and the one before it positive,
+    however large their ratio (a hypercube's is its dimension).
+
+    Raises
+    ------
+    FloatRangeError
+        If a level lies past the float range.
+    InvalidParameterError
+        If fewer than two levels are given.
+    InvalidInputError
+        If a level is not finite, or the last is not zero within the level
+        tolerance (not a Laplacian).
+    DisconnectedGraphError
+        If the second to last level is zero within it too.
+    """
     try:
-        lam = np.asarray(levels, dtype=float)
+        lam = np.array(levels, dtype=float)
     except OverflowError as exc:
         raise FloatRangeError("Laplacian levels lie past the float range") from exc
     if lam.ndim != 1 or lam.size < 2:
         raise InvalidParameterError("certificate needs at least two vertices")
-    if abs(lam[-1]) > ZERO_EIGENVALUE_TOL:
-        raise InvalidParameterError("spectrum has no zero eigenvalue: not a Laplacian")
-    if lam[-2] <= ZERO_EIGENVALUE_TOL:
-        raise DisconnectedGraphError("repeated zero eigenvalue")
+    _snap_zero_mode(lam, exact=all(isinstance(x, numbers.Rational) for x in levels))
     lambda_max, lambda_min_nonzero = float(lam[0]), float(lam[-2])
     ratio = lambda_max / lambda_min_nonzero
     return OptimalityReport(

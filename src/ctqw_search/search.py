@@ -22,15 +22,12 @@ from .errors import (
     PoleError,
 )
 from .graphs import Graph, _check_graph
-from .linalg import HypercubeEigenbasis, SpectralDecomposition, laplacian_solve
+from .linalg import HypercubeEigenbasis, SpectralDecomposition, _level_tol, laplacian_solve
 
 Eigenbasis = Union[SpectralDecomposition, HypercubeEigenbasis]
 
 # Squared-amplitude floor below which an overlap is treated as exactly zero.
 NEGLIGIBLE_OVERLAP_SQ = 1e-20
-
-# Relative floor under which an eigenvalue counts as the Laplacian zero mode.
-ZERO_BRACKET_TOL = 1e-12
 
 # f_of_mu refuses mu within POLE_GUARD * max(|jump_rate*lambda|, |mu|) of an
 # active pole.
@@ -58,11 +55,29 @@ class MarkedState:
 
     @classmethod
     def from_weights(cls, weights, *, normalize: bool = True) -> "MarkedState":
+        """The state of ``weights``, divided by their norm unless ``normalize``
+        is false.  A norm outside (1e-150, 1e150) may have over- or
+        underflowed in its squares, so it is taken again of the weights over
+        their largest magnitude: any finite scale normalizes.
+
+        Raises
+        ------
+        InvalidInputError
+            If a weight is not finite, all are zero, or the state is not a
+            non-empty unit vector.
+        """
         w = np.asarray(weights, dtype=float)
         if normalize:
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                raise InvalidInputError("marked state has empty support")
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(w)
+            if not 1e-150 < norm < 1e150:
+                scale = np.abs(w).max(initial=0.0)
+                if not math.isfinite(scale):
+                    raise InvalidInputError("marked state has non-finite amplitudes")
+                if scale == 0.0:
+                    raise InvalidInputError("marked state has empty support")
+                w = w / scale
+                norm = np.linalg.norm(w)
             w = w / norm
         return cls(w)
 
@@ -280,11 +295,8 @@ def graph_search_params(g: Graph, state: MarkedState) -> SearchParameters:
     w = state.weights
     s = uniform_state(n)
     p_n = float(s @ w)
-    if p_n * p_n <= NEGLIGIBLE_OVERLAP_SQ:
-        raise OrthogonalStateError("marked state is orthogonal to the uniform state")
     b = w - p_n * s
-    if b @ b <= NEGLIGIBLE_OVERLAP_SQ:
-        raise DegenerateStateError("marked state equals the uniform state")
+    _check_masses(p_n * p_n, b @ b)
     x = laplacian_solve(n, g.edges, b)
     return _parameters(p_n, float(w @ x), float(np.linalg.norm(x)), state.digest())
 
@@ -305,15 +317,29 @@ def _level_sums(levels: np.ndarray,
     DegenerateStateError
         If a state has no mass on the nonzero levels.
     """
-    zero_mass = masses[-1]
-    if (zero_mass <= NEGLIGIBLE_OVERLAP_SQ).any():
-        raise OrthogonalStateError("marked state is orthogonal to the uniform state")
-    rest = masses[:-1]
-    if (rest.sum(axis=0) <= NEGLIGIBLE_OVERLAP_SQ).any():
-        raise DegenerateStateError("marked state equals the uniform state")
+    zero_mass, rest = masses[-1], masses[:-1]
+    _check_masses(zero_mass, rest.sum(axis=0))
     lam_rest = levels[:-1].reshape((-1,) + (1,) * (masses.ndim - 1))
     return (np.sqrt(zero_mass), (rest / lam_rest).sum(axis=0),
             np.sqrt((rest / lam_rest**2).sum(axis=0)))
+
+
+def _check_masses(zero_mass, rest_mass) -> None:
+    """Refuse a marked state by its mass on the zero level and its mass on
+    the nonzero levels: floats, or arrays of one entry per state.
+
+    Raises
+    ------
+    OrthogonalStateError
+        If a zero-level mass is at most ``NEGLIGIBLE_OVERLAP_SQ``.
+    DegenerateStateError
+        If a nonzero-level mass is at most ``NEGLIGIBLE_OVERLAP_SQ``.
+    """
+    # a ufunc and its .any(), several times cheaper than np.any on a scalar
+    if np.less_equal(zero_mass, NEGLIGIBLE_OVERLAP_SQ).any():
+        raise OrthogonalStateError("marked state is orthogonal to the uniform state")
+    if np.less_equal(rest_mass, NEGLIGIBLE_OVERLAP_SQ).any():
+        raise DegenerateStateError("marked state equals the uniform state")
 
 
 def f_of_mu(mu: float | np.ndarray, overlaps: np.ndarray, eigenvalues: np.ndarray,
@@ -372,7 +398,9 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
     Hamiltonian ``jump_rate*Q - w w^T``: the roots of f = 1 below the smallest
     active pole and above -A = -sum(overlaps**2) (``jump_rate*Q - w w^T >= -A``),
     each found by ``_secular_roots`` with a scalar mu, one ``f_of_mu`` per step.
-    Eigenvalues at most ``ZERO_BRACKET_TOL * max(lambda_max, 1)`` are taken as 0.
+    Eigenvalues within ``linalg._level_tol`` of lambda_max and the number of
+    eigenvalues passed are taken as 0, and their masses summed as the zero
+    level's; the eigenvalues may come in any order.
 
     Raises
     ------
@@ -383,9 +411,9 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
         hold non-finite values, or an eigenvalue is negative beyond the zero
         tolerance.
     OrthogonalStateError
-        If the zero level carries no mass.
+        If the zero level's mass is at most ``NEGLIGIBLE_OVERLAP_SQ``.
     DegenerateStateError
-        If no nonzero level carries mass.
+        If no nonzero level's mass exceeds it.
     NumericError
         If a root has not converged after ``MAX_SECULAR_STEPS`` steps.
     """
@@ -393,18 +421,15 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(lam))):
         raise InvalidInputError("overlaps and eigenvalues must be finite")
     a = p**2
-    zero_tol = ZERO_BRACKET_TOL * max(float(lam.max()), 1.0)
+    zero_tol = _level_tol(float(lam.max()), lam.size)
     if float(lam.min()) < -zero_tol:
         raise InvalidInputError(
             f"eigenvalue {float(lam.min()):.3e} is negative: not a Laplacian spectrum"
         )
     zero = lam <= zero_tol
     a_zero = float(a[zero].sum())
-    if a_zero <= NEGLIGIBLE_OVERLAP_SQ:
-        raise OrthogonalStateError("marked state is orthogonal to the uniform state")
     active = (~zero) & (a > NEGLIGIBLE_OVERLAP_SQ)
-    if not np.any(active):
-        raise DegenerateStateError("marked state equals the uniform state")
+    _check_masses(a_zero, float(a[active].sum()))
     lam = np.where(zero, 0.0, lam)
     low = float(lam[active].min())  # the smallest active pole, over jump_rate
     above = lam[active & (lam > low)]

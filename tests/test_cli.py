@@ -108,6 +108,27 @@ class TestAnalyze:
         assert "normalizing" in err
         assert json.loads(out)["p_n"] == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
 
+    @pytest.mark.parametrize("text", ["0 nan\n", "0 inf\n", "0 -inf\n"])
+    def test_state_file_refuses_non_finite_weight(self, capsys, tmp_path, text):
+        state = tmp_path / "w.state"
+        state.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "paley:13", str(state))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("text, preset", [
+        ("0 1e200\n1 1e200\n", "pair:0,1"), ("0 1e308\n1 1e308\n", "pair:0,1"),
+        ("0 1e-320\n", "single:0")])
+    def test_state_file_at_any_finite_scale(self, capsys, tmp_path, text, preset):
+        state = tmp_path / "w.state"
+        state.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "paley:13", str(state), "--json")
+        assert code == 0
+        assert "normalizing" in err
+        report = json.loads(out)
+        want = json.loads(run_cli(capsys, "analyze", "paley:13", preset, "--json")[1])
+        assert report == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "/nonexistent/path", "single:0")
         assert code == 1
@@ -236,6 +257,18 @@ class TestCertify:
         report = json.loads(out)
         assert (report["lambda_max"], report["lambda_min_nonzero"]) == (32.0, 2.0)
         assert (report["ratio"], report["verdict"]) == (16.0, "not-certified")
+
+    @pytest.mark.parametrize("argv, n", [
+        (("hypercube:1000000000000000",), 10**15), (("hypercube", str(10**15)), 10**15),
+        ((f"hypercube:{10**200}",), 10**200)], ids=["1e15", "1e15-positional", "1e200"])
+    def test_hypercube_past_rounding_ratio(self, capsys, argv, n):
+        # lambda_2/lambda_max = 1/n is under any rounding rule, but closed-form
+        # levels are exact: the graph is connected and simply not certified
+        code, out, _ = run_cli(capsys, "certify", *argv, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["lambda_min_nonzero"], report["verdict"]) == (2.0, "not-certified")
+        assert report["ratio"] == pytest.approx(n, rel=1e-15)
 
     @pytest.mark.parametrize("spec, ratio", [
         ("complete:12", 1.0), ("hypercube:6", 6.0), ("complete-minus:12,3", 1.2),

@@ -12,6 +12,7 @@ from ctqw_search import (
     MarkedState,
     NumericError,
     complete,
+    complete_minus_disjoint_edges,
     eig_sym,
     evolve,
     fwht,
@@ -24,6 +25,7 @@ from ctqw_search import (
     laplacian_solve,
     linalg,
     paley,
+    regular_multipartite,
     search_params,
     uniform_state,
 )
@@ -43,6 +45,16 @@ class TestEigSym:
     def test_three_bit_hypercube_laplacian(self):
         d = eig_sym(laplacian(hypercube(3)))
         np.testing.assert_allclose(d.eigenvalues, [6, 4, 4, 4, 2, 2, 2, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite(self, value):
+        # so every decomposition it gives has finite eigenvalues to group
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            eig_sym(m)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            laplacian_eigenvalues(m)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(11)
@@ -196,6 +208,40 @@ def connected_graphs(draw):
             edges |= {tuple(sorted(p)) for p in rng.integers(0, n, size=(extra, 2)).tolist()
                       if p[0] != p[1]}
     return Graph.from_edges(n, edges)
+
+
+def assert_zero_rule_margins(q):
+    """The computed zero mode within a tenth of ``linalg._level_tol`` and
+    lambda_2 past ten times it, from both dense solvers."""
+    for lam in (np.linalg.eigvalsh(q)[::-1], eig_sym(q).eigenvalues):
+        tol = linalg._level_tol(float(lam[0]), lam.size)
+        assert abs(lam[-1]) <= tol / 10
+        assert lam[-2] >= 10 * tol
+
+
+class TestZeroRule:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs())
+    def test_margins_on_small_graphs(self, g):
+        assert_zero_rule_margins(laplacian(g))
+
+    @pytest.mark.parametrize("n, p", [(2, 0.5), (3, 0.0), (17, 0.05), (60, 0.2),
+                                      (120, 0.02), (200, 0.01), (200, 0.5), (200, 0.95)])
+    def test_margins_on_random_graphs(self, n, p):
+        assert_zero_rule_margins(laplacian(random_connected_graph(np.random.default_rng(n), n, p)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: complete(1024), lambda: hypercube(10), lambda: paley(1021),
+        lambda: regular_multipartite(32, 32), lambda: complete_minus_disjoint_edges(1024, 512),
+    ], ids=["complete", "hypercube", "paley", "multipartite", "complete-minus"])
+    def test_margins_on_dense_families(self, build):
+        assert_zero_rule_margins(laplacian(build()))
+
+    @pytest.mark.parametrize("lam", [[3.0, 2.0, math.nan], [math.nan, 1.0, 0.0],
+                                     [math.inf, 1.0, 0.0], [2.0, -math.inf, 0.0]])
+    def test_refuses_non_finite(self, lam):
+        with pytest.raises(InvalidInputError, match="finite"):
+            linalg._snap_zero_mode(np.array(lam))
 
 
 class TestLaplacianExtremes:

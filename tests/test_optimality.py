@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from ctqw_search import (
     DisconnectedGraphError,
     FloatRangeError,
     Graph,
+    InvalidInputError,
     InvalidParameterError,
     MarkedState,
     SrgParams,
@@ -166,6 +168,31 @@ class TestCertify:
             report = certify_graph(hypercube(n))
             assert report.ratio == pytest.approx(n, abs=1e-9)
             assert not report.certified
+
+    @pytest.mark.parametrize("levels", [[3.0, 2.0, math.nan], [math.nan, 1.0, 0.0],
+                                        [math.inf, 1.0, 0.0]])
+    def test_non_finite_levels_raise(self, levels):
+        with pytest.raises(InvalidInputError):
+            certify(levels)
+
+    @pytest.mark.parametrize("n", [10**15, 10**200], ids=["1e15", "1e200"])
+    def test_exact_levels_at_any_ratio(self, n):
+        report = optimality.certify_hypercube(n)
+        assert (report.lambda_min_nonzero, report.verdict) == (2.0, optimality.NOT_CERTIFIED)
+        assert report.ratio == pytest.approx(n, rel=1e-15)
+        with pytest.raises(DisconnectedGraphError):
+            certify([2.0 * n, 2.0, 0.0])  # as computed floats, 2 is a rounded zero
+
+    @pytest.mark.parametrize("levels, error", [
+        ([3, 2, Fraction(1, 10**20)], InvalidInputError), ([3, 0, 0], DisconnectedGraphError)])
+    def test_exact_levels_take_no_tolerance(self, levels, error):
+        with pytest.raises(error):
+            certify(levels)
+
+    def test_leaves_its_levels_as_they_are(self):
+        lam = np.array([4.0, 2.0, 1e-16])
+        assert certify(lam).ratio == 2.0
+        assert lam[-1] == 1e-16
 
     def test_disconnected_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctqw_search import cli
+from ctqw_search import cli, linalg
 from ctqw_search import (
     DegenerateStateError,
     DisconnectedGraphError,
@@ -71,6 +71,18 @@ class TestMarkedState:
     def test_empty_support(self):
         with pytest.raises(InvalidInputError):
             MarkedState.from_weights([0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308, 1e-300, 1e-320])
+    def test_from_weights_at_any_finite_scale(self, scale):
+        assert np.array_equal(MarkedState.from_weights([scale, scale, 0.0, 0.0]).weights,
+                              MarkedState.pair(4, 0, 1).weights)
+        assert np.array_equal(MarkedState.from_weights([0.0, -scale, 0.0]).weights,
+                              MarkedState.single(3, 1).weights)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_weights_refuses_non_finite(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            MarkedState.from_weights([bad, 1.0, 0.0])
 
     def test_factories(self):
         assert MarkedState.single(4, 2).support == (2,)
@@ -510,7 +522,7 @@ def bisection_solve_mu(overlaps, eigenvalues, jump_rate):
     lam = np.asarray(eigenvalues, dtype=float)
     a = p**2
     lam_top = float(lam.max())
-    zero = lam <= search.ZERO_BRACKET_TOL * max(lam_top, 1.0)
+    zero = lam <= linalg._level_tol(lam_top, lam.size)
     active = (~zero) & (a > search.NEGLIGIBLE_OVERLAP_SQ)
 
     def f(mu):
