@@ -164,6 +164,8 @@ def _parse_state_file(text: str, n: int) -> MarkedState:
             weight = float(parts[1])
         except ValueError as exc:
             raise InvalidInputError(f"bad state line: {raw!r}") from exc
+        if vertex in amplitudes:
+            raise InvalidInputError(f"vertex {vertex} appears twice in the state file")
         amplitudes[vertex] = weight
     state = MarkedState.from_mapping(n, amplitudes)
     norm = math.hypot(*amplitudes.values())  # scaled: no finite weight over- or underflows

@@ -21,6 +21,13 @@ LEVEL_TOL_FACTOR = 8.0
 # Memory budget of anything holding one value per hypercube vertex: a 2**22
 # float64 array is 32 MiB.
 MAX_BASIS_BITS = 22
+# Cap, in bits, on the floats per block of the Walsh transform: a 2**16-float
+# block, its transposed copy and three quarter-block buffers (1.4 MiB) stay in
+# a 2 MiB L2 cache between passes.
+FWHT_BLOCK_BITS = 16
+# Cap, in bits, on the columns C of a block's transposed stage: at 2**7 or 2**8
+# both stages have rows of 2**8 to 2**10 floats, long enough for numpy's loops.
+FWHT_COLUMN_BITS = 8
 # Conjugate-gradient steps allowed per vertex: exact arithmetic needs at most
 # N - 1 steps, rounding on an ill-conditioned Laplacian a few times that.
 CG_STEPS_PER_VERTEX = 10
@@ -408,33 +415,96 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform of a power-of-two-length vector.
 
     Entry z of the result is sum_x (-1)**popcount(x & z) * vec[x], computed in
-    O(N log N) on a copy; ``vec`` is left as it is.  Each pass applies two
-    radix-2 butterfly levels to blocks of four quarters (a, b, c, d):
-    ((a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d), (a-b)-(c-d)), the same operations in
-    the same order as two radix-2 passes, so the result is bit for bit theirs;
-    an odd log2(N) takes one radix-2 pass first.
+    O(N log N) into a new array; ``vec`` is left as it is.
+
+    Pass schedule: an odd log2(N) takes one radix-2 pass (h = 1) first, then
+    every pass at h = h0 * 4**j (h0 = 2 after that pass, else 1) applies two
+    radix-2 butterfly levels to blocks of four quarters (a, b, c, d) at stride
+    h: ((a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d), (a-b)-(c-d)).
+
+    Blocking: a schedule point is a span 2h (radix-2) or 4h (radix-4) that a
+    pass completes.  The passes up to span B run on one contiguous block of B
+    floats at a time, B the largest schedule point up to 2**FWHT_BLOCK_BITS,
+    so the block stays in cache between passes.  A block is read as a
+    (B/C, C) matrix, C the largest schedule point up to 2**FWHT_COLUMN_BITS:
+    the passes up to span C run on a transposed copy, whose rows are B/C
+    floats long, and the passes from C to B on the block itself, whose rows
+    are C long.  The passes past B run on column slices of the (N/B, B)
+    matrix, B floats at a time.  The copy and one scratch buffer of 3B/4
+    floats are reused throughout.
+
+    The result is bit for bit the radix-2 transform's: a radix-4 pass is two
+    radix-2 levels with each sum and difference kept, and blocking,
+    transposing and slicing change only which independent butterflies run in
+    one numpy call, never the operands of a butterfly or the order of levels.
+
+    Raises
+    ------
+    InvalidInputError
+        If ``vec`` is not 1-D or its length is not a power of two.
     """
-    a = np.array(vec, dtype=float)
-    n = a.size
+    src = np.asarray(vec, dtype=float)
+    if src.ndim != 1:
+        raise InvalidInputError(f"transform takes a vector, got shape {src.shape}")
+    n = src.size
     if n == 0 or n & (n - 1):
         raise InvalidInputError(f"transform length must be a power of two, got {n}")
+    bits = n.bit_length() - 1
+    block_bits = _schedule_point(FWHT_BLOCK_BITS, bits)
+    col_bits = _schedule_point(FWHT_COLUMN_BITS, block_bits)
+    block, cols = 1 << block_bits, 1 << col_bits
+    n_blocks = n >> block_bits
+    slice_cols = max(block // n_blocks, 1)
+    buf = np.empty(3 * max(block, n_blocks * slice_cols) // 4)
+    transposed = np.empty((cols, block // cols))
+    out = np.empty(n)
+    for i in range(0, n, block):
+        np.copyto(transposed, src[i:i + block].reshape(-1, cols).T)
+        _walsh_rows(transposed, buf)
+        rows = out[i:i + block].reshape(-1, cols)
+        np.copyto(rows, transposed.T)
+        _walsh_rows(rows, buf)
+    if n_blocks > 1:
+        blocks = out.reshape(n_blocks, block)
+        for j in range(0, block, slice_cols):
+            _walsh_rows(blocks[:, j:j + slice_cols], buf)
+    return out
+
+
+def _schedule_point(cap_bits: int, bits: int) -> int:
+    """Largest b <= min(cap_bits, bits) of the parity of ``bits``: 2**b is a
+    span the Walsh pass schedule of 2**bits reaches."""
+    b = min(cap_bits, bits)
+    return b - ((bits - b) & 1)
+
+
+def _walsh_rows(x: np.ndarray, buf: np.ndarray) -> None:
+    """Walsh-transform the (L, w) array ``x`` along axis 0 in place, L a power
+    of two: one radix-2 pass first if log2(L) is odd, then radix-4 passes,
+    with at least 3*L*w/4 floats of ``buf`` as scratch."""
+    length, w = x.shape
     h = 1
-    if n.bit_length() % 2 == 0:
-        pairs = a.reshape(-1, 2)
-        left = pairs[:, 0].copy()
+    if length.bit_length() % 2 == 0:
+        pairs = x.reshape(-1, 2, w)
+        left = buf[:length // 2 * w].reshape(-1, w)
+        np.copyto(left, pairs[:, 0])
         np.add(left, pairs[:, 1], out=pairs[:, 0])
         np.subtract(left, pairs[:, 1], out=pairs[:, 1])
         h = 2
-    while h < n:
-        b = a.reshape(-1, 4, h)
-        s0, d0, s1 = b[:, 0] + b[:, 1], b[:, 0] - b[:, 1], b[:, 2] + b[:, 3]
-        d1 = np.subtract(b[:, 2], b[:, 3], out=b[:, 3])
-        np.add(s0, s1, out=b[:, 0])
-        np.subtract(s0, s1, out=b[:, 2])
-        np.add(d0, d1, out=b[:, 1])
-        np.subtract(d0, d1, out=b[:, 3])
+    q = length // 4 * w
+    while h < length:
+        quarters = x.reshape(-1, 4, h, w)
+        a, b, c, d = (quarters[:, j] for j in range(4))
+        s0, d0, s1 = (buf[j * q:(j + 1) * q].reshape(a.shape) for j in range(3))
+        np.add(a, b, out=s0)
+        np.subtract(a, b, out=d0)
+        np.add(c, d, out=s1)
+        np.subtract(c, d, out=d)
+        np.add(s0, s1, out=a)
+        np.subtract(s0, s1, out=c)
+        np.add(d0, d, out=b)
+        np.subtract(d0, d, out=d)
         h *= 4
-    return a
 
 
 # Support pairs per block of the hypercube Hamming-distance histogram: each of

@@ -116,6 +116,14 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("text", ["0 1\n0 2\n", "3 0.6\n1 0.8\n+3 0.6\n"])
+    def test_state_file_refuses_repeated_vertex(self, capsys, tmp_path, text):
+        state = tmp_path / "w.state"
+        state.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "paley:13", str(state))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: vertex {text[0]} appears twice in the state file"]
+
     @pytest.mark.parametrize("text, preset", [
         ("0 1e200\n1 1e200\n", "pair:0,1"), ("0 1e308\n1 1e308\n", "pair:0,1"),
         ("0 1e-320\n", "single:0")])
@@ -433,6 +441,16 @@ class TestPairTable:
         code, _, _ = run_cli(capsys, "pair-table", "--bits", "4", "--output", str(path))
         assert code == 0
         assert len(path.read_text().strip().splitlines()) == 5
+
+    def test_oracle_past_the_transform_block(self, capsys):
+        # 2**17 floats is four of linalg.fwht's blocks, so each oracle
+        # transform also runs a pass over column slices of the blocks
+        code, out, _ = run_cli(capsys, "pair-table", "--bits", "17")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(1, 18))
+        for row in rows:
+            assert float(row[3]) <= 1e-9
 
     @pytest.mark.parametrize("bits", ["1", "23", "40"])
     def test_bits_outside_budget_is_usage_error(self, capsys, bits):

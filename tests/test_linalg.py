@@ -305,18 +305,30 @@ class TestFwht:
 
     def test_bit_identical_to_radix2(self):
         # even and odd log2(N): two butterfly levels per pass, plus one
-        # radix-2 pass, leave every operation and its order unchanged
+        # radix-2 pass, leave every operation and its order unchanged; so do
+        # the transposed stage, the blocks and the column-slice passes, run
+        # here up to two radix-4 passes past the largest block
         rng = np.random.default_rng(3)
-        for k in range(14):
+        for k in range(linalg.FWHT_BLOCK_BITS + 5):
             v = rng.standard_normal(1 << k)
             before = v.copy()
-            assert np.array_equal(fwht(v), fwht_radix2(v))
+            assert np.array_equal(fwht(v), fwht_radix2(v)), k
             assert np.array_equal(v, before)
+        strided = rng.standard_normal(1 << 18)[::2]
+        assert np.array_equal(fwht(strided), fwht_radix2(strided))
+        ints = [int(x) for x in rng.integers(-9, 10, 1 << 10)]
+        assert np.array_equal(fwht(ints), fwht_radix2(ints))
 
     def test_rejects_non_power_of_two(self):
         for size in (0, 3, 6, 12, 1000):
             with pytest.raises(InvalidInputError):
                 fwht(np.zeros(size))
+
+    @pytest.mark.parametrize("vec", [np.arange(16.0).reshape(4, 4), np.array(2.0),
+                                     np.zeros((1, 8)), [[1.0, 2.0]]])
+    def test_rejects_non_vector(self, vec):
+        with pytest.raises(InvalidInputError, match="vector"):
+            fwht(vec)
 
 
 def fwht_radix2(vec):
