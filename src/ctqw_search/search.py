@@ -344,7 +344,8 @@ def _check_masses(zero_mass, rest_mass) -> None:
 
 def f_of_mu(mu: float | np.ndarray, overlaps: np.ndarray, eigenvalues: np.ndarray,
             jump_rate: float) -> float | np.ndarray:
-    """Secular function sum_j P_j**2 / (jump_rate*lambda_j - mu).
+    """Secular function sum_j P_j**2 / (jump_rate*lambda_j - mu): the checked
+    entry to the library's one evaluator, ``_SecularForm``.
 
     The zero eigenvalue contributes the -p_n**2/mu pole.  Terms with zero
     overlap are dropped; evaluating at a pole of an active term raises.  An
@@ -364,14 +365,7 @@ def f_of_mu(mu: float | np.ndarray, overlaps: np.ndarray, eigenvalues: np.ndarra
     m = np.asarray(mu, dtype=float)
     if not np.isfinite(m).all():
         raise InvalidParameterError(f"mu must be finite, got {m[~np.isfinite(m)].flat[0]}")
-    p, lam = _secular_arrays(overlaps, eigenvalues, jump_rate)
-    active = p * p > NEGLIGIBLE_OVERLAP_SQ
-    poles = jump_rate * lam
-    den = poles[active] - m[..., None]
-    hit = abs(den) < POLE_GUARD * np.maximum(max(abs(poles).max(), 1e-300), abs(m))[..., None]
-    if hit.any():
-        raise PoleError(f"mu = {m[hit.any(axis=-1)].flat[0]} hits a pole of the secular function")
-    f = (p[active] ** 2 / den).sum(axis=-1)
+    f = _SecularForm(*_secular_arrays(overlaps, eigenvalues, jump_rate), jump_rate)(m)
     return float(f) if m.ndim == 0 else f
 
 
@@ -390,6 +384,75 @@ def _secular_arrays(overlaps, eigenvalues, jump_rate) -> tuple[np.ndarray, np.nd
     return p, lam
 
 
+class _SecularForm:
+    """The secular function f(x) = sum_k a_k/(d_k - x) of overlaps p,
+    eigenvalues lam and a jump rate, prepared once for every evaluation of a
+    solve: the active masses a_k = p_k**2 (those above
+    ``NEGLIGIBLE_OVERLAP_SQ``), their poles d_k = rate*lam_k and the pole
+    guard's scale max|rate*lam|.  Its arguments are not checked: its callers
+    (``f_of_mu``, ``solve_mu``, the reduced trace of ``simulate``) check
+    theirs first."""
+
+    def __init__(self, p: np.ndarray, lam: np.ndarray, rate: float):
+        poles = rate * lam
+        self.p, self.lam, self.rate = p, lam, rate
+        self.active = p * p > NEGLIGIBLE_OVERLAP_SQ
+        self.a, self.d = p[self.active] ** 2, poles[self.active]
+        self.scale = float(max(abs(poles).max(), 1e-300))
+
+    def __call__(self, x):
+        """f at x: a float for a float x, elementwise for an array.
+
+        Raises
+        ------
+        PoleError
+            If an element of x lies in the pole guard (see ``guarded``).
+        """
+        vector = isinstance(x, np.ndarray)
+        den = self.d - (x[..., None] if vector else x)
+        hit = self.guarded(x, den)
+        if hit.any() if vector else hit:
+            raise PoleError(f"mu = {np.asarray(x)[hit].flat[0]} hits a pole of the "
+                            "secular function")
+        f = np.add.reduce(self.a / den, axis=-1)
+        return f if vector else float(f)
+
+    def guarded(self, x, den=None):
+        """Whether x lies within ``POLE_GUARD * max(scale, |x|)`` of an active
+        pole, elementwise for an array; den is d - x if already formed."""
+        if isinstance(x, np.ndarray):
+            den = self.d - x[..., None] if den is None else den
+            reach = np.maximum(self.scale, abs(x))
+        else:
+            den = self.d - x if den is None else den
+            reach = max(self.scale, abs(x))
+        # the nearest pole decides; inf leaves a form without active terms
+        return np.minimum.reduce(abs(den), axis=-1, initial=math.inf) < POLE_GUARD * reach
+
+    def residual_bound(self, x, tol):
+        """8 * (eps * (sum_k |a_k/(d_k - x)| + 1) + tol * f'(x)): the rounding
+        of f - 1 at x, from its terms and their sum, plus its change over tol,
+        the resolution of the root (eps * A, not eps * |x|, for a root next to
+        0 found from -A)."""
+        terms = self.a / (self.d - np.asarray(x)[..., None])
+        slope = (terms * terms / self.a).sum(axis=-1)
+        return 8.0 * (_EPS * (abs(terms).sum(axis=-1) + 1.0) + tol * slope)
+
+    @cached_property
+    def unit(self) -> tuple[float, float, float, "_SecularForm"]:
+        """What ``_polish`` needs, prepared once per form: the smallest active
+        nonzero pole P, c0*P, the zero level's mass a_0, and the form of the
+        nonzero levels in units of P."""
+        p, lam = self.p, self.lam
+        nonzero = lam > 0.0
+        pole = self.rate * float(lam[nonzero & self.active].min())
+        unit = np.where(nonzero, lam * (self.rate / pole), 1.0)  # d_k/P
+        scaled = np.where(nonzero, p, 0.0) / np.sqrt(unit)
+        p_zero = p[~nonzero]
+        c0, a_zero = scaled @ scaled - pole, float(p_zero @ p_zero)  # c0*P
+        return pole, c0, a_zero, _SecularForm(scaled, unit, 1.0)
+
+
 def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
              jump_rate: float) -> tuple[float, float]:
     """The two secular roots bracketing zero.
@@ -397,7 +460,9 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
     Returns (positive root, negative root), eigenvalues of the search
     Hamiltonian ``jump_rate*Q - w w^T``: the roots of f = 1 below the smallest
     active pole and above -A = -sum(overlaps**2) (``jump_rate*Q - w w^T >= -A``),
-    each found by ``_secular_roots`` with a scalar mu, one ``f_of_mu`` per step.
+    each found by ``_secular_roots`` with a scalar mu on one ``_SecularForm``
+    prepared for both.  One ``f_of_mu`` call on both roots then verifies them:
+    |f - 1| must lie within the rounding of f at a root resolved to 2 eps.
     Eigenvalues within ``linalg._level_tol`` of lambda_max and the number of
     eigenvalues passed are taken as 0, and their masses summed as the zero
     level's; the eigenvalues may come in any order.
@@ -415,10 +480,11 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
     DegenerateStateError
         If no nonzero level's mass exceeds it.
     NumericError
-        If a root has not converged after ``MAX_SECULAR_STEPS`` steps.
+        If a root has not converged after ``MAX_SECULAR_STEPS`` steps, or a
+        returned root fails the residual check.
     """
     p, lam = _secular_arrays(overlaps, eigenvalues, jump_rate)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(lam))):
+    if not (np.isfinite(p).all() and np.isfinite(lam).all()):
         raise InvalidInputError("overlaps and eigenvalues must be finite")
     a = p**2
     zero_tol = _level_tol(float(lam.max()), lam.size)
@@ -435,63 +501,74 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
     above = lam[active & (lam > low)]
     nxt = float(above.min()) if above.size else 2.0 * low  # the outer pole, massless if none
     a_low, a_nxt = (float(a[active & (lam == level)].sum()) for level in (low, nxt))
-    return tuple(float(_secular_roots(p, lam, jump_rate, *bracket)) for bracket in (
+    form = _SecularForm(p, lam, jump_rate)
+    roots = np.array([_secular_roots(form, *bracket) for bracket in (
         (0.0, jump_rate * low, a_zero, a_low, jump_rate * nxt, a_nxt),
-        (-float(a.sum()), 0.0, 0.0, a_zero, jump_rate * low, a_low)))
+        (-float(a.sum()), 0.0, 0.0, a_zero, jump_rate * low, a_low))])
+    # f_of_mu refuses a root in its pole guard, which goes unchecked
+    checked = roots[~form.guarded(roots)]
+    residual = abs(f_of_mu(checked, p, lam, jump_rate) - 1.0)
+    bound = form.residual_bound(checked, 2.0 * _EPS * abs(checked))
+    if (residual > bound).any():
+        k = int(np.argmax(residual > bound))
+        raise NumericError(f"secular root {checked[k]} leaves f - 1 = {residual[k]:.3e}, "
+                           f"above its rounding bound {bound[k]:.3e}")
+    return float(roots[0]), float(roots[1])
 
 
-def _pick(cond, yes, no):  # np.where that keeps scalars for a scalar condition
-    return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else yes if cond else no
+def _choose(cond, yes, no):  # np.where for a scalar condition
+    return yes if cond else no
 
 
-def _all(cond) -> bool:
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+def _elementwise(x) -> tuple:
+    """np.where, all and any for an array x; for a scalar x their plain
+    forms, several times cheaper on one float."""
+    if isinstance(x, np.ndarray):
+        return np.where, np.ndarray.all, np.ndarray.any
+    return _choose, bool, bool
 
 
-def _any(cond) -> bool:
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def _secular_roots(p, lam, jump_rate, lower, upper, a_lower, a_upper, outer, a_outer):
-    """Root of f(mu) = 1 between lower and upper, elementwise: upper is an
-    active pole of mass a_upper, lower the next one (or -A = -p @ p, mass 0).
-    Each step evaluates f at one point x per root and moves to the root of a
-    model with the bracketing poles at their exact masses plus c + s/(outer
-    - mu) for a pole outer beyond them (s = a_outer, then c, s fit to the last
-    two points), or to the bracket's midpoint when that root leaves the bracket
-    or moves over half the step before last; until f is one ulp from 1, the
-    bracket 4 eps wide or in f_of_mu's pole guard, or the step below the
-    model root's resolution with f - 1 inside ``_residual_bound``; such a step
-    with f - 1 outside it halves the bracket.  Roots next to 0 then go to
-    ``_polish``."""
-    guard = 2.0 * POLE_GUARD * jump_rate * float(np.max(lam))
+def _secular_roots(form, lower, upper, a_lower, a_upper, outer, a_outer):
+    """Root of f(mu) = 1 between lower and upper, elementwise, f the
+    ``_SecularForm`` ``form``: upper is an active pole of mass a_upper, lower
+    the next one (or -A = -p @ p, mass 0).  Each step evaluates f at one point
+    x per root and moves to the root of a model with the bracketing poles at
+    their exact masses plus c + s/(outer - mu) for a pole outer beyond them
+    (s = a_outer, then c, s fit to the last two points), or to the bracket's
+    midpoint when that root leaves the bracket or moves over half the step
+    before last; until f is one ulp from 1, the bracket 4 eps wide or in the
+    form's pole guard, or the step below the model root's resolution with
+    f - 1 inside ``_SecularForm.residual_bound``; such a step with f - 1
+    outside it halves the bracket.  Roots next to 0 then go to ``_polish``."""
+    pick, every, some = _elementwise(lower)
+    guard = 2.0 * POLE_GUARD * form.rate * float(form.lam.max())
     edge_lo, edge_hi = lower + guard, upper - guard
     lo, hi, rho_old, done = lower, upper, 0.0, lower != lower
     x = x_old = root = 0.5 * (lower + upper)
     step = step_old = span = upper - lower
     for _ in range(MAX_SECULAR_STEPS):
-        g = f_of_mu(x, p, lam, jump_rate) - 1.0
-        lo, hi = _pick(g < 0.0, x, lo), _pick(g > 0.0, x, hi)
+        g = form(x) - 1.0
+        lo, hi = pick(g < 0.0, x, lo), pick(g > 0.0, x, hi)
         rho = g - a_lower / (lower - x) - a_upper / (upper - x)
         w = 1.0 / (outer - x)
         dw = w - 1.0 / (outer - x_old)
-        s = _pick(dw != 0.0, (rho - rho_old) / _pick(dw != 0.0, dw, 1.0), a_outer)
-        s = _pick(s > 0.0, s, 0.0)
+        s = pick(dw != 0.0, (rho - rho_old) / pick(dw != 0.0, dw, 1.0), a_outer)
+        s = pick(s > 0.0, s, 0.0)
         # the model root as its offset v from the bracketing pole beyond it as
         # seen from x (o = 1 for lower): q(v) = v*(a_far/(span - v) + s/(d - v)
         # + c) - a_near, v times the model, is convex with q(0) < 0 < q(v(x)),
         # so Newton's method descends monotonically to it
         up = g < 0.0
-        near, o = _pick(up, upper, lower), 1.0 - 2.0 * up
-        a_near, a_far = _pick(up, a_upper, a_lower), _pick(up, a_lower, a_upper)
+        near, o = pick(up, upper, lower), 1.0 - 2.0 * up
+        a_near, a_far = pick(up, a_upper, a_lower), pick(up, a_lower, a_upper)
         v, d, c = o * (x - near), o * (outer - near), o * (rho - s * w)
         for _ in range(MAX_SECULAR_STEPS):
             t_far, t_outer = a_far / (span - v), s / (d - v)
             q = v * (t_far + t_outer + c) - a_near
             slope = t_far * span / (span - v) + t_outer * d / (d - v) + c
-            dv = _pick(q > 0.0, q, 0.0) / _pick(slope > 0.0, slope, 1.0)
+            dv = pick(q > 0.0, q, 0.0) / pick(slope > 0.0, slope, 1.0)
             v = v - dv
-            if _all(dv <= 4.0 * _EPS * v):
+            if every(dv <= 4.0 * _EPS * v):
                 break
         x_new = near + o * v
         tol = 2.0 * _EPS * (abs(x) + v)  # the resolution of the model root
@@ -500,63 +577,48 @@ def _secular_roots(p, lam, jump_rate, lower, upper, a_lower, a_upper, outer, a_o
         # is within rounding of 0: a model fitted across a pole it does not
         # hold can stall far from the root, and then the bracket is halved
         stalled = abs(x_new - x) <= tol
-        if _any(_pick(done, False, stalled)):
+        if some(pick(done, False, stalled)):
             # |f| and the bracketing poles' terms of f' give the bound from
             # below, which spares most stalls the pass over every pole
             bound = 8.0 * (_EPS * (abs(g + 1.0) + 1.0)
                            + tol * (a_lower / (lower - x) ** 2 + a_upper / (upper - x) ** 2))
-            if _any(_pick(done, False, stalled & (abs(g) > bound))):
-                bound = _residual_bound(x, tol, p, lam, jump_rate)
+            if some(pick(done, False, stalled & (abs(g) > bound))):
+                bound = form.residual_bound(x, tol)
             stalled = stalled & (abs(g) <= bound)
         at_model = stalled | (hi <= edge_lo) | (lo >= edge_hi)
-        root = _pick(done, root, _pick(at_x, x, x_new))
+        root = pick(done, root, pick(at_x, x, x_new))
         done = done | at_x | at_model
-        if _all(done):
-            return _polish(root, p, lam, jump_rate)
+        if every(done):
+            return _polish(root, form)
         ok = ((lo < x_new) & (x_new < hi) & (tol < abs(x_new - x))
               & (abs(x_new - x) < 0.5 * abs(step_old)))
-        x_new = _pick(ok, x_new, 0.5 * (lo + hi))
-        x_new = _pick(x_new < edge_lo, edge_lo, _pick(x_new > edge_hi, edge_hi, x_new))
-        x_old, rho_old, step_old, step, x = x, rho, step, x_new - x, _pick(done, x, x_new)
+        x_new = pick(ok, x_new, 0.5 * (lo + hi))
+        x_new = pick(x_new < edge_lo, edge_lo, pick(x_new > edge_hi, edge_hi, x_new))
+        x_old, rho_old, step_old, step, x = x, rho, step, x_new - x, pick(done, x, x_new)
     raise NumericError(f"secular root not converged after {MAX_SECULAR_STEPS} steps")
 
 
-def _residual_bound(mu, tol, p, lam, jump_rate):
-    """8 * (eps * (sum_k |a_k/(d_k - mu)| + 1) + tol * f'(mu)) over the active
-    poles d_k: the rounding of f - 1 at mu, from its terms and their sum, plus
-    its change over tol, the resolution of the root (eps * A, not eps * |mu|,
-    for a root next to 0 found from -A)."""
-    a = p * p
-    active = a > NEGLIGIBLE_OVERLAP_SQ
-    a, poles = a[active], jump_rate * lam[active]
-    terms = a / (poles - np.asarray(mu)[..., None])
-    slope = (terms * terms / a).sum(axis=-1)
-    return 8.0 * (_EPS * (abs(terms).sum(axis=-1) + 1.0) + tol * slope)
-
-
-def _polish(mu, p, lam, jump_rate):
+def _polish(mu, form):
     """Secular roots within half the smallest active nonzero pole P of 0, by
     Newton's method on f - 1 = c0 - a_0/mu + mu*S(mu), S(mu) = sum_k a_k/(d_k*
     (d_k - mu)) and c0 = sum_k a_k/d_k - 1 over the nonzero poles d_k: c0, where
     the rest of f nearly cancels the 1, is rounded once for both roots next to
     0, so their distance stays exact.  The slope a_0/mu**2 + S(mu) misses under
     |mu|/(P - |mu|) of the true one, so the steps contract.  It runs in units
-    of P, y = mu/P, so that no sum overflows however small the rate."""
-    nonzero = lam > 0.0
-    pole = jump_rate * float(lam[nonzero & (p * p > NEGLIGIBLE_OVERLAP_SQ)].min())
+    of P, y = mu/P, so that no sum overflows however small the rate; S is the
+    form's ``unit`` form, prepared once for every root of the form."""
+    _, every, some = _elementwise(mu)
+    pole, c0, a_zero, unit = form.unit
     near = abs(mu) < 0.5 * pole
-    if not np.any(near):
+    if not some(near):
         return mu
-    unit = np.where(nonzero, lam * (jump_rate / pole), 1.0)  # d_k/P
-    scaled = np.where(nonzero, p, 0.0) / np.sqrt(unit)
-    c0, a_zero = scaled @ scaled - pole, float(p[~nonzero] @ p[~nonzero])  # c0*P
     y = (mu[near] if isinstance(mu, np.ndarray) else mu) / pole
     for _ in range(MAX_SECULAR_STEPS):
-        s = f_of_mu(y, scaled, unit, 1.0)  # the zero level has no mass here
+        s = unit(y)  # the zero level has no mass here
         step = (c0 - a_zero / y + y * s) / (a_zero / (y * y) + s)
         y = y - step
         # the next step would be below |y|/(1 - |y|) < 2|y| plus |step/y| of this one
-        if _all(abs(step) * (2.0 * abs(y) + abs(step / y)) <= 4.0 * _EPS * abs(y)):
+        if every(abs(step) * (2.0 * abs(y) + abs(step / y)) <= 4.0 * _EPS * abs(y)):
             break
     if not isinstance(mu, np.ndarray):
         return y * pole

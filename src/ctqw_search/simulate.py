@@ -14,7 +14,7 @@ from .errors import InvalidInputError, InvalidParameterError
 from .graphs import Graph, _check_graph, laplacian
 from .linalg import hypercube_eigenbasis, laplacian_decomposition
 from .search import (NEGLIGIBLE_OVERLAP_SQ, POLE_GUARD, MarkedState, SearchParameters,
-                     _secular_roots, amplitude_approx, search_params)
+                     _SecularForm, _secular_roots, amplitude_approx, search_params)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Budget of time-grid points, or secular roots per block, times reduced
@@ -189,6 +189,7 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
     masses = np.add.reduceat(masses, first)
     poles, c = rate * lam, np.sqrt(masses)
     mu, u = np.empty((2, poles.size))
+    form = _SecularForm(c, lam, rate)
     # root j lies between poles j-1 (or -A) and j; its outer pole is the nearer
     # of poles j+1 and j-2 (a massless point above when neither exists)
     lower, a_lower = np.append(-float(c @ c), poles[:-1]), np.append(0.0, masses[:-1])
@@ -199,8 +200,8 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
     a_outer = np.where(use_below, np.append([0.0, 0.0], masses[:-2]), a_outer)
     for i in range(0, poles.size, MAX_TRACE_CELLS // poles.size):
         j = slice(i, i + MAX_TRACE_CELLS // poles.size)
-        mu[j] = _secular_roots(c, lam, rate, lower[j], poles[j], a_lower[j], masses[j],
-                               outer[j], a_outer[j])
+        mu[j] = _secular_roots(form, lower[j], poles[j], a_lower[j], masses[j], outer[j],
+                               a_outer[j])
         with np.errstate(divide="ignore"):  # a root at its pole has weight 0
             u[j] = -c[0] / (mu[j] * (masses / (poles - mu[j, None]) ** 2).sum(axis=1))
 

@@ -476,6 +476,84 @@ class TestSecularFunction:
                         1.0)
 
 
+def reference_secular(mu, p, lam, rate):
+    """The secular sum as f_of_mu computed it before the prepared form: the
+    same terms in the same order, each tested against the pole guard."""
+    m = np.asarray(mu, dtype=float)
+    active = p * p > search.NEGLIGIBLE_OVERLAP_SQ
+    poles = rate * lam
+    den = poles[active] - m[..., None]
+    reach = np.maximum(max(abs(poles).max(), 1e-300), abs(m))[..., None]
+    if (abs(den) < search.POLE_GUARD * reach).any():
+        raise PoleError(f"mu = {mu} hits a pole")
+    return (p[active] ** 2 / den).sum(axis=-1)
+
+
+class TestSecularForm:
+    """The prepared form, as the solver calls it, against f_of_mu and the
+    arithmetic f_of_mu had before it: equal bit for bit, and refusing the
+    same mu."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(BASES, st.integers(0, 2**32 - 1), st.booleans(), st.floats(-3.0, 3.0),
+           st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=12))
+    def test_matches_f_of_mu_bit_for_bit(self, basis, seed, grouped, log_rate, fractions):
+        rng = np.random.default_rng(seed)
+        state = random_marked_state(rng, basis.n, support=int(rng.integers(1, basis.n + 1)))
+        params = search_params(basis, state)
+        if grouped:
+            p, lam = params.overlaps, params.eigenvalues
+        else:  # one pole per eigenvector, some of them without mass
+            p, lam = basis.overlaps(state.weights), basis.eigenvalues
+        rate = params.gamma_c * 10.0**log_rate
+        form = search._SecularForm(p, lam, rate)
+        # mu up to 1.5 times the top pole on either side, 0 (a pole) included
+        mu = np.array(fractions) * rate * float(np.max(lam))
+        want = []
+        for m in mu:
+            try:
+                want.append(float(reference_secular(m, p, lam, rate)))
+            except PoleError:
+                want.append(None)
+        if None in want:
+            for evaluate in (form, lambda x: f_of_mu(x, p, lam, rate)):
+                with pytest.raises(PoleError):
+                    evaluate(mu)
+        else:
+            assert np.array_equal(form(mu), want)
+            assert np.array_equal(f_of_mu(mu, p, lam, rate), want)
+            assert np.array_equal(form(mu.reshape(1, -1)), [want])
+        for m, value in zip(mu, want):
+            calls = (lambda: form(float(m)), lambda: f_of_mu(float(m), p, lam, rate),
+                     lambda: f_of_mu(np.float64(m), p, lam, rate),
+                     lambda: f_of_mu(np.array(m), p, lam, rate))
+            for call in calls:
+                if value is None:
+                    with pytest.raises(PoleError):
+                        call()
+                else:
+                    got = call()
+                    assert type(got) is float and np.array_equal(got, value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(BASES, st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(-0.9, 0.9))
+    def test_refuses_mu_in_the_pole_guard(self, basis, seed, log_rate, offset):
+        rng = np.random.default_rng(seed)
+        params = search_params(basis, random_marked_state(rng, basis.n))
+        p, lam, rate = params.overlaps, params.eigenvalues, params.gamma_c * 10.0**log_rate
+        form = search._SecularForm(p, lam, rate)
+        pole = rate * float(rng.choice(lam[p * p > search.NEGLIGIBLE_OVERLAP_SQ]))
+        mu = pole + offset * search.POLE_GUARD * form.scale
+        with pytest.raises(PoleError):
+            reference_secular(mu, p, lam, rate)
+        for call in (lambda: form(mu), lambda: form(np.array([0.5 * pole, mu])),
+                     lambda: f_of_mu(mu, p, lam, rate),
+                     lambda: f_of_mu(np.array([mu, 0.5 * pole]), p, lam, rate)):
+            with pytest.raises(PoleError):
+                call()
+        assert form.guarded(mu) and form.guarded(np.array([mu])).all()
+
+
 class TestSolveMu:
     def test_roots_are_hamiltonian_eigenvalues(self):
         for g, seed in ((paley(13), 3), (complete(12), 4), (hypercube(4), 5)):
@@ -637,6 +715,23 @@ def assert_roots_match_references(p, lam, rate):
     assert abs(roots[0] - ev[1]) <= tol
 
 
+def record_solver_steps(monkeypatch) -> list[tuple[float, bool]]:
+    """Record each scalar evaluation of the prepared secular form, one per
+    solver step, as (mu, whether the form holds the pole 0): the bracketing
+    steps' form does, the polish's form in units of P does not.  The check
+    of the returned roots, one array evaluation, is not recorded."""
+    steps = []
+    evaluate = search._SecularForm.__call__
+
+    def recording(form, x):
+        if not isinstance(x, np.ndarray):
+            steps.append((x, bool((form.d == 0.0).any())))
+        return evaluate(form, x)
+
+    monkeypatch.setattr(search._SecularForm, "__call__", recording)
+    return steps
+
+
 ACCEPTANCE_POOL = [
     paley(13), paley(17), paley(29), complete(16), complete(32),
     complete_minus_disjoint_edges(12, 3), complete_minus_disjoint_edges(10, 5),
@@ -687,13 +782,7 @@ class TestSolveMuMatchesOracle:
             assert_roots_match_references(params.overlaps, params.eigenvalues, params.gamma_c)
 
     def test_evaluations_per_root(self, monkeypatch):
-        evaluated = []
-
-        def counting(mu, *args):
-            evaluated.append(mu)
-            return f_of_mu(mu, *args)
-
-        monkeypatch.setattr(search, "f_of_mu", counting)
+        evaluated = record_solver_steps(monkeypatch)
         rng = np.random.default_rng(17)
         pool = ACCEPTANCE_POOL + [random_connected_graph(rng, int(rng.integers(3, 40)),
                                                          float(rng.uniform(0.0, 0.5)))
@@ -707,9 +796,11 @@ class TestSolveMuMatchesOracle:
                 evaluated.clear()
                 solve_mu(params.overlaps, params.eigenvalues, params.gamma_c)
                 # each root evaluates f only on its own side of zero
-                per_root += [sum(mu > 0.0 for mu in evaluated), sum(mu < 0.0 for mu in evaluated)]
-        # every step is one evaluation of the public f_of_mu; the old
-        # bisection solver needs about 57 per root
+                per_root += [sum(mu > 0.0 for mu, _ in evaluated),
+                             sum(mu < 0.0 for mu, _ in evaluated)]
+        # every step, of the bracketing solver or the polish, is one
+        # evaluation of the prepared form; the old bisection solver needs
+        # about 57 per root
         assert min(per_root) >= 1
         assert np.mean(per_root) <= 8.0
         assert max(per_root) <= 16
@@ -730,16 +821,11 @@ class TestSolveMuMatchesOracle:
         masses = a[a > search.NEGLIGIBLE_OVERLAP_SQ][::-1]
         outer = poles[2] if poles.size > 2 else 2.0 * poles[1]
         a_outer = masses[2] if poles.size > 2 else 0.0
-        evaluated = []
-
-        def recording(mu, overlaps, eigenvalues, jump_rate):
-            if np.min(eigenvalues) == 0.0:  # not the refinement next to zero, in units of P
-                evaluated.append(mu)
-            return f_of_mu(mu, overlaps, eigenvalues, jump_rate)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "f_of_mu", recording)
+            recorded = record_solver_steps(mp)
             solve_mu(params.overlaps, levels, rate)
+        # not the refinement next to zero, in units of P
+        evaluated = [mu for mu, bracketing in recorded if bracketing]
         brackets = [((0.0, poles[1]), (masses[0], masses[1]), outer, a_outer),
                     ((-float(np.sum(a)), 0.0), (0.0, masses[0]), poles[1], masses[1])]
         for sign, ((lower, upper), (a_lower, a_upper), d, a_d) in zip((1.0, -1.0), brackets):
@@ -777,16 +863,10 @@ class TestSolveMuMatchesOracle:
         k = np.flatnonzero(params.a_k[:-1] > search.NEGLIGIBLE_OVERLAP_SQ)[-1]
         pole = params.gamma_c * params.eigenvalues[k]
         assert 6e-4 <= params.a_k[k] <= 2e-3 and 0.2 <= params.a_k[-1] <= 0.7
-        evaluated = []
-
-        def counting(mu, *args):
-            evaluated.append(mu)
-            return f_of_mu(mu, *args)
-
-        monkeypatch.setattr(search, "f_of_mu", counting)
+        evaluated = record_solver_steps(monkeypatch)
         mu_pos, _ = solve_mu(params.overlaps, params.eigenvalues, params.gamma_c)
         assert 0.02 <= (pole - mu_pos) / pole <= 0.07
-        assert sum(mu > 0.0 for mu in evaluated) <= 10
+        assert sum(mu > 0.0 for mu, _ in evaluated) <= 10
 
     def test_stalled_model_checks_the_residual(self):
         # a level split 4e-15 apart; the bracket's lower pole is the split's
@@ -800,8 +880,8 @@ class TestSolveMuMatchesOracle:
                            4.4160437051453522e-01, 4.0176829585781809e-01])
         p, rate = np.sqrt(masses), 0.14649562091369062
         poles = rate * levels
-        mu = search._secular_roots(p, levels, rate, poles[3], poles[4], masses[3], masses[4],
-                                   poles[5], masses[5])
+        mu = search._secular_roots(search._SecularForm(p, levels, rate), poles[3], poles[4],
+                                   masses[3], masses[4], poles[5], masses[5])
         want = bisection(lambda x: f_of_mu(x, p, levels, rate) - 1.0, poles[3], poles[4])
         assert abs(mu - want) <= conditioned_tol(p, levels, rate, want)
 
@@ -841,17 +921,64 @@ class TestSolveMuMatchesOracle:
             solve_mu(params.overlaps, params.eigenvalues, params.gamma_c)
 
 
+class TestRootCheck:
+    """solve_mu verifies its two roots with one f_of_mu call on both."""
+
+    @pytest.fixture
+    def f_of_mu_calls(self, monkeypatch):
+        calls = []
+
+        def counting(mu, *args):
+            calls.append(np.array(mu))
+            return f_of_mu(mu, *args)
+
+        monkeypatch.setattr(search, "f_of_mu", counting)
+        return calls
+
+    def test_refuses_a_root_off_by_a_millionth(self, monkeypatch):
+        params = search_params(laplacian_decomposition(laplacian(paley(13))),
+                               MarkedState.single(13, 0))
+        polish = search._polish
+        monkeypatch.setattr(search, "_polish", lambda mu, form: polish(mu, form) * (1.0 + 1e-6))
+        with pytest.raises(NumericError, match="rounding bound"):
+            solve_mu(params.overlaps, params.eigenvalues, params.gamma_c)
+
+    def test_one_f_of_mu_call_per_solve(self, f_of_mu_calls):
+        rng = np.random.default_rng(31)
+        for g in ACCEPTANCE_POOL:
+            decomp = laplacian_decomposition(laplacian(g))
+            for p_n in (None, 0.05, 1e-8):
+                params = search_params(decomp, random_marked_state(rng, g.n_vertices, p_n=p_n))
+                f_of_mu_calls.clear()
+                roots = solve_mu(params.overlaps, params.eigenvalues, params.gamma_c)
+                assert len(f_of_mu_calls) == 1
+                assert np.array_equal(f_of_mu_calls[0], roots)
+
+    def test_root_in_the_pole_guard_goes_unchecked(self, f_of_mu_calls):
+        # below the critical rate with a_0 = 1e-17 the positive root, about
+        # a_0 / (sum_k a_k/(rate*lambda_k) - 1) = 1.3e-20, lies within
+        # f_of_mu's guard of the pole 0
+        p, lam = np.sqrt([0.5, 0.5 - 1e-17, 1e-17]), np.array([2.0, 1.0, 0.0])
+        mu_pos, mu_neg = solve_mu(p, lam, 1e-3)
+        assert len(f_of_mu_calls) == 1 and np.array_equal(f_of_mu_calls[0], [mu_neg])
+        with pytest.raises(PoleError):
+            f_of_mu(mu_pos, p, lam, 1e-3)
+        want = exact_roots_next_to_zero(p, lam, 1e-3)
+        assert mu_pos == pytest.approx(float(want[0]), rel=1e-10)
+        assert mu_neg == pytest.approx(float(want[1]), rel=1e-10)
+
+
 class TestSolveMuInputs:
     """Bad inputs raise before any evaluation of the secular function."""
 
     @pytest.fixture
     def paley_params(self, monkeypatch):
         def evaluated(*args):
-            raise AssertionError("f_of_mu evaluated")
+            raise AssertionError("secular function evaluated")
 
         params = search_params(laplacian_decomposition(laplacian(paley(13))),
                                MarkedState.single(13, 0))
-        monkeypatch.setattr(search, "f_of_mu", evaluated)
+        monkeypatch.setattr(search._SecularForm, "__call__", evaluated)
         return params
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
