@@ -13,8 +13,9 @@ from .errors import DisconnectedGraphError, InvalidInputError, InvalidParameterE
 # Explicit edge lists are desk scale; past this the analytic eigenbasis and
 # the reduced-subspace simulator handle hypercubes without building the graph.
 MAX_HYPERCUBE_BITS = 16
-# Order bound of the families built from all vertex pairs: at 4096 vertices
-# the pair arrays take about 270 MB.
+# Order bound of the families built from vertex pairs (complete,
+# complete-minus, multipartite, Paley): complete(4096) peaks at about 272 MB
+# by tracemalloc, 2.1 times its 128-MB edge array.
 MAX_PAIR_VERTICES = 4096
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
 # bound (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -65,7 +66,14 @@ class Graph:
         return a
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=1)
+        """Row sums of ``adjacency`` in O(E): a repeated edge counts once, a
+        self-loop not at all.  Raises IndexError on an index out of range."""
+        u, v = self.edges.T
+        if u.size and (u[0] < 0 or v.max() >= self.n_vertices):
+            raise IndexError(f"edge index out of range for {self.n_vertices} vertices")
+        keep = u != v
+        keep &= ~_repeats(u, v)
+        return np.bincount(self.edges[keep].ravel(), minlength=self.n_vertices).astype(float)
 
 
 def _canonical_edges(edges) -> np.ndarray:
@@ -84,8 +92,10 @@ def _canonical_edges(edges) -> np.ndarray:
     if not np.all(arr[:, 0] <= arr[:, 1]):
         arr = np.sort(arr, axis=1)
     u, v = arr[:, 0], arr[:, 1]
-    du = np.diff(u)
-    if not np.all((du > 0) | ((du == 0) & (np.diff(v) >= 0))):
+    in_order = v[1:] >= v[:-1]
+    in_order &= u[1:] == u[:-1]
+    in_order |= u[1:] > u[:-1]
+    if not in_order.all():
         arr = arr[np.lexsort((v, u))]
     arr.setflags(write=False)
     return arr
@@ -141,7 +151,8 @@ def complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
-    return Graph.from_edges(n, _pairs(n), family=f"complete{{{n}}}")
+    _check_pair_order(n)
+    return Graph.from_edges(n, _rows(np.arange(1, n + 1)), family=f"complete{{{n}}}")
 
 
 def hypercube(n: int) -> Graph:
@@ -165,10 +176,11 @@ def complete_minus_disjoint_edges(n: int, l: int) -> Graph:
         raise InvalidParameterError(f"edge deletions must be non-negative, got {l}")
     if 2 * l > n:
         raise InvalidParameterError(f"need 2l <= n, got n={n}, l={l}")
-    edges = _pairs(n)
-    u, v = edges.T
-    removed = (v == u + 1) & (u % 2 == 0) & (u < 2 * l)
-    return Graph.from_edges(n, edges[~removed], family=f"complete_minus{{{n},{l}}}")
+    _check_pair_order(n)
+    # the deleted edge {2i, 2i+1} is row 2i's first
+    lo = np.arange(1, n + 1)
+    lo[: 2 * l : 2] += 1
+    return Graph.from_edges(n, _rows(lo), family=f"complete_minus{{{n},{l}}}")
 
 
 def paley(q: int) -> Graph:
@@ -177,9 +189,10 @@ def paley(q: int) -> Graph:
     _check_paley_order(q)
     is_residue = np.zeros(q, dtype=bool)
     is_residue[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
-    edges = _pairs(q)
-    u, v = edges.T
-    return Graph.from_edges(q, edges[is_residue[(u - v) % q]], family=f"paley{{{q}}}")
+    # -1 is a square mod q = 1 (mod 4), so row u holds v = u + d for the
+    # nonzero squares d that keep v below q
+    edges = _rows(np.arange(q), np.flatnonzero(is_residue))
+    return Graph.from_edges(q, edges, family=f"paley{{{q}}}")
 
 
 def _check_paley_order(q: int) -> None:
@@ -199,16 +212,27 @@ def regular_multipartite(m: int, k: int) -> Graph:
         raise InvalidParameterError(f"multipartite graph needs m >= 2, got {m}")
     if k < 1:
         raise InvalidParameterError(f"block size must be >= 1, got {k}")
-    edges = _pairs(m * k)
-    u, v = edges.T
-    return Graph.from_edges(m * k, edges[u // k != v // k],
-                            family=f"multipartite{{{m},{k}}}")
+    _check_pair_order(m * k)
+    # row u's neighbours above it start at the next block
+    lo = np.repeat(np.arange(k, m * k + 1, k), k)
+    return Graph.from_edges(m * k, _rows(lo), family=f"multipartite{{{m},{k}}}")
 
 
-def _pairs(n: int) -> np.ndarray:
-    """All pairs u < v of n vertices as (E, 2) rows in canonical order."""
-    _check_pair_order(n)
-    return np.stack(np.triu_indices(n, 1), axis=1)
+def _rows(lo: np.ndarray, gaps: np.ndarray | None = None) -> np.ndarray:
+    """Rows (u, lo[u] + d) of each u < n = lo.size, as an (E, 2) int64 array:
+    d runs over the ascending ``gaps`` (0, 1, 2, ... if None) while
+    lo[u] + d < n.  In canonical order when every lo[u] + d > u."""
+    n = lo.size
+    counts = n - lo if gaps is None else np.searchsorted(gaps, n - lo)
+    ends = np.cumsum(counts)
+    edges = np.empty((counts.sum(), 2), dtype=np.int64)
+    edges[:, 0] = np.repeat(np.arange(n), counts)
+    # position of each row within its u's run
+    d = np.arange(edges.shape[0])
+    d -= np.repeat(ends - counts, counts)
+    edges[:, 1] = d if gaps is None else gaps[d]
+    edges[:, 1] += np.repeat(lo, counts)
+    return edges
 
 
 def _check_pair_order(n: int) -> None:
@@ -232,27 +256,43 @@ def validate(g: Graph) -> list[str]:
 
     Edge diagnostics come in edge order, one per offending edge: an index out
     of range, else a self-loop, else a repeat of an earlier valid edge.
+
+    A simple graph whose minimum degree d has 2d >= n - 1 is connected (Dirac,
+    Proc. London Math. Soc. 2, 1952): two non-adjacent vertices have 2d > n - 2
+    neighbours among the other n - 2 vertices, so they share one.  Every other
+    graph goes through the breadth-first search of ``_connected``.
     """
     n = g.n_vertices
     if n < 1:
         return ["graph has no vertices"]
     u, v = g.edges.T
-    # canonical rows: u <= v, and equal rows sit next to each other
+    # canonical rows: u <= v with u ascending, so u[0] is the least index
+    in_range = u.size == 0 or (u[0] >= 0 and v.max() < n)
+    self_loop = u == v
+    duplicate = _repeats(u, v)
+    if in_range and not (self_loop | duplicate).any():
+        if 2 * np.bincount(g.edges.ravel(), minlength=n).min() >= n - 1:
+            return []
+        return [] if _connected(n, u, v) else ["disconnected"]
     out_of_range = (u < 0) | (v >= n)
-    self_loop = ~out_of_range & (u == v)
-    duplicate = np.zeros(u.size, dtype=bool)
-    duplicate[1:] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
-    duplicate &= ~out_of_range & ~self_loop
+    bad = np.flatnonzero(out_of_range | self_loop | duplicate)
     reasons = ("vertex index out of range", "self-loop", "duplicate")
-    kind = np.select([out_of_range, self_loop, duplicate], [0, 1, 2], default=-1)
-    bad = np.flatnonzero(kind >= 0)
+    kind = np.select([out_of_range[bad], self_loop[bad], duplicate[bad]], [0, 1, 2])
     diagnostics = [
         f"edge ({a},{b}): {reasons[k]}"
-        for (a, b), k in zip(g.edges[bad].tolist(), kind[bad].tolist())
+        for (a, b), k in zip(g.edges[bad].tolist(), kind.tolist())
     ]
-    if not out_of_range.any() and not _connected(n, u, v):
+    if in_range and not _connected(n, u, v):
         diagnostics.append("disconnected")
     return diagnostics
+
+
+def _repeats(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the canonical rows (u, v) equal to the row before them."""
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[1:] = u[1:] == u[:-1]
+    repeat[1:] &= v[1:] == v[:-1]
+    return repeat
 
 
 def _check_graph(g: Graph) -> None:

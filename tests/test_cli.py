@@ -179,6 +179,14 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
 
+    # K2 minus its edge, the empty graph, and the one-vertex graph
+    @pytest.mark.parametrize("spec, code, message", [
+        ("complete-minus:2,1", 2, "error: disconnected"),
+        ("complete-minus:0,0", 1, "error: vertex 0 out of range for dimension 0"),
+        ("complete-minus:1,0", 2, "error: marked state equals the uniform state")])
+    def test_degenerate_complete_minus(self, capsys, spec, code, message):
+        assert run_cli(capsys, "analyze", spec, "single:0") == (code, "", message + "\n")
+
     def test_two_vertices(self, capsys, tmp_path):
         path = tmp_path / "k2.edges"
         path.write_text("0 1\n")
@@ -288,7 +296,7 @@ class TestCertify:
 
         for name, (ctor, names, certifier) in cli.FAMILIES.items():
             monkeypatch.setitem(cli.FAMILIES, name, (ctor and refuse, names, certifier))
-        for module, attr in [(graphs, "_pairs"), (graphs, "laplacian"), (cli, "laplacian"),
+        for module, attr in [(graphs, "_rows"), (graphs, "laplacian"), (cli, "laplacian"),
                              (linalg, "laplacian_eigenvalues"), (cli, "laplacian_eigenvalues"),
                              (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
             monkeypatch.setattr(module, attr, refuse)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ class TestPrimality:
             raise AssertionError("paley tested primality or allocated past the pair budget")
 
         monkeypatch.setattr(graphs, "_is_prime", refuse)
-        monkeypatch.setattr(np, "triu_indices", refuse)
+        monkeypatch.setattr(graphs, "_rows", refuse)
         with pytest.raises(InvalidParameterError, match="pair budget"):
             paley(4129)
 
@@ -478,6 +479,173 @@ class TestArrayCoreMatchesLoopOracle:
         assert Graph.from_edges(3, [(0, 1)]) != Graph.from_edges(3, [(0, 2)])
         with pytest.raises(TypeError):
             hash(complete(3))
+
+
+# --- Family rows against the pair mask ----------------------------------------
+# The builders once filtered every pair u < v (np.triu_indices) by a
+# predicate; those rows are the oracle for the per-row bounds.
+
+def pair_mask_rows(n, adjacent):
+    u, v = np.triu_indices(n, 1)
+    return np.stack([u, v], axis=1)[adjacent(u, v)]
+
+
+def assert_pair_mask_graph(g, n, adjacent, family):
+    assert (g.n_vertices, g.family, g.edges.dtype) == (n, family, np.int64)
+    assert np.array_equal(g.edges, pair_mask_rows(n, adjacent))
+
+
+PALEY_ORDERS = [q for q in range(5, 200, 4) if graphs._is_prime(q)] + [1009]
+
+
+class TestBuildersMatchPairMask:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_complete(self, n):
+        assert_pair_mask_graph(complete(n), n, lambda u, v: u < v, f"complete{{{n}}}")
+
+    @pytest.mark.parametrize("n", range(40))
+    def test_complete_minus(self, n):
+        for l in range(n // 2 + 1):
+            assert_pair_mask_graph(
+                complete_minus_disjoint_edges(n, l), n,
+                lambda u, v: ~((v == u + 1) & (u % 2 == 0) & (u < 2 * l)),
+                f"complete_minus{{{n},{l}}}")
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_multipartite(self, m, k):
+        assert_pair_mask_graph(regular_multipartite(m, k), m * k,
+                               lambda u, v: u // k != v // k, f"multipartite{{{m},{k}}}")
+
+    @pytest.mark.parametrize("q", PALEY_ORDERS)
+    def test_paley(self, q):
+        is_residue = np.zeros(q, dtype=bool)
+        is_residue[np.arange(1, q) ** 2 % q] = True
+        assert_pair_mask_graph(paley(q), q, lambda u, v: is_residue[(u - v) % q],
+                               f"paley{{{q}}}")
+
+    # the builds peak at about 2.1 times their edge array; filtering every
+    # pair by a mask peaked at 3.2 to 5.2 times
+    @pytest.mark.parametrize("build", [lambda: complete(1024),
+                                       lambda: regular_multipartite(16, 64),
+                                       lambda: paley(1009)],
+                             ids=["complete", "multipartite", "paley"])
+    def test_peak_memory_is_a_small_multiple_of_the_edges(self, build):
+        tracemalloc.start()
+        try:
+            g = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * g.edges.nbytes
+
+
+# --- Connectivity by degrees against union-find -------------------------------
+
+def union_find_connected(n, edges):
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            components -= 1
+    return components == 1
+
+
+@st.composite
+def dense_graphs(draw):
+    """In-range edges of a random graph of any density, of two disjoint
+    cliques, or of a Paley graph, whose minimum degree is (n - 1)/2 exactly,
+    maybe less one edge; relabelled, and maybe with every edge listed twice
+    and a self-loop."""
+    kind = draw(st.sampled_from(["random", "two cliques", "paley"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        n = draw(st.integers(1, 24))
+        u, v = np.triu_indices(n, 1)
+        keep = rng.random(u.size) < draw(st.floats(0, 1))
+        edges = list(zip(u[keep].tolist(), v[keep].tolist()))
+    elif kind == "two cliques":
+        a, b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        n = a + b
+        edges = [(x, y) for lo, hi in ((0, a), (a, n))
+                 for x in range(lo, hi) for y in range(x + 1, hi)]
+    else:
+        n = draw(st.sampled_from([5, 13, 17]))
+        edges = paley(n).edges.tolist()
+        if draw(st.booleans()):
+            del edges[draw(st.integers(0, len(edges) - 1))]
+    label = rng.permutation(n).tolist()
+    edges = [(label[x], label[y]) for x, y in edges]
+    if draw(st.booleans()):
+        edges += edges
+    if draw(st.booleans()):
+        loop = draw(st.integers(0, n - 1))
+        edges.append((loop, loop))
+    return n, edges
+
+
+class TestConnectivityByDegrees:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_graphs())
+    def test_validate_matches_union_find(self, case):
+        n, edges = case
+        expected = [d for d in reference_validate(n, reference_from_edges(edges))
+                    if d != "disconnected"]
+        if not union_find_connected(n, edges):
+            expected.append("disconnected")
+        assert validate(Graph.from_edges(n, edges)) == expected
+
+    # minimum degree (n - 1)/2 exactly (C5 and Paley(13)), and above it
+    @pytest.mark.parametrize("g", [paley(5), paley(13), complete(40),
+                                   regular_multipartite(8, 64),
+                                   complete_minus_disjoint_edges(10, 5)],
+                             ids=["paley5", "paley13", "complete", "multipartite",
+                                  "complete_minus"])
+    def test_degree_bound_takes_no_search(self, monkeypatch, g):
+        def refuse(*args):
+            raise AssertionError("a graph within the degree bound was searched")
+
+        monkeypatch.setattr(graphs, "_connected", refuse)
+        assert validate(g) == []
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_repeated_edges_do_not_prove_connectivity(self, m):
+        """Two disjoint K_m listed twice: their counted degrees 2(m - 1) pass
+        the bound, their true ones m - 1 do not."""
+        clique = [(x, y) for x in range(m) for y in range(x + 1, m)]
+        edges = clique + [(x + m, y + m) for x, y in clique]
+        assert validate(Graph.from_edges(2 * m, edges)) == ["disconnected"]
+        diagnostics = validate(Graph.from_edges(2 * m, edges + edges))
+        assert diagnostics[-1] == "disconnected"
+        assert len(diagnostics) == len(edges) + 1
+        assert all(d.endswith("duplicate") for d in diagnostics[:-1])
+
+
+class TestDegrees:
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_edge_lists())
+    def test_adjacency_row_sums(self, case):
+        n, edges = case
+        g = Graph.from_edges(n, edges)
+        if all(0 <= x < n for e in edges for x in e):
+            np.testing.assert_array_equal(g.degrees(), reference_adjacency(n, edges).sum(axis=1))
+        else:
+            with pytest.raises(IndexError):
+                g.degrees()
+
+    def test_repeats_once_and_loops_never(self):
+        g = Graph.from_edges(4, [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 1), (3, 3)])
+        assert g.degrees().tolist() == [1.0, 2.0, 1.0, 0.0]
+        np.testing.assert_array_equal(g.degrees(), g.adjacency().sum(axis=1))
 
 
 # --- Array scan of graph text against the line loop ---------------------------
