@@ -181,7 +181,8 @@ def _hypercube_instance(g_spec: str, state_spec: str):
     """Bit count and marked state of a ``hypercube:n`` spec, else None.
 
     Hypercubes take the analytic path, exact and the only option past dense
-    scale; n is bounded before the 2**n-entry state is allocated.
+    scale; n is bounded first, and the state is read sparse, its vertices
+    checked against 2**n in O(r) for r support vertices.
     """
     if ":" not in g_spec:
         return None

@@ -197,14 +197,16 @@ def single_vertex_sums(n: int) -> tuple[float, float]:
 def hypercube_exact(n: int, marked: MarkedState) -> tuple[float, float, float]:
     """Exact (gamma_c, beta, p_n) of a marked state via the fast transform.
 
-    O(N log N) whatever the support: the level masses come from the transform
-    side of the analytic eigenbasis, its overlaps grouped by Hamming weight.
-    This is the oracle against which every closed form, and the Krawtchouk
-    route of ``search_params``, is checked.
+    O(N log N) whatever the support: the state's support and values are
+    scattered into one vector of N = 2**n entries, whose Walsh transform,
+    scaled and squared in place, is grouped by Hamming weight
+    (``HypercubeEigenbasis.transform_masses``).  This is the oracle against
+    which every closed form, and the Krawtchouk route of ``search_params``,
+    is checked.
     """
     basis = hypercube_eigenbasis(n)
     _check_dimension(basis, marked)
-    p_n, gamma_c, beta = _level_sums(*basis.levels(basis.overlaps(marked.weights)))
+    p_n, gamma_c, beta = _level_sums(*basis.transform_masses(marked.vertices, marked.values))
     return float(gamma_c), float(beta), float(p_n)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,10 +88,18 @@ class SpectralDecomposition:
             )
         return self.eigenvectors.T @ vec
 
-    def level_masses(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def level_masses(self, vec: np.ndarray,
+                     values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Distinct eigenvalues and the mass of ``vec`` in each, from its
-        overlaps; one column of masses per column of an (N, k) block."""
-        return self.levels(self.overlaps(vec))
+        overlaps; one column of masses per column of an (N, k) block.  Given
+        ``values``, ``vec`` is instead the sorted, distinct support of a vector
+        with those values there, and its overlaps take only the support's
+        rows of the eigenvectors."""
+        if values is None:
+            return self.levels(self.overlaps(vec))
+        if vec.size == self.n:  # the whole support: the vector itself
+            return self.levels(self.overlaps(values))
+        return self.levels(values @ self.eigenvectors[vec])
 
 
 def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
@@ -528,31 +536,37 @@ class HypercubeEigenbasis:
     def n(self) -> int:
         return 1 << self.n_bits
 
-    @cached_property
-    def _hamming_weights(self) -> np.ndarray:
-        """popcount(z) of every index z, as uint8."""
-        return np.bitwise_count(np.arange(self.n, dtype=np.uint64))
-
     @property
     def eigenvalues(self) -> np.ndarray:
         """2*popcount(z) for every index z: an array of N floats, built on each access."""
-        return 2.0 * self._hamming_weights
+        return 2.0 * _hamming_weights(self.n_bits)
 
     def _level_values(self) -> np.ndarray:
         return 2.0 * np.arange(self.n_bits, -1, -1)
 
-    def levels(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Levels 2n, 2n-2, ..., 0, one per Hamming weight, and the mass
-        sum(coeffs**2) of the transform coefficients in each."""
-        masses = np.bincount(self._hamming_weights, weights=coeffs**2,
-                             minlength=self.n_bits + 1)[::-1]
-        return self._level_values(), masses
-
     def overlaps(self, vec: np.ndarray) -> np.ndarray:
         return fwht(self._check(vec)) / math.sqrt(self.n)
 
-    def level_masses(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Levels 2n, ..., 0 and the mass of ``vec`` in each, by the cheaper route.
+    def transform_masses(self, support: np.ndarray,
+                         values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Levels 2n, 2n-2, ..., 0, one per Hamming weight, and the mass in each
+        of the vector with ``values`` on ``support``: its squared overlaps,
+        from the Walsh transform, O(N log N), scaled and squared in place and
+        summed over the indices of each Hamming weight."""
+        vec = np.zeros(self.n)
+        vec[support] = values
+        coeffs = fwht(vec)
+        del vec
+        coeffs /= math.sqrt(self.n)
+        np.square(coeffs, out=coeffs)
+        masses = np.bincount(_hamming_weights(self.n_bits), weights=coeffs,
+                             minlength=self.n_bits + 1)[::-1]
+        return self._level_values(), masses
+
+    def level_masses(self, support: np.ndarray,
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Levels 2n, ..., 0 and the mass in each of the vector with ``values``
+        on the sorted, distinct ``support``, by the cheaper route.
 
         For r support vertices with r**2 <= N*log2(N), the mass of level j >= 1
         is (1/N) * sum_d h_d * K_j(d), h_d summing vec[a] * vec[b] over support
@@ -560,18 +574,15 @@ class HypercubeEigenbasis:
         has mass (sum vec)**2 / N: O(r**2 + n**2) with nothing of size N built.
         Wider supports take the transform, O(N log N).
         """
-        vec = self._check(vec)
-        support = np.flatnonzero(vec)
         if self._transform_cheaper(support.size):
-            return self.levels(self.overlaps(vec))
+            return self.transform_masses(support, values)
         from . import closed_forms  # at call time: closed_forms imports this module
 
-        wv = vec[support]
-        h = _distance_histogram(support.astype(np.uint64), wv, self.n_bits)
+        h = _distance_histogram(support.astype(np.uint64), values, self.n_bits)
         ds = np.flatnonzero(h)
         kernel = np.array([[closed_forms.krawtchouk(self.n_bits, j, int(d)) for d in ds]
                            for j in range(self.n_bits, 0, -1)], dtype=float)
-        return self._level_values(), np.append(kernel @ h[ds], wv.sum() ** 2) / self.n
+        return self._level_values(), np.append(kernel @ h[ds], values.sum() ** 2) / self.n
 
     def _transform_cheaper(self, r: int) -> bool:
         """Whether r support vertices make more pairs than the N*log2(N) steps
@@ -585,6 +596,16 @@ class HypercubeEigenbasis:
                 f"vector has shape {vec.shape}, expected ({self.n},)"
             )
         return vec
+
+
+@lru_cache(maxsize=1)
+def _hamming_weights(n_bits: int) -> np.ndarray:
+    """popcount(z) of every index z of 2**n_bits, as read-only intp, the index
+    ``bincount`` takes without a cast; the last one built is kept, so a run
+    of transforms of one size builds it once."""
+    weights = np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64)).astype(np.intp)
+    weights.setflags(write=False)
+    return weights
 
 
 def _distance_histogram(support: np.ndarray, wv: np.ndarray, n_bits: int) -> np.ndarray:

@@ -39,26 +39,58 @@ MAX_SECULAR_STEPS = 200
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MarkedState:
-    """Unit-norm real amplitudes over vertices, phased so the uniform overlap is >= 0."""
+    """Unit-norm real amplitudes over n vertices, phased so the uniform
+    overlap is >= 0, held sparse: the sorted support ``vertices`` (int64) and
+    its nonzero ``values``.  Every constructor but the dense one, and every
+    check, costs O(r) for r support vertices; the dense vector ``weights`` is
+    built on each access."""
 
-    weights: np.ndarray
+    n: int
+    vertices: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1:
+    def __init__(self, weights):
+        """The state of the dense vector ``weights``, which must have unit norm.
+
+        Raises
+        ------
+        InvalidInputError
+            If ``weights`` is not a non-empty vector, or is non-finite or off
+            unit norm by more than 1e-10.
+        """
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
             raise InvalidInputError("marked state must be a non-empty vector")
-        w = _phased_states(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        vertices = np.flatnonzero(w)
+        self._set(w.size, vertices, w[vertices])
+
+    def _set(self, n: int, vertices: np.ndarray, values: np.ndarray) -> None:
+        values = _phased_states(values)
+        vertices.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _sparse(cls, n: int, vertices: np.ndarray, values: np.ndarray) -> "MarkedState":
+        """The state with ``values`` on the sorted, distinct ``vertices`` of
+        0..n-1, divided by their norm; values that are or become 0 leave the
+        support."""
+        values = _unit(values)
+        if not values.all():
+            keep = values != 0.0
+            vertices, values = vertices[keep], values[keep]
+        state = cls.__new__(cls)
+        state._set(n, vertices, values)
+        return state
 
     @classmethod
     def from_weights(cls, weights, *, normalize: bool = True) -> "MarkedState":
-        """The state of ``weights``, divided by their norm unless ``normalize``
-        is false.  A norm outside (1e-150, 1e150) may have over- or
-        underflowed in its squares, so it is taken again of the weights over
-        their largest magnitude: any finite scale normalizes.
+        """The state of ``weights``, divided by their norm (at any finite
+        scale, see ``_unit``) unless ``normalize`` is false.
 
         Raises
         ------
@@ -67,30 +99,36 @@ class MarkedState:
             non-empty unit vector.
         """
         w = np.asarray(weights, dtype=float)
-        if normalize:
-            with np.errstate(over="ignore"):
-                norm = np.linalg.norm(w)
-            if not 1e-150 < norm < 1e150:
-                scale = np.abs(w).max(initial=0.0)
-                if not math.isfinite(scale):
-                    raise InvalidInputError("marked state has non-finite amplitudes")
-                if scale == 0.0:
-                    raise InvalidInputError("marked state has empty support")
-                w = w / scale
-                norm = np.linalg.norm(w)
-            w = w / norm
-        return cls(w)
+        if not normalize:
+            return cls(w)
+        vertices = np.flatnonzero(w)
+        values = w.ravel()[vertices]
+        if w.ndim != 1:
+            _unit(values)  # a non-finite or zero block is refused as such first
+            raise InvalidInputError("marked state must be a non-empty vector")
+        return cls._sparse(w.size, vertices, values)
 
     @classmethod
     def from_mapping(cls, n: int, amplitudes: dict[int, float]) -> "MarkedState":
+        """The state of ``amplitudes``, vertex to weight, divided by their norm.
+
+        Raises
+        ------
+        InvalidInputError
+            If the mapping is empty, a vertex lies outside 0..n-1, or a weight
+            is not finite, or all are zero.
+        """
         if not amplitudes:
             raise InvalidInputError("marked state has empty support")
-        w = np.zeros(n)
+        weights: dict[int, float] = {}
         for v, amp in amplitudes.items():
             if not 0 <= int(v) < n:
                 raise InvalidInputError(f"vertex {v} out of range for dimension {n}")
-            w[int(v)] = amp
-        return cls.from_weights(w)
+            weights[int(v)] = amp
+        vertices = np.fromiter(weights, dtype=np.int64, count=len(weights))
+        values = np.fromiter(weights.values(), dtype=float, count=len(weights))
+        order = np.argsort(vertices)
+        return cls._sparse(n, vertices[order], values[order])
 
     @classmethod
     def single(cls, n: int, vertex: int) -> "MarkedState":
@@ -110,12 +148,17 @@ class MarkedState:
         return cls.from_mapping(n, {v: 1.0 for v in verts})
 
     @property
-    def n(self) -> int:
-        return self.weights.size
+    def support(self) -> tuple[int, ...]:
+        return tuple(self.vertices.tolist())
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.nonzero(self.weights)[0])
+    def weights(self) -> np.ndarray:
+        """The dense vector of n amplitudes, read-only: an array of n floats,
+        built on each access."""
+        w = np.zeros(self.n)
+        w[self.vertices] = self.values
+        w.setflags(write=False)
+        return w
 
     def digest(self) -> str:
         """Stable identifier of (dimension, amplitudes) for instance matching:
@@ -126,28 +169,47 @@ class MarkedState:
 
     @cached_property
     def _digest(self) -> str:
-        support = self.weights.nonzero()[0]
         h = hashlib.sha256()
         h.update(self.n.to_bytes(8, "little"))
-        h.update(support.astype(np.int64, copy=False).tobytes())
-        h.update(self.weights[support].round(12).tobytes())
+        h.update(self.vertices.tobytes())
+        h.update(self.values.round(12).tobytes())
         return h.hexdigest()[:16]
 
 
-def _phased_states(w: np.ndarray) -> np.ndarray:
-    """Marked-state amplitudes along axis 0, a vector or one state per column
-    of a block, checked finite, non-empty and unit-norm (so none has empty
-    support), each negated where its amplitudes sum below zero so that its
-    uniform overlap is >= 0.
+def _unit(values: np.ndarray) -> np.ndarray:
+    """``values`` divided by their norm.  A norm outside (1e-150, 1e150) may
+    have over- or underflowed in its squares, so it is taken again of the
+    values over their largest magnitude: any finite scale normalizes.
 
     Raises
     ------
     InvalidInputError
-        If ``w`` is empty, or a state is non-finite or off unit norm by more
-        than 1e-10.
+        If a value is not finite, or all are zero.
     """
-    if w.size == 0:
-        raise InvalidInputError("marked state must be a non-empty vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(values)
+    if not 1e-150 < norm < 1e150:
+        scale = np.abs(values).max(initial=0.0)
+        if not math.isfinite(scale):
+            raise InvalidInputError("marked state has non-finite amplitudes")
+        if scale == 0.0:
+            raise InvalidInputError("marked state has empty support")
+        values = values / scale
+        norm = np.linalg.norm(values)
+    return values / norm
+
+
+def _phased_states(w: np.ndarray) -> np.ndarray:
+    """Marked-state amplitudes along axis 0, a vector or one state per column
+    of a block, checked finite and unit-norm (so none is empty or all zero),
+    each negated where its amplitudes sum below zero so that its uniform
+    overlap is >= 0.
+
+    Raises
+    ------
+    InvalidInputError
+        If a state is non-finite or off unit norm by more than 1e-10.
+    """
     if not np.isfinite(w).all():
         raise InvalidInputError("marked state has non-finite amplitudes")
     norm_sq = np.vecdot(w, w, axis=0)
@@ -216,9 +278,10 @@ def _check_dimension(basis: Eigenbasis, state: MarkedState) -> None:
 def search_params(basis: Eigenbasis, state: MarkedState) -> SearchParameters:
     """Critical jump rate, envelope, optimal time, and two-level eigenvalues.
 
-    The level masses come from ``basis.level_masses``: grouped overlaps for a
-    dense decomposition; for the hypercube, the Krawtchouk kernel on small
-    supports and the Walsh transform on wide ones.
+    The level masses come from ``basis.level_masses`` of the state's support
+    and values: grouped overlaps for a dense decomposition; for the
+    hypercube, the Krawtchouk kernel on small supports and the Walsh
+    transform on wide ones.
 
     Raises
     ------
@@ -230,7 +293,7 @@ def search_params(basis: Eigenbasis, state: MarkedState) -> SearchParameters:
         If the marked state is the uniform state itself.
     """
     _check_dimension(basis, state)
-    levels, masses = basis.level_masses(state.weights)
+    levels, masses = basis.level_masses(state.vertices, state.values)
     return _level_params(levels, masses, state.digest())
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctqw_search import fwht, graphs, linalg, optimality, parse_dot, parse_edge_list
+from ctqw_search import MarkedState, general_pair, hypercube_exact
 from ctqw_search import cli
 from ctqw_search.cli import main
-from conftest import sparse_random_graph
+from ctqw_search.search import _level_sums
+from conftest import sparse_random_graph, transform_level_masses
 
 
 def run_cli(capsys, *argv):
@@ -591,6 +594,74 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+class TestSparseHypercubeState:
+    """Hypercube states are read sparse: the kernel route builds nothing of
+    2**n entries, and the range checks on the support keep their refusals."""
+
+    @pytest.mark.parametrize("argv, n_bits", [
+        (["analyze", "hypercube:22",
+          "uniform:" + ",".join(str((1 << 21) + 7 * i * i + i) for i in range(22)), "--json"],
+         22),
+        (["simulate", "hypercube:20", "single:777"], 20)])
+    def test_kernel_route_allocates_nothing_of_size_n(self, argv, n_bits):
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << n_bits
+
+    def test_pair_table_oracle_is_the_dense_transform(self, capsys):
+        bits = 12
+        code, out, _ = run_cli(capsys, "pair-table", "--bits", str(bits))
+        assert code == 0
+        levels = 2.0 * np.arange(bits, -1, -1)
+        for m, line in enumerate(out.splitlines()[1:], start=1):
+            w = np.zeros(1 << bits)
+            w[[0, (1 << m) - 1]] = 1 / math.sqrt(2)
+            p_n, gamma_c, beta = (float(x) for x in _level_sums(
+                levels, transform_level_masses(bits, w)))
+            state = MarkedState.pair(1 << bits, 0, (1 << m) - 1)
+            assert np.array_equal(state.weights, w)
+            assert hypercube_exact(bits, state) == (gamma_c, beta, p_n)
+            closed = general_pair(bits, m).envelope
+            oracle = gamma_c / beta
+            assert line == f"{m},{closed:.12g},{oracle:.12g},{abs(closed - oracle):.12g}"
+
+    @pytest.mark.parametrize("n_bits", [22, 23])
+    @pytest.mark.parametrize("state, message", [
+        ("single:{top}", "vertex {top} out of range for dimension {top}"),
+        ("single:-1", "vertex -1 out of range for dimension {top}"),
+        ("uniform:0,{top}", "vertex {top} out of range for dimension {top}"),
+        ("pair:3,3", "marked vertices contain repeats: [3, 3]"),
+        ("uniform:5,-1,5", "marked vertices contain repeats: [5, -1, 5]"),
+        ("single:nan", "bad vertex list in state preset 'single:nan'"),
+        ("file:{top} 1\n", "vertex {top} out of range for dimension {top}"),
+        ("file:0 1\n-1 1\n", "vertex -1 out of range for dimension {top}"),
+        ("file:3 1\n3 1\n", "vertex 3 appears twice in the state file"),
+        ("file:0 nan\n5 1\n", "marked state has non-finite amplitudes"),
+        ("file:99999999999999999999 1\n",
+         "vertex 99999999999999999999 out of range for dimension {top}")])
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_state_refusals_at_the_cap(self, capsys, tmp_path, command, n_bits, state,
+                                       message):
+        top = 1 << n_bits
+        if state.startswith("file:"):
+            path = tmp_path / "state.txt"
+            path.write_text(state[5:].format(top=top))
+            state = str(path)
+        else:
+            state = state.format(top=top)
+        if n_bits > linalg.MAX_BASIS_BITS:
+            message = f"hypercube needs 1 to 22 coordinates, got {n_bits}"
+        assert run_cli(capsys, command, f"hypercube:{n_bits}", state) == (
+            1, "", "error: " + message.format(top=top) + "\n")
 
 
 class TestUsage:

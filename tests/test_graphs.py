@@ -630,6 +630,23 @@ class TestConnectivityByDegrees:
         assert all(d.endswith("duplicate") for d in diagnostics[:-1])
 
 
+class TestDegreeCount:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_sorted_column_counts_match_bincount(self, n, density, seed):
+        # random canonical graphs, isolated vertices and E = 0 included
+        rng = np.random.default_rng(seed)
+        u, v = np.triu_indices(n, 1)
+        keep = rng.random(u.size) < density
+        g = Graph.from_edges(n, list(zip(u[keep].tolist(), v[keep].tolist())))
+        want = np.bincount(g.edges.ravel(), minlength=n)
+        np.testing.assert_array_equal(graphs._degrees(n, *g.edges.T), want)
+
+    def test_no_edges(self):
+        g = Graph.from_edges(5, [])
+        np.testing.assert_array_equal(graphs._degrees(5, *g.edges.T), np.zeros(5))
+
+
 class TestDegrees:
     @settings(max_examples=300, deadline=None)
     @given(malformed_edge_lists())

@@ -118,6 +118,136 @@ class TestMarkedState:
         assert MarkedState.from_mapping(9, {1: 0.6, 5: -0.8}).digest() != built[0].digest()
 
 
+@st.composite
+def sparse_weights(draw, max_n=64):
+    """Dimension n, distinct vertices and their nonzero weights, mostly
+    positive, at scales from 1e-3 to 1e3."""
+    n = draw(st.integers(1, max_n))
+    verts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 24), unique=True))
+    size = len(verts)
+    magnitudes = draw(st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size))
+    signs = draw(st.lists(st.sampled_from([1.0, 1.0, 1.0, -1.0]), min_size=size,
+                          max_size=size))
+    return n, verts, [m * s for m, s in zip(magnitudes, signs)]
+
+
+def dense_vector(n, verts, weights):
+    w = np.zeros(n)
+    w[verts] = weights
+    return w
+
+
+# every constructor's refusals: exception type and exact message
+REFUSALS = [
+    (lambda: MarkedState(np.array([])), InvalidInputError,
+     "marked state must be a non-empty vector"),
+    (lambda: MarkedState(np.ones((2, 2)) / 2), InvalidInputError,
+     "marked state must be a non-empty vector"),
+    (lambda: MarkedState([math.nan, 1.0, 0.0]), InvalidInputError,
+     "marked state has non-finite amplitudes"),
+    (lambda: MarkedState([0.0, -math.inf]), InvalidInputError,
+     "marked state has non-finite amplitudes"),
+    (lambda: MarkedState(np.zeros(4)), InvalidInputError,
+     "marked state norm deviates from 1 by 1.000e+00"),
+    (lambda: MarkedState([0.6, 0.8, 0.1]), InvalidInputError,
+     "marked state norm deviates from 1 by 4.988e-03"),
+    (lambda: MarkedState.from_weights([]), InvalidInputError, "marked state has empty support"),
+    (lambda: MarkedState.from_weights([0.0, 0.0]), InvalidInputError,
+     "marked state has empty support"),
+    (lambda: MarkedState.from_weights([0.0, math.nan]), InvalidInputError,
+     "marked state has non-finite amplitudes"),
+    (lambda: MarkedState.from_weights(np.ones((2, 2))), InvalidInputError,
+     "marked state must be a non-empty vector"),
+    (lambda: MarkedState.from_weights(np.zeros((2, 2))), InvalidInputError,
+     "marked state has empty support"),
+    (lambda: MarkedState.from_weights([1.0, 1.0], normalize=False), InvalidInputError,
+     "marked state norm deviates from 1 by 4.142e-01"),
+    (lambda: MarkedState.from_mapping(4, {}), InvalidInputError,
+     "marked state has empty support"),
+    (lambda: MarkedState.from_mapping(4, {0: 1.0, 4: 1.0}), InvalidInputError,
+     "vertex 4 out of range for dimension 4"),
+    (lambda: MarkedState.from_mapping(4, {-1: 1.0}), InvalidInputError,
+     "vertex -1 out of range for dimension 4"),
+    (lambda: MarkedState.from_mapping(4, {1: math.nan}), InvalidInputError,
+     "marked state has non-finite amplitudes"),
+    (lambda: MarkedState.from_mapping(4, {3: -math.inf, 1: 1.0}), InvalidInputError,
+     "marked state has non-finite amplitudes"),
+    (lambda: MarkedState.from_mapping(4, {1: 0.0, 2: 0.0}), InvalidInputError,
+     "marked state has empty support"),
+    (lambda: MarkedState.single(8, 8), InvalidInputError, "vertex 8 out of range for dimension 8"),
+    (lambda: MarkedState.pair(8, 3, 3), InvalidParameterError,
+     "pair state needs two distinct vertices, got 3 twice"),
+    (lambda: MarkedState.pair(8, -2, 3), InvalidInputError,
+     "vertex -2 out of range for dimension 8"),
+    (lambda: MarkedState.uniform_over(8, [1, 2, 1]), InvalidParameterError,
+     "marked vertices contain repeats: [1, 2, 1]"),
+    (lambda: MarkedState.uniform_over(8, []), InvalidInputError,
+     "marked state has empty support"),
+]
+
+
+class TestSparseState:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_weights())
+    def test_dense_and_mapping_constructors_agree(self, case):
+        n, verts, weights = case
+        mapped = MarkedState.from_mapping(n, dict(zip(verts, weights)))
+        built = MarkedState.from_weights(dense_vector(n, verts, weights))
+        assert mapped.digest() == built.digest()
+        assert mapped.support == built.support == tuple(sorted(verts))
+        np.testing.assert_array_max_ulp(mapped.weights, built.weights, maxulp=1)
+        for state in (mapped, built):
+            assert state.n == n and state.vertices.dtype == np.int64
+            np.testing.assert_array_equal(state.weights[state.vertices], state.values)
+            assert not (state.vertices.flags.writeable or state.values.flags.writeable
+                        or state.weights.flags.writeable)
+        # presets: bit for bit
+        preset = MarkedState.uniform_over(n, verts)
+        indicator = MarkedState.from_weights(dense_vector(n, verts, 1.0))
+        assert preset.digest() == indicator.digest()
+        assert np.array_equal(preset.weights, indicator.weights)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([None, False, True]), st.data())
+    def test_search_params_match_dense_vector_route(self, transform, data):
+        # None: a dense decomposition; False/True: the hypercube basis with the
+        # kernel or the transform route forced
+        if transform is None:
+            n, verts, weights = data.draw(sparse_weights(max_n=40))
+            g = random_connected_graph(np.random.default_rng(n), max(n, 2), 0.3)
+            basis = laplacian_decomposition(laplacian(g))
+            state = MarkedState.from_mapping(basis.n, dict(zip(verts, weights)))
+            dense = basis.level_masses(state.weights)
+        else:
+            n, verts, weights = data.draw(sparse_weights(max_n=256))
+            n_bits = max(n - 1, 1).bit_length()
+            basis = hypercube_eigenbasis(n_bits)
+            state = MarkedState.from_mapping(basis.n, dict(zip(verts, weights)))
+            dense = (2.0 * np.arange(n_bits, -1, -1),
+                     transform_level_masses(n_bits, state.weights))
+        try:
+            want = search._level_params(*dense, state.digest())
+        except (OrthogonalStateError, DegenerateStateError) as exc:
+            with pytest.raises(type(exc)):
+                search_params(basis, state)
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            if transform is not None:
+                mp.setattr(HypercubeEigenbasis, "_transform_cheaper",
+                           lambda self, r: transform)
+            got = search_params(basis, state)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_allclose(got.a_k, want.a_k, rtol=0, atol=1e-12)
+        for key in ("p_n", "gamma_c", "beta"):
+            assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12)
+
+    @pytest.mark.parametrize("build, error, message", REFUSALS)
+    def test_refusals_keep_type_and_message(self, build, error, message):
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error and str(caught.value) == message
+
+
 class TestOverlaps:
     def test_uniform_state_hits_zero_mode_only(self):
         g = complete(5)
