@@ -1,6 +1,6 @@
 """Dense symmetric spectral decompositions, the analytic hypercube eigenbasis,
-exact eigenbasis-driven time evolution, and conjugate-gradient solves and
-Lanczos extreme eigenvalues on a sparse graph Laplacian."""
+the fast Walsh-Hadamard transform, and conjugate-gradient solves and Lanczos
+extreme eigenvalues on a sparse graph Laplacian."""
 
 from __future__ import annotations
 
@@ -88,18 +88,15 @@ class SpectralDecomposition:
             )
         return self.eigenvectors.T @ vec
 
-    def level_masses(self, vec: np.ndarray,
-                     values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct eigenvalues and the mass of ``vec`` in each, from its
-        overlaps; one column of masses per column of an (N, k) block.  Given
-        ``values``, ``vec`` is instead the sorted, distinct support of a vector
-        with those values there, and its overlaps take only the support's
-        rows of the eigenvectors."""
-        if values is None:
-            return self.levels(self.overlaps(vec))
-        if vec.size == self.n:  # the whole support: the vector itself
+    def level_masses(self, support: np.ndarray,
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct eigenvalues and the mass in each of the vector with
+        ``values`` on the sorted, distinct ``support``: its overlaps take only
+        the support's rows of the eigenvectors, or the whole matrix when the
+        support is every vertex."""
+        if support.size == self.n:  # the whole support: the vector itself
             return self.levels(self.overlaps(values))
-        return self.levels(values @ self.eigenvectors[vec])
+        return self.levels(values @ self.eigenvectors[support])
 
 
 def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
@@ -411,14 +408,6 @@ def _ritz_extremes(apply, basis: np.ndarray, alpha: np.ndarray, beta: np.ndarray
     )
 
 
-def evolve(decomp: SpectralDecomposition, vec: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(-iHt) to ``vec``, an (N,) vector or each column of an (N, k)
-    block, using the eigendecomposition of H."""
-    coeffs = decomp.overlaps(vec)
-    phases = np.exp(-1j * decomp.eigenvalues * t)
-    return decomp.eigenvectors @ (phases * coeffs.T).T
-
-
 def fwht(vec: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform of a power-of-two-length vector.
 
@@ -526,8 +515,9 @@ class HypercubeEigenbasis:
 
     Eigenvalue 2*popcount(z) belongs to the parity vector with entries
     (-1)**popcount(x & z) / sqrt(N); nothing of size N*N is ever materialized,
-    overlaps of arbitrary states are computed by the fast transform, and
-    nothing of size N is built until a transform needs it.
+    a state's level masses come from its support and values
+    (``level_masses``), and nothing of size N is built until a transform
+    needs it.
     """
 
     n_bits: int
@@ -536,16 +526,8 @@ class HypercubeEigenbasis:
     def n(self) -> int:
         return 1 << self.n_bits
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """2*popcount(z) for every index z: an array of N floats, built on each access."""
-        return 2.0 * _hamming_weights(self.n_bits)
-
     def _level_values(self) -> np.ndarray:
         return 2.0 * np.arange(self.n_bits, -1, -1)
-
-    def overlaps(self, vec: np.ndarray) -> np.ndarray:
-        return fwht(self._check(vec)) / math.sqrt(self.n)
 
     def transform_masses(self, support: np.ndarray,
                          values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -588,14 +570,6 @@ class HypercubeEigenbasis:
         """Whether r support vertices make more pairs than the N*log2(N) steps
         of a transform."""
         return r * r > self.n_bits * self.n
-
-    def _check(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec)
-        if vec.shape != (self.n,):
-            raise InvalidInputError(
-                f"vector has shape {vec.shape}, expected ({self.n},)"
-            )
-        return vec
 
 
 @lru_cache(maxsize=1)

@@ -232,7 +232,7 @@ def stress_random_states(decomp: SpectralDecomposition, trials: int,
     rows = np.empty((min(columns, trials), n))
     for start in range(0, trials, columns):
         states = _phased_states(_draw_states(rng, s, rows[:trials - start]))
-        levels, masses = decomp.level_masses(states)
+        levels, masses = decomp.levels(decomp.overlaps(states))
         p_n, gamma_c, beta = _level_sums(levels, masses)
         envelope = gamma_c / beta
         reduced = envelope / np.sqrt(1.0 - p_n**2)

@@ -1,7 +1,7 @@
-"""Core search analysis: eigenbasis overlaps, critical jump rate (from the
-levels of an eigenbasis, or from one conjugate-gradient solve on a general
-graph), the secular function and its roots, and the sinusoidal amplitude
-approximation."""
+"""Core search analysis: sparse marked states, the critical jump rate (from
+the level masses of an eigenbasis, or from one conjugate-gradient solve on a
+general graph), the secular function and its roots, and the sinusoidal
+amplitude approximation."""
 
 from __future__ import annotations
 
@@ -88,19 +88,17 @@ class MarkedState:
         return state
 
     @classmethod
-    def from_weights(cls, weights, *, normalize: bool = True) -> "MarkedState":
+    def from_weights(cls, weights) -> "MarkedState":
         """The state of ``weights``, divided by their norm (at any finite
-        scale, see ``_unit``) unless ``normalize`` is false.
+        scale, see ``_unit``).
 
         Raises
         ------
         InvalidInputError
-            If a weight is not finite, all are zero, or the state is not a
-            non-empty unit vector.
+            If a weight is not finite, all are zero, or the weights are not a
+            non-empty vector.
         """
         w = np.asarray(weights, dtype=float)
-        if not normalize:
-            return cls(w)
         vertices = np.flatnonzero(w)
         values = w.ravel()[vertices]
         if w.ndim != 1:
@@ -260,12 +258,6 @@ class SearchParameters:
         bounds below by 1/sqrt(2).
         """
         return self.envelope / math.sqrt(1.0 - self.p_n**2)
-
-
-def overlaps(basis: Eigenbasis, state: MarkedState) -> np.ndarray:
-    """Eigenbasis overlaps of the marked state, one entry per eigenvector."""
-    _check_dimension(basis, state)
-    return basis.overlaps(state.weights)
 
 
 def _check_dimension(basis: Eigenbasis, state: MarkedState) -> None:
@@ -696,23 +688,6 @@ def amplitude_approx(params: SearchParameters, t) -> np.ndarray | float:
     """
     rate = params.gamma_c * params.p_n / params.beta
     return params.envelope * np.abs(np.sin(rate * np.asarray(t, dtype=float)))
-
-
-def amplitude_exact_sum(decomp_h: SpectralDecomposition, w: np.ndarray,
-                        s: np.ndarray, t):
-    """Exact detection amplitude <w| exp(-iHt) |s> as a spectral sum."""
-    if isinstance(w, MarkedState):
-        w = w.weights
-    if np.ndim(w) != 1 or np.ndim(s) != 1:
-        raise InvalidInputError(
-            f"amplitude needs two vectors, got shapes {np.shape(w)} and {np.shape(s)}")
-    u = decomp_h.overlaps(w) * decomp_h.overlaps(s)
-    t_arr = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(t_arr, decomp_h.eigenvalues))
-    result = phases @ u
-    if t_arr.ndim == 0:
-        return complex(result)
-    return result
 
 
 def uniform_state(n: int) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Exact search dynamics: time evolution of the uniform state in the reduced
 rank-one basis, peak location, and deviation against the sinusoidal
-approximation.  ``hamiltonian`` assembles the dense search Hamiltonian, the
-oracle the reduced dynamics are tested against."""
+approximation."""
 
 from __future__ import annotations
 
@@ -62,17 +61,6 @@ class DeviationReport:
     rms_deviation: float
     peak_time_rel_dev: float
     peak_value_rel_dev: float
-
-
-def hamiltonian(g: Graph, jump_rate: float, w: MarkedState) -> np.ndarray:
-    """Search Hamiltonian: jump_rate * Laplacian minus the marked projector."""
-    if not 0.0 < jump_rate < math.inf:
-        raise InvalidParameterError(f"jump rate must be positive and finite, got {jump_rate}")
-    if w.n != g.n_vertices:
-        raise InvalidInputError(
-            f"marked state has dimension {w.n}, graph has {g.n_vertices} vertices"
-        )
-    return jump_rate * laplacian(g) - np.outer(w.weights, w.weights)
 
 
 def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",

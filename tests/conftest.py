@@ -5,6 +5,9 @@ import pytest
 
 from ctqw_search import (
     Graph,
+    HypercubeEigenbasis,
+    InvalidInputError,
+    InvalidParameterError,
     MarkedState,
     complete,
     complete_minus_disjoint_edges,
@@ -14,6 +17,7 @@ from ctqw_search import (
     laplacian_decomposition,
     paley,
     regular_multipartite,
+    search,
 )
 
 # degenerate spectra: every family here has repeated Laplacian levels
@@ -70,9 +74,79 @@ def sparse_random_graph(rng, n, degree):
     return Graph.from_edges(n, edges)
 
 
+# Dense routes no production code takes, kept as the oracles the library's
+# spectral and reduced routes are tested against.
+
+def hamming_weights(n_bits):
+    """popcount(z) of every index z of 2**n_bits."""
+    return np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64)).astype(np.intp)
+
+
 def transform_level_masses(n_bits, weights):
     """Level masses of a hypercube state from its Walsh transform, grouped by
     Hamming weight and listed for levels 2n, ..., 2, 0."""
     p = fwht(weights) / math.sqrt(1 << n_bits)
-    weight = np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64)).astype(np.intp)
-    return np.bincount(weight, weights=p**2, minlength=n_bits + 1)[::-1]
+    return np.bincount(hamming_weights(n_bits), weights=p**2, minlength=n_bits + 1)[::-1]
+
+
+def basis_eigenvalues(basis):
+    """One eigenvalue per eigenvector: a dense decomposition's own, or
+    2*popcount(z) for every Walsh index z of a hypercube basis."""
+    if isinstance(basis, HypercubeEigenbasis):
+        return 2.0 * hamming_weights(basis.n_bits)
+    return basis.eigenvalues
+
+
+def basis_overlaps(basis, vec):
+    """Coefficients of the dense vector ``vec`` in every eigenvector: a dense
+    decomposition's ``overlaps``, or the Walsh transform over sqrt(N), entry z
+    the overlap with the parity vector (-1)**popcount(x & z) / sqrt(N)."""
+    if isinstance(basis, HypercubeEigenbasis):
+        vec = np.asarray(vec)
+        if vec.shape != (basis.n,):
+            raise InvalidInputError(
+                f"vector has shape {vec.shape}, expected ({basis.n},)"
+            )
+        return fwht(vec) / math.sqrt(basis.n)
+    return basis.overlaps(vec)
+
+
+def overlaps(basis, state):
+    """Eigenbasis overlaps of the marked state, one entry per eigenvector."""
+    search._check_dimension(basis, state)
+    return basis_overlaps(basis, state.weights)
+
+
+def hamiltonian(g, jump_rate, w):
+    """Search Hamiltonian: jump_rate * Laplacian minus the marked projector."""
+    if not 0.0 < jump_rate < math.inf:
+        raise InvalidParameterError(f"jump rate must be positive and finite, got {jump_rate}")
+    if w.n != g.n_vertices:
+        raise InvalidInputError(
+            f"marked state has dimension {w.n}, graph has {g.n_vertices} vertices"
+        )
+    return jump_rate * laplacian(g) - np.outer(w.weights, w.weights)
+
+
+def evolve(decomp, vec, t):
+    """Apply exp(-iHt) to ``vec``, an (N,) vector or each column of an (N, k)
+    block, using the eigendecomposition of H."""
+    coeffs = decomp.overlaps(vec)
+    phases = np.exp(-1j * decomp.eigenvalues * t)
+    return decomp.eigenvectors @ (phases * coeffs.T).T
+
+
+def amplitude_exact_sum(decomp_h, w, s, t):
+    """Exact detection amplitude <w| exp(-iHt) |s> as a spectral sum."""
+    if isinstance(w, MarkedState):
+        w = w.weights
+    if np.ndim(w) != 1 or np.ndim(s) != 1:
+        raise InvalidInputError(
+            f"amplitude needs two vectors, got shapes {np.shape(w)} and {np.shape(s)}")
+    u = decomp_h.overlaps(w) * decomp_h.overlaps(s)
+    t_arr = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer(t_arr, decomp_h.eigenvalues))
+    result = phases @ u
+    if t_arr.ndim == 0:
+        return complex(result)
+    return result

@@ -21,7 +21,6 @@ from ctqw_search import (
     eig_sym,
     f_of_mu,
     general_pair,
-    hamiltonian,
     hypercube,
     hypercube_exact,
     laplacian,
@@ -37,7 +36,7 @@ from ctqw_search import (
     stress_random_states,
     weight1_uniform,
 )
-from conftest import random_marked_state
+from conftest import hamiltonian, random_marked_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -12,12 +12,9 @@ from ctqw_search import (
     InvalidInputError,
     InvalidParameterError,
     MarkedState,
-    amplitude_exact_sum,
     compare,
     complete,
     eig_sym,
-    evolve,
-    hamiltonian,
     hypercube,
     hypercube_eigenbasis,
     laplacian,
@@ -32,6 +29,9 @@ from ctqw_search import linalg, search, simulate
 from ctqw_search.search import _level_params
 from conftest import (
     DEGENERATE_FAMILIES,
+    amplitude_exact_sum,
+    evolve,
+    hamiltonian,
     random_connected_graph,
     random_marked_state,
     transform_level_masses,
@@ -176,8 +176,6 @@ class TestRun:
 
     def test_time_reversal_symmetry(self):
         # real symmetric H: amplitude magnitudes at t and -t coincide
-        from ctqw_search import amplitude_exact_sum
-
         g = hypercube(3)
         w = MarkedState.single(8, 3)
         params = instance(g, w)

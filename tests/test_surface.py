@@ -1,0 +1,68 @@
+"""The package's public surface: what it exports, what it no longer defines,
+and the functions the benchmark's tracer requires of it."""
+
+import ast
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import ctqw_search
+from ctqw_search import HypercubeEigenbasis, SpectralDecomposition
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# Dense routes kept only as test oracles (``conftest``), not in the library.
+ORACLES = ("hamiltonian", "evolve", "amplitude_exact_sum", "overlaps")
+
+
+def test_public_surface():
+    for name in ctqw_search.__all__:
+        assert hasattr(ctqw_search, name), name
+    for name in ORACLES:
+        assert name not in ctqw_search.__all__ and not hasattr(ctqw_search, name), name
+        for module in (ctqw_search.search, ctqw_search.linalg, ctqw_search.simulate):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # both eigenbases answer one level_masses(support, values)
+    dense = inspect.signature(SpectralDecomposition.level_masses).parameters
+    walsh = inspect.signature(HypercubeEigenbasis.level_masses).parameters
+    assert list(dense.values()) == list(walsh.values())
+    assert list(dense) == ["self", "support", "values"]
+
+
+def literal(path, name):
+    """The literal value assigned to ``name`` at the top level of ``path``,
+    read from its syntax tree without running the file."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def workload_required(path):
+    """The ``required`` tuple of every ``Workload(...)`` call in ``path``:
+    its third positional argument or its ``required`` keyword."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Workload":
+            args = node.args[2:3] + [k.value for k in node.keywords if k.arg == "required"]
+            found.append(ast.literal_eval(args[0]))
+    return found
+
+
+def test_benchmark_layers_are_public_functions():
+    # the tracer wraps every public function a package module defines and
+    # refuses to run when one it requires is missing
+    required = literal(PERFBENCH / "tracer.py", "REQUIRED")
+    names = [f"{layer}.{fn}" for layer, fns in required.items() for fn in fns]
+    tuples = workload_required(PERFBENCH / "workloads.py")
+    assert len(tuples) == len(json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
+    names += [name for workload in tuples for name in workload]
+    for name in names:
+        layer, fn = name.split(".")
+        module = importlib.import_module(f"ctqw_search.{layer}")
+        value = getattr(module, fn, None)
+        assert inspect.isfunction(value) and value.__module__ == module.__name__, name
+        assert not fn.startswith("_"), name
