@@ -444,10 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidParameterError, InvalidInputError) as exc:
+    except (_UsageError, InvalidParameterError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DegenerateStateError, OrthogonalStateError, DisconnectedGraphError,

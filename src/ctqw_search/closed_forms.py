@@ -58,16 +58,10 @@ class ClosedFormResult:
 def antipodal_pair(n: int) -> ClosedFormResult:
     """Uniform state on two antipodal vertices: single-sum closed form.
 
-    Defined by the even-index binomial sums; an odd coordinate count falls
-    through to ``general_pair(n, n)``, which it equals term by term.
+    This is ``general_pair(n, n)``: at distance m = n the sums a1 and b1 are
+    empty, which leaves the even-index binomial sums a2 and b2.
     """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1 coordinates, got {n}")
-    if n % 2 == 1:
-        return general_pair(n, n)
-    a2 = math.fsum(math.comb(n, 2 * l) / (4 * l) for l in range(1, n // 2 + 1))
-    b2 = math.fsum(math.comb(n, 2 * l) / (4 * l) ** 2 for l in range(1, n // 2 + 1))
-    return _pair_result(n, n, a2, b2)
+    return general_pair(n, n)
 
 
 def general_pair(n: int, m: int) -> ClosedFormResult:
@@ -91,11 +85,6 @@ def general_pair(n: int, m: int) -> ClosedFormResult:
         for p in range(0, m // 2 + 1)
     )
     b2 = math.fsum(math.comb(m, 2 * p) / (16 * p * p) for p in range(1, m // 2 + 1))
-    return _pair_result(n, m, a2, b2, a1, b1)
-
-
-def _pair_result(n: int, m: int, a2: float, b2: float,
-                 a1: float = 0.0, b1: float = 0.0) -> ClosedFormResult:
     scale = 2.0 ** (n - 1)
     gamma_c = (a1 + a2) / scale
     beta_sq = (b1 + b2) / scale

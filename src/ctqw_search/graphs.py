@@ -363,6 +363,12 @@ def export_dot(g: Graph) -> str:
 _DOT_HEADER = re.compile(r'graph\s+(?:"([^"]*)"|(\w+))?\s*\{')
 _DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+);?$")
 _DOT_VERTEX = re.compile(r"^(\d+);?$")
+# A body whose every line, split at each '\r' and '\n', is blank, 'v' or
+# 'u -- v' in ASCII digits, spaces and tabs, the last two optionally ended by
+# ';' right after the last digit.
+_DOT_LINE = r"[ \t]*(?:[0-9]+(?:[ \t]*--[ \t]*[0-9]+)?;?[ \t]*)?"
+_DOT_BODY = re.compile(rf"{_DOT_LINE}(?:[\r\n]{_DOT_LINE})*")
+_DASH_SEMI_TO_SPACE = str.maketrans("-;", "  ")
 
 
 def parse_dot(text: str) -> Graph:
@@ -409,40 +415,16 @@ def _dot_lines(body: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _scan_dot(body: str) -> tuple[int, np.ndarray] | None:
-    """Order and (E, 2) edges of a DOT body whose every non-blank line is
-    'v' or 'u -- v', each optionally ended by ';' right after its last digit,
-    as ``_dot_lines`` reads it; None for any other body, or one without
+    """Order and (E, 2) edges of a DOT body that ``_DOT_BODY`` takes, as
+    ``_dot_lines`` reads it; None for any other body, or one without
     vertices."""
-    scan = _scan_numbers(body, b"-;")
-    if scan is None or scan[4].size == 0:
+    if _DOT_BODY.fullmatch(body) is None:
         return None
-    chars, line, starts, ends, values = scan
-    per_line = np.bincount(line[starts], minlength=line[-1] + 1)
-    first = np.ones(starts.size, dtype=bool)
-    first[1:] = line[starts[1:]] != line[starts[:-1]]
-    # per line: end of its first number, start of its second (the end of the
-    # text if none) and end of its last (-1 if none)
-    first_end = np.zeros(per_line.size, dtype=np.int64)
-    first_end[line[starts[first]]] = ends[first]
-    second_start = np.full(per_line.size, chars.size)
-    second_start[line[starts[~first]]] = starts[~first]
-    last_end = np.full(per_line.size, -1)
-    last_end[line[starts]] = ends
-    dash = np.flatnonzero(chars == ord("-"))
-    semi = np.flatnonzero(chars == ord(";"))
-    twin = np.zeros(chars.size + 1, dtype=bool)
-    twin[dash] = True
-    ok = (per_line.max() <= 2
-          # 'u -- v': exactly two adjacent dashes between the two numbers
-          and np.array_equal(np.bincount(line[dash], minlength=per_line.size),
-                             2 * np.maximum(per_line - 1, 0))
-          and (twin[dash - 1] | twin[dash + 1]).all()
-          and ((first_end[line[dash]] <= dash) & (dash < second_start[line[dash]])).all()
-          # at most one ';' per line, right after its last digit
-          and (semi == last_end[line[semi]]).all()
-          and np.bincount(line[semi], minlength=1).max() <= 1)
-    if not ok:
+    scan = _scan_numbers(body.translate(_DASH_SEMI_TO_SPACE))
+    if scan is None or scan[1].size == 0:
         return None
+    line, values = scan
+    per_line = np.bincount(line)
     return int(values.max()) + 1, values[np.repeat(per_line == 2, per_line)].reshape(-1, 2)
 
 
@@ -482,8 +464,8 @@ def _scan_edge_list(text: str) -> Graph | None:
     scan = _scan_numbers(_COMMENT.sub("", text))
     if scan is None:
         return None
-    _, line, starts, _, values = scan
-    per_line = np.bincount(line[starts], minlength=1)
+    line, values = scan
+    per_line = np.bincount(line, minlength=1)
     if not ((per_line == 0) | (per_line == 2)).all():
         return None
     if n_declared is None:
@@ -538,38 +520,33 @@ def _directive(comment: str, n_declared: int | None,
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
-def _scan_numbers(text: str, extra: bytes = b""):
+def _scan_numbers(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     """The unsigned decimal numbers of ASCII ``text``, in one vectorized pass.
 
-    Returns (chars, line, starts, ends, values): the characters as uint8,
-    the line of each character (a count of the '\\n' and '\\r' before it),
-    the start and end offsets of each run of digits and its value as int64;
-    or None if ``text`` is not ASCII, holds a character other than digits,
-    ' ', '\\t', '\\n', '\\r' and those of ``extra``, or holds a number of
-    more than 18 digits.
+    Returns the line of each number (a count of the '\\n' and '\\r' before
+    it) and its value as int64; or None if ``text`` is not ASCII, holds a
+    character other than digits, ' ', '\\t', '\\n' and '\\r', or holds a
+    number of more than 18 digits.
     """
     if not text.isascii():
         return None
     chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     digit = (chars >= ord("0")) & (chars <= ord("9"))
     breaks = (chars == ord("\n")) | (chars == ord("\r"))
-    allowed = digit | breaks | (chars == ord(" ")) | (chars == ord("\t"))
-    for c in extra:
-        allowed |= chars == c
-    if not allowed.all():
+    if not (digit | breaks | (chars == ord(" ")) | (chars == ord("\t"))).all():
         return None
-    line = np.cumsum(breaks)
     step = np.diff(digit.astype(np.int8), prepend=0, append=0)
     starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
     lengths = ends - starts
+    line = np.cumsum(breaks)[starts]
     if lengths.size == 0:
-        return chars, line, starts, ends, np.zeros(0, dtype=np.int64)
+        return line, np.zeros(0, dtype=np.int64)
     if lengths.max() > _POW10.size:
         return None
     # each digit times ten to its distance from the end of its number
     place = np.repeat(ends, lengths) - 1 - np.flatnonzero(digit)
     terms = (chars[digit] - ord("0")).astype(np.int64) * _POW10[place]
-    return chars, line, starts, ends, np.add.reduceat(terms, np.cumsum(lengths) - lengths)
+    return line, np.add.reduceat(terms, np.cumsum(lengths) - lengths)
 
 
 def _is_prime(q: int) -> bool:

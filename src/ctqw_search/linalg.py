@@ -312,9 +312,8 @@ def laplacian_extremes(n: int, edges: np.ndarray) -> LanczosExtremes:
     The start vector is seeded, so the result is deterministic.  Each new
     basis vector is orthogonalized twice against the whole basis, then its
     mean is projected out again, without which a spurious Ritz value near 0
-    appears.  The Ritz values theta are the eigenvalues of the tridiagonal T
-    (``eigvalsh``); the two extreme Ritz vectors come from inverse iteration
-    on T, shifted just outside its spectrum, so no eigenvector solver runs.
+    appears.  The Ritz pairs come from one ``eigh`` of the m x m tridiagonal
+    T, m <= ``LANCZOS_MAX_BASIS``, so no N x N eigensolver runs.
     The pairs are checked every 8 steps, or every m/8 past 64, and the basis
     stops growing when both extreme Ritz vectors y, mean-free and of unit
     norm, have ||Qy - rho*y|| <= ``LANCZOS_RESIDUAL`` * rho_max and
@@ -377,22 +376,11 @@ def _ritz_extremes(apply, basis: np.ndarray, alpha: np.ndarray, beta: np.ndarray
     (``alpha``, ``beta``), checked on the explicit Ritz vectors."""
     n = basis.shape[1]
     t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    theta = np.linalg.eigvalsh(t)
+    theta, s = np.linalg.eigh(t)
     ends = (float(theta[-1]), float(theta[0]))
     rho, residual = [], []
-    # shifted just past the end of T's spectrum, inverse iteration converges
-    # on that end's eigenvector in a step or two
-    offset = 4.0 * t.shape[0] * np.finfo(float).eps * max(abs(ends[0]), abs(ends[1]), 1.0)
-    for end, side in zip(ends, (1.0, -1.0)):
-        shifted = t - (end + side * offset) * np.eye(t.shape[0])
-        s = np.ones(t.shape[0])
-        for _ in range(3):
-            try:
-                s = np.linalg.solve(shifted, s)
-            except np.linalg.LinAlgError:  # an exactly singular shift: no check passes
-                s = np.full(t.shape[0], np.nan)
-            s /= np.linalg.norm(s)
-        y = s @ basis
+    for col in (-1, 0):
+        y = s[:, col] @ basis
         y -= y.mean()
         y /= np.linalg.norm(y)
         qy = apply(y)

@@ -253,12 +253,16 @@ class TestCertify:
         assert code == 2
 
     def test_computes_no_eigenvectors(self, capsys, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("certify computed eigenvectors")
+        n, eigh = 6, np.linalg.eigh
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        def small_only(a, *args, **kwargs):
+            if np.shape(a)[0] >= n:
+                raise AssertionError("certify computed N x N eigenvectors")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", small_only)
         path = tmp_path / "c6.edges"
-        path.write_text("".join(f"{v} {(v + 1) % 6}\n" for v in range(6)))
+        path.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
         code, out, _ = run_cli(capsys, "certify", str(path), "--json")
         assert code == 0
         report = json.loads(out)
@@ -376,17 +380,18 @@ class TestCertifyFileRoutes:
             raise AssertionError("certify took the dense route")
 
         for module, attr in [(graphs, "laplacian"), (cli, "laplacian"),
-                             (linalg, "laplacian_eigenvalues"), (cli, "laplacian_eigenvalues"),
-                             (np.linalg, "eigh")]:
+                             (linalg, "laplacian_eigenvalues"), (cli, "laplacian_eigenvalues")]:
             monkeypatch.setattr(module, attr, refuse)
-        eigvalsh = np.linalg.eigvalsh
 
-        def small_only(a, *args, **kwargs):
-            if np.shape(a)[0] >= g.n_vertices:
-                raise AssertionError("certify ran an N x N eigvalsh")
-            return eigvalsh(a, *args, **kwargs)
+        def small_only(solver):
+            def call(a, *args, **kwargs):
+                if np.shape(a)[0] >= g.n_vertices:
+                    raise AssertionError(f"certify ran an N x N {solver.__name__}")
+                return solver(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
+        for solver in (np.linalg.eigh, np.linalg.eigvalsh):
+            monkeypatch.setattr(np.linalg, solver.__name__, small_only(solver))
         code, out, _ = run_cli(capsys, "certify", str(path), "--json")
         assert code == 0
         report = json.loads(out)
@@ -408,19 +413,6 @@ class TestCertifyFileRoutes:
         assert code == 0
         assert json.loads(out) == want
         assert len(calls) == 1
-
-    def test_singular_inverse_iteration_falls_back(self, capsys, tmp_path, monkeypatch):
-        g = graphs.Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
-        want = _dense_report(g)
-        path = tmp_path / "c5.edges"
-        path.write_text(graphs.format_edge_list(g))
-
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        code, out, _ = run_cli(capsys, "certify", str(path), "--json")
-        assert (code, json.loads(out)) == (0, want)
 
     @pytest.mark.parametrize("text, code, message", [
         ("0 1\n2 3\n", 2, "error: disconnected"),

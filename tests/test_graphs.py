@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctqw_search import graphs
@@ -694,6 +694,13 @@ class TestParseScanMatchesLineLoop:
 
     @settings(max_examples=500, deadline=None)
     @given(TEXTS)
+    @example("1 -- 2 ;")
+    @example("1--2;")
+    @example("3;\r\n4 -- 5")
+    @example(";")
+    @example("1 -- 2 -- 3")
+    @example("0 -- 1234567890123456789\n")
+    @example("0;\n1 -- 0;")
     def test_dot_body(self, body):
         assert (parse_outcome(lambda b: graphs._scan_dot(b) or graphs._dot_lines(b), body)
                 == parse_outcome(graphs._dot_lines, body))

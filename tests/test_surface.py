@@ -1,11 +1,15 @@
 """The package's public surface: what it exports, what it no longer defines,
-and the functions the benchmark's tracer requires of it."""
+and the functions the benchmark's tracer requires of it and calls."""
 
 import ast
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import ctqw_search
 from ctqw_search import HypercubeEigenbasis, SpectralDecomposition
@@ -66,3 +70,16 @@ def test_benchmark_layers_are_public_functions():
         value = getattr(module, fn, None)
         assert inspect.isfunction(value) and value.__module__ == module.__name__, name
         assert not fn.startswith("_"), name
+
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_traced_smoke_run_calls_every_required_layer(workload):
+    # a traced run fails when a required layer records no call, and checks
+    # every output against the benchmark's own reference
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["failed"] == 0
