@@ -9,6 +9,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Union
 
 import numpy as np
@@ -556,31 +557,66 @@ def solve_mu(overlaps: np.ndarray, eigenvalues: np.ndarray,
     above = lam[active & (lam > low)]
     nxt = float(above.min()) if above.size else 2.0 * low  # the outer pole, massless if none
     a_low, a_nxt = (float(a[active & (lam == level)].sum()) for level in (low, nxt))
-    form = _SecularForm(p, lam, jump_rate)
-    roots = np.array([_secular_roots(form, *bracket) for bracket in (
-        (0.0, jump_rate * low, a_zero, a_low, jump_rate * nxt, a_nxt),
-        (-float(a.sum()), 0.0, 0.0, a_zero, jump_rate * low, a_low))])
-    # f_of_mu refuses a root in its pole guard, which goes unchecked
-    checked = roots[~form.guarded(roots)]
-    residual = abs(f_of_mu(checked, p, lam, jump_rate) - 1.0)
-    bound = form.residual_bound(checked, 2.0 * _EPS * abs(checked))
-    if (residual > bound).any():
-        k = int(np.argmax(residual > bound))
-        raise NumericError(f"secular root {checked[k]} leaves f - 1 = {residual[k]:.3e}, "
-                           f"above its rounding bound {bound[k]:.3e}")
+    form, pole = _SecularForm(p, lam, jump_rate), jump_rate * low
+    roots = np.array([_secular_roots(form, 0.0, pole, a_zero, a_low, jump_rate * nxt, a_nxt),
+                      _secular_roots(form, -float(a.sum()), 0.0, 0.0, a_zero, pole, a_low)])
+    # f_of_mu refuses a root in its pole guard, which goes unchecked; the
+    # massless -A below the negative root adds no term to the bound
+    keep = ~form.guarded(roots)
+    brackets = compress(((0.0, pole, a_zero, a_low), (-math.inf, 0.0, 0.0, a_zero)), keep)
+    checked = roots[keep]
+    # plain floats: the check's few operations cost less on them than on
+    # numpy scalars
+    for mu, f, bracket in zip(checked.tolist(), f_of_mu(checked, p, lam, jump_rate).tolist(),
+                              brackets):
+        _check_root(form, mu, f, bracket)
     return float(roots[0]), float(roots[1])
+
+
+def _check_root(form, mu: float, f: float, bracket: tuple) -> None:
+    """Refuse a root mu, resolved to 2 eps, where |f - 1| exceeds the rounding
+    of f: ``_bracket_bound`` decides a root it clears, the pass over every
+    pole of ``_SecularForm.residual_bound`` the rest."""
+    tol, residual = 2.0 * _EPS * abs(mu), abs(f - 1.0)
+    if residual > _bracket_bound(f, mu, tol, *bracket):
+        bound = float(form.residual_bound(mu, tol))
+        if residual > bound:
+            raise NumericError(f"secular root {mu} leaves f - 1 = {residual:.3e}, "
+                               f"above its rounding bound {bound:.3e}")
+
+
+def _bracket_bound(f, x, tol, lower, upper, a_lower, a_upper):
+    """``_SecularForm.residual_bound`` at x from f and the bracketing poles
+    alone, elementwise: |f| for the sum of the terms' sizes and the two
+    poles' terms of f' for its sum, so never above it but by rounding, and
+    about as cheap as f - 1 itself."""
+    # divided twice, not squared: a float's ** raises on overflow
+    return 8.0 * (_EPS * (abs(f) + 1.0)
+                  + tol * (a_lower / (lower - x) / (lower - x)
+                           + a_upper / (upper - x) / (upper - x)))
 
 
 def _choose(cond, yes, no):  # np.where for a scalar condition
     return yes if cond else no
 
 
+def _at(mask, func, old, *args):
+    """old with func(*args) where mask holds, func evaluated there only."""
+    new = old.copy()
+    new[mask] = func(*(arg[mask] for arg in args))
+    return new
+
+
+def _at_scalar(mask, func, old, *args):  # _at for a scalar
+    return func(*args) if mask else old
+
+
 def _elementwise(x) -> tuple:
-    """np.where, all and any for an array x; for a scalar x their plain
-    forms, several times cheaper on one float."""
+    """np.where, all, any and ``_at`` for an array x; for a scalar x their
+    plain forms, several times cheaper on one float."""
     if isinstance(x, np.ndarray):
-        return np.where, np.ndarray.all, np.ndarray.any
-    return _choose, bool, bool
+        return np.where, np.ndarray.all, np.ndarray.any, _at
+    return _choose, bool, bool, _at_scalar
 
 
 def _secular_roots(form, lower, upper, a_lower, a_upper, outer, a_outer):
@@ -594,15 +630,18 @@ def _secular_roots(form, lower, upper, a_lower, a_upper, outer, a_outer):
     before last; until f is one ulp from 1, the bracket 4 eps wide or in the
     form's pole guard, or the step below the model root's resolution with
     f - 1 inside ``_SecularForm.residual_bound``; such a step with f - 1
-    outside it halves the bracket.  Roots next to 0 then go to ``_polish``."""
-    pick, every, some = _elementwise(lower)
+    outside it halves the bracket.  A step evaluates f only at the roots not
+    yet done, whose x and f stay as they were.  Roots next to 0 then go to
+    ``_polish``."""
+    pick, every, some, at = _elementwise(lower)
     guard = 2.0 * POLE_GUARD * form.rate * float(form.lam.max())
     edge_lo, edge_hi = lower + guard, upper - guard
     lo, hi, rho_old, done = lower, upper, 0.0, lower != lower
-    x = x_old = root = 0.5 * (lower + upper)
+    x = x_old = root = f = 0.5 * (lower + upper)  # the first step sets every f
     step = step_old = span = upper - lower
     for _ in range(MAX_SECULAR_STEPS):
-        g = form(x) - 1.0
+        f = at(pick(done, False, True), form, f, x)
+        g = f - 1.0
         lo, hi = pick(g < 0.0, x, lo), pick(g > 0.0, x, hi)
         rho = g - a_lower / (lower - x) - a_upper / (upper - x)
         w = 1.0 / (outer - x)
@@ -633,12 +672,10 @@ def _secular_roots(form, lower, upper, a_lower, a_upper, outer, a_outer):
         # hold can stall far from the root, and then the bracket is halved
         stalled = abs(x_new - x) <= tol
         if some(pick(done, False, stalled)):
-            # |f| and the bracketing poles' terms of f' give the bound from
-            # below, which spares most stalls the pass over every pole
-            bound = 8.0 * (_EPS * (abs(g + 1.0) + 1.0)
-                           + tol * (a_lower / (lower - x) ** 2 + a_upper / (upper - x) ** 2))
-            if some(pick(done, False, stalled & (abs(g) > bound))):
-                bound = form.residual_bound(x, tol)
+            bound = _bracket_bound(f, x, tol, lower, upper, a_lower, a_upper)
+            full = pick(done, False, stalled & (abs(g) > bound))
+            if some(full):
+                bound = at(full, form.residual_bound, bound, x, tol)
             stalled = stalled & (abs(g) <= bound)
         at_model = stalled | (hi <= edge_lo) | (lo >= edge_hi)
         root = pick(done, root, pick(at_x, x, x_new))
@@ -662,7 +699,7 @@ def _polish(mu, form):
     |mu|/(P - |mu|) of the true one, so the steps contract.  It runs in units
     of P, y = mu/P, so that no sum overflows however small the rate; S is the
     form's ``unit`` form, prepared once for every root of the form."""
-    _, every, some = _elementwise(mu)
+    _, every, some, _ = _elementwise(mu)
     pole, c0, a_zero, unit = form.unit
     near = abs(mu) < 0.5 * pole
     if not some(near):

@@ -16,8 +16,10 @@ from .search import (NEGLIGIBLE_OVERLAP_SQ, POLE_GUARD, MarkedState, SearchParam
                      _SecularForm, _secular_roots, amplitude_approx, search_params)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Budget of time-grid points, or secular roots per block, times reduced
-# levels: a trace's phase matrix holds one complex value per cell, 64 MiB.
+# Budget of time-grid points times reduced levels, the phase products of a
+# trace, and of secular roots per block times levels: the N-wide temporaries
+# of a root block (the pole distances in the secular steps and the weights)
+# hold one float per cell, 32 MiB.
 MAX_TRACE_CELLS = 1 << 22
 PRECISION_LIMIT = 2.0**53
 
@@ -138,7 +140,12 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
     """Trace in the basis P_k w / c_k, c_k = ||P_k w||, where H is rate *
     diag(levels) - c c^T, w is c and s is e_0: with eigenvectors c/(rate*levels
     - mu_j) at the secular roots mu_j, <c|exp(-iHt)|s> = sum_j u_j*exp(-i*mu_j*t)
-    for u_j = -c_0/(mu_j*f'(mu_j))."""
+    for u_j = -c_0/(mu_j*f'(mu_j)).
+
+    The grid t_k = k*dt, k = b*i + r with b = ceil(sqrt(points)), separates:
+    exp(-i*mu*t_k) = exp(-i*mu*b*i*dt) * exp(-i*mu*r*dt), so 2b rows of L
+    phases, the head rows i scaled by u, give every amplitude from one complex
+    product, head @ tail^T, in place of points*L exponentials."""
     if t_max is None:
         t_max = 2.0 * params.t_opt
     if not 0.0 <= t_max < math.inf:
@@ -197,7 +204,11 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
         return abs(complex(np.exp(-1j * mu * t) @ u))
 
     times = np.linspace(0.0, t_max, points)
-    amps = np.abs(np.exp(-1j * np.outer(times, mu)) @ u)
+    b = math.isqrt(points - 1) + 1  # ceil(sqrt(points))
+    dt = t_max / max(points - 1, 1)
+    head = np.exp(-1j * np.outer(np.arange(0, points, b) * dt, mu)) * u
+    tail = np.exp(-1j * np.outer(np.arange(b) * dt, mu))
+    amps = np.abs(head @ tail.T).ravel()[:points]
     peak_index = int(np.argmax(amps))
     lo = times[max(peak_index - 1, 0)]
     hi = times[min(peak_index + 1, times.size - 1)]

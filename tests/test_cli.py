@@ -501,6 +501,18 @@ class TestSimulate:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("option", [["--steps", "1025"], ["--tmax", "0"]])
+    def test_file_grid_edges(self, capsys, tmp_path, option):
+        path = tmp_path / "g.edges"
+        g = sparse_random_graph(np.random.default_rng(5), 300, 6)
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges.tolist()))
+        code, out, err = run_cli(capsys, "simulate", str(path), "uniform:0,7,11", *option)
+        assert (code, err) == (0, "")
+        summary = json.loads(out, parse_constant=_reject_constant)
+        if option[0] == "--tmax":
+            assert summary["peak_time"] == 0.0
+            assert summary["peak_probability"] == pytest.approx(3.0 / 300.0, rel=1e-12)
+
     def test_disconnected_file(self, capsys, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n2 3\n")
@@ -681,6 +693,8 @@ class TestUsage:
         ["certify", "paley", str(10**25 + 1)],
         ["certify", f"hypercube:{10**400}"],
         ["family", "complete", "100000"],
+        # grid points times levels past the trace budget, which also bounds
+        # the grid's own size
         ["simulate", "complete:8", "single:0", "--steps", "2000000000"],
         # levels past the float range
         ["certify", f"complete-minus:{10**400},1"],

@@ -848,6 +848,42 @@ def assert_roots_match_references(p, lam, rate):
     assert abs(roots[0] - ev[1]) <= tol
 
 
+# a root, then points from a ulp to a millionth of it away, four a decade
+ROOT_OFFSETS = np.concatenate([[0.0], 10.0 ** np.arange(-15.5, -5.9, 0.25),
+                               -(10.0 ** np.arange(-15.5, -5.9, 0.25))])
+
+
+def assert_root_check_decides_as_full_bound(p, lam, rate):
+    """solve_mu's root check, which tries the bracketing poles' bound before
+    ``_SecularForm.residual_bound``, accepts and refuses each root it checks,
+    and points near it, as the full bound alone does."""
+    checks = []
+    check_root = search._check_root
+
+    def recording(form, mu, f, bracket):
+        checks.append((form, mu, bracket))
+        return check_root(form, mu, f, bracket)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_check_root", recording)
+        try:
+            solve_mu(p, lam, rate)
+        except PoleError:
+            return
+    for form, root, bracket in checks:
+        for x in (root * (1.0 + ROOT_OFFSETS)).tolist():
+            if form.guarded(x):
+                continue
+            f = form(x)
+            refused = abs(f - 1.0) > form.residual_bound(x, 2.0 * EPS * abs(x))
+            try:
+                check_root(form, x, f, bracket)
+            except NumericError:
+                assert refused
+            else:
+                assert not refused
+
+
 def record_solver_steps(monkeypatch) -> list[tuple[float, bool]]:
     """Record each scalar evaluation of the prepared secular form, one per
     solver step, as (mu, whether the form holds the pole 0): the bracketing
@@ -897,6 +933,7 @@ class TestSolveMuMatchesOracle:
             active = np.flatnonzero((lam > 0.0) & (p**2 > search.NEGLIGIBLE_OVERLAP_SQ))
             p[active[np.argmin(lam[active])]] = math.sqrt(10.0**log_low_mass)
         assert_roots_match_references(p, lam, params.gamma_c * 10.0**log_rate)
+        assert_root_check_decides_as_full_bound(p, lam, params.gamma_c * 10.0**log_rate)
 
     @pytest.mark.parametrize("masses, levels", [
         ([1.0 - 1e-16, 1e-16], [1.0, 0.0]),  # roots about 1e-8 from the pole 0

@@ -333,6 +333,93 @@ class TestReducedTrace:
         # the weights sum to p_n
         assert abs(trace.amplitudes[0] - params.p_n) <= 1e-12
 
+    def test_roots_evaluated_while_live(self, monkeypatch):
+        # 20 levels split 1e-13 to 1e-6 apart and 10 masses down to 1e-19:
+        # some model steps stall there and take the full residual bound
+        rng = np.random.default_rng(5)
+        g = random_connected_graph(rng, 150, 0.05)
+        state = random_marked_state(rng, g.n_vertices, p_n=0.1)
+        params = instance(g, state)
+        levels, masses = np.array(params.eigenvalues), np.array(params.a_k)
+        for k in rng.choice(levels.size - 1, 20, replace=False):
+            share = rng.uniform(0.01, 0.99)
+            levels = np.insert(levels, k + 1, levels[k] * (1.0 - 10.0 ** rng.uniform(-13, -6)))
+            masses = np.insert(masses, k + 1, masses[k] * share)
+            masses[k] *= 1.0 - share
+        masses[rng.choice(levels.size - 1, 10, replace=False)] = 10.0 ** rng.uniform(-19, -3, 10)
+        masses[:-1] *= (1.0 - masses[-1]) / masses[:-1].sum()
+        params = _level_params(levels, masses, state.digest())
+
+        evaluated = []  # ("f" or "bound", number of roots) per array call
+        evaluate = search._SecularForm.__call__
+        bound = search._SecularForm.residual_bound
+        solve = simulate._secular_roots
+
+        def recording(form, x):
+            if (form.d == 0.0).any():  # not the polish's form in units of P
+                evaluated.append(("f", x.size))
+            return evaluate(form, x)
+
+        def recording_bound(form, x, tol):
+            evaluated.append(("bound", x.size))
+            return bound(form, x, tol)
+
+        def trace():
+            roots = []
+            monkeypatch.setattr(simulate, "_secular_roots",
+                                lambda *args: roots.append(solve(*args)) or roots[-1])
+            amplitudes = simulate._reduced_trace(0.7 * params.gamma_c, params, None, 64).amplitudes
+            return np.concatenate(roots), amplitudes
+
+        monkeypatch.setattr(search._SecularForm, "__call__", recording)
+        monkeypatch.setattr(search._SecularForm, "residual_bound", recording_bound)
+        roots, amplitudes = trace()
+        f_sizes = [n for kind, n in evaluated if kind == "f"]
+        assert f_sizes[0] == roots.size  # one block
+        assert all(a >= b for a, b in zip(f_sizes, f_sizes[1:]))
+        live = 0
+        for kind, n in evaluated:  # each bound only at roots of its step
+            live = n if kind == "f" else live
+            assert n <= live
+        assert "bound" in dict(evaluated)
+        assert sum(n for _, n in evaluated) < len(f_sizes) * roots.size
+        # evaluating every root at every step, as the live ones, changes no bit
+        monkeypatch.setattr(search, "_at",
+                            lambda mask, func, old, *args: np.where(mask, func(*args), old))
+        all_roots, all_amplitudes = trace()
+        assert np.array_equal(all_roots, roots)
+        assert np.array_equal(all_amplitudes, amplitudes)
+
+    @pytest.fixture(scope="class")
+    def wide_params(self):
+        """A random connected graph of 300-400 vertices: hundreds of levels."""
+        rng = np.random.default_rng(2)
+        g = random_connected_graph(rng, int(rng.integers(300, 401)), 0.02)
+        params = instance(g, random_marked_state(rng, g.n_vertices))
+        assert params.eigenvalues.size >= 200
+        return params
+
+    @pytest.mark.parametrize("steps", [2, 3, 17, 1000, 1024, 1025])
+    def test_grid_sizes_match_oracle(self, wide_params, steps):
+        # rows of b = ceil(sqrt(steps)) points: one row (2), a short last
+        # row (3, 17, 1000), a square (1024) and one point past it (1025)
+        small = instance(complete(9), MarkedState.pair(9, 0, 4))
+        for params in (wide_params, small):
+            for rate in (params.gamma_c, 3.0 * params.gamma_c):
+                trace = simulate._reduced_trace(rate, params, None, steps)
+                assert np.array_equal(trace.times, np.linspace(0.0, 2.0 * params.t_opt, steps))
+                oracle, slack = oracle_trace(params.eigenvalues, params.overlaps, rate,
+                                             trace.times)
+                assert np.all(np.abs(trace.amplitudes - oracle) <= 1e-10 + slack)
+
+    def test_zero_horizon_matches_oracle(self, wide_params):
+        trace = simulate._reduced_trace(wide_params.gamma_c, wide_params, 0.0, 1024)
+        assert np.array_equal(trace.times, [0.0])
+        oracle, _ = oracle_trace(wide_params.eigenvalues, wide_params.overlaps,
+                                 wide_params.gamma_c, trace.times)
+        assert abs(trace.amplitudes[0] - oracle[0]) <= 1e-10
+        assert abs(trace.amplitudes[0] - wide_params.p_n) <= 1e-12
+
 
 class TestCompare:
     def test_deviation_shrinks_with_size_on_complete_graphs(self):
