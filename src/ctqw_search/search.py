@@ -31,7 +31,7 @@ Eigenbasis = Union[SpectralDecomposition, HypercubeEigenbasis]
 NEGLIGIBLE_OVERLAP_SQ = 1e-20
 
 # f_of_mu refuses mu within POLE_GUARD * max(|jump_rate*lambda|, |mu|) of an
-# active pole.
+# active pole; the secular solver keeps its iterates twice that far out.
 POLE_GUARD = 1e-15
 
 # Iteration cap of one secular root, which needs about ten.
@@ -404,8 +404,9 @@ def f_of_mu(mu: float | np.ndarray, overlaps: np.ndarray, eigenvalues: np.ndarra
     entry to the library's one evaluator, ``_SecularForm``.
 
     The zero eigenvalue contributes the -p_n**2/mu pole.  Terms with zero
-    overlap are dropped; evaluating at a pole of an active term raises.  An
-    array of mu is evaluated elementwise; a float mu gives a float.
+    overlap are dropped; a mu in the pole guard of an active term is refused
+    here, the one place that refuses it.  An array of mu is evaluated
+    elementwise; a float mu gives a float.
 
     Raises
     ------
@@ -421,7 +422,11 @@ def f_of_mu(mu: float | np.ndarray, overlaps: np.ndarray, eigenvalues: np.ndarra
     m = np.asarray(mu, dtype=float)
     if not np.isfinite(m).all():
         raise InvalidParameterError(f"mu must be finite, got {m[~np.isfinite(m)].flat[0]}")
-    f = _SecularForm(*_secular_arrays(overlaps, eigenvalues, jump_rate), jump_rate)(m)
+    form = _SecularForm(*_secular_arrays(overlaps, eigenvalues, jump_rate), jump_rate)
+    hit = form.guarded(m)
+    if hit.any():
+        raise PoleError(f"mu = {m[hit].flat[0]} hits a pole of the secular function")
+    f = form(m)
     return float(f) if m.ndim == 0 else f
 
 
@@ -445,9 +450,9 @@ class _SecularForm:
     eigenvalues lam and a jump rate, prepared once for every evaluation of a
     solve: the active masses a_k = p_k**2 (those above
     ``NEGLIGIBLE_OVERLAP_SQ``), their poles d_k = rate*lam_k and the pole
-    guard's scale max|rate*lam|.  Its arguments are not checked: its callers
-    (``f_of_mu``, ``solve_mu``, the reduced trace of ``simulate``) check
-    theirs first."""
+    guard's scale max|rate*lam|.  Neither its arguments nor its points are
+    checked: its callers (``f_of_mu``, ``solve_mu``, the reduced trace of
+    ``simulate``) check theirs, and keep mu out of the pole guard."""
 
     def __init__(self, p: np.ndarray, lam: np.ndarray, rate: float):
         poles = rate * lam
@@ -457,33 +462,19 @@ class _SecularForm:
         self.scale = float(max(abs(poles).max(), 1e-300))
 
     def __call__(self, x):
-        """f at x: a float for a float x, elementwise for an array.
-
-        Raises
-        ------
-        PoleError
-            If an element of x lies in the pole guard (see ``guarded``).
-        """
-        vector = isinstance(x, np.ndarray)
-        den = self.d - (x[..., None] if vector else x)
-        hit = self.guarded(x, den)
-        if hit.any() if vector else hit:
-            raise PoleError(f"mu = {np.asarray(x)[hit].flat[0]} hits a pole of the "
-                            "secular function")
-        f = np.add.reduce(self.a / den, axis=-1)
-        return f if vector else float(f)
-
-    def guarded(self, x, den=None):
-        """Whether x lies within ``POLE_GUARD * max(scale, |x|)`` of an active
-        pole, elementwise for an array; den is d - x if already formed."""
+        """f at x: a float for a float x, elementwise for an array."""
         if isinstance(x, np.ndarray):
-            den = self.d - x[..., None] if den is None else den
-            reach = np.maximum(self.scale, abs(x))
-        else:
-            den = self.d - x if den is None else den
-            reach = max(self.scale, abs(x))
+            return np.add.reduce(self.a / (self.d - x[..., None]), axis=-1)
+        return float(np.add.reduce(self.a / (self.d - x), axis=-1))
+
+    def guarded(self, x):
+        """Whether x lies within ``POLE_GUARD * max(scale, |x|)`` of an active
+        pole, elementwise over a float or an array."""
+        x = np.asarray(x)
+        reach = np.maximum(self.scale, abs(x))
         # the nearest pole decides; inf leaves a form without active terms
-        return np.minimum.reduce(abs(den), axis=-1, initial=math.inf) < POLE_GUARD * reach
+        return (np.minimum.reduce(abs(self.d - x[..., None]), axis=-1, initial=math.inf)
+                < POLE_GUARD * reach)
 
     def residual_bound(self, x, tol):
         """8 * (eps * (sum_k |a_k/(d_k - x)| + 1) + tol * f'(x)): the rounding
@@ -632,7 +623,11 @@ def _secular_roots(form, lower, upper, a_lower, a_upper, outer, a_outer):
     f - 1 inside ``_SecularForm.residual_bound``; such a step with f - 1
     outside it halves the bracket.  A step evaluates f only at the roots not
     yet done, whose x and f stay as they were.  Roots next to 0 then go to
-    ``_polish``."""
+    ``_polish``.  The form tests no pole guard: the clamp keeps each x at
+    least 2 * POLE_GUARD * scale inside its bracket, out of the guard (the
+    callers' level spacing leaves it room), but for the first x, -A/2, of a
+    bracket (-A, 0) narrower than twice the guard, where f rounds as anywhere
+    (the pole 0 is exact) and that step ends the search."""
     pick, every, some, at = _elementwise(lower)
     guard = 2.0 * POLE_GUARD * form.rate * float(form.lam.max())
     edge_lo, edge_hi = lower + guard, upper - guard

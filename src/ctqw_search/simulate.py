@@ -168,11 +168,12 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
             f"jump rate {rate:g} with t_max {t_max:g} exceeds float precision: rate * "
             f"lambda_max must lie within 2**-53 to 2**53, and |mu| * t_max below 2**53"
         )
-    # levels from 0 up; one without mass, or within twice the solver's pole
-    # guard of the one below, joins that one, leaving an eigenvalue of weight 0;
-    # the group sits at the mass-weighted mean of its massive levels, exact to
-    # first order in their spread, so that late phases do not drift by
-    # spread * t, and a level alone keeps its value
+    # levels from 0 up; one without mass, or within twice the solver's clamp
+    # of the one below, joins that one, leaving an eigenvalue of weight 0 (the
+    # room the clamp needs to keep the form out of its pole guard); the group
+    # sits at the mass-weighted mean of its massive levels, exact to first
+    # order in their spread, so that late phases do not drift by spread * t,
+    # and a level alone keeps its value
     lam, masses = levels[::-1], params.overlaps[::-1] ** 2
     first = np.flatnonzero((masses > NEGLIGIBLE_OVERLAP_SQ)
                            & (np.diff(lam, prepend=-np.inf) > 4.0 * POLE_GUARD * lam[-1]))

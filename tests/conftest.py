@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -72,6 +73,27 @@ def sparse_random_graph(rng, n, degree):
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
         edges.add((u, v))
     return Graph.from_edges(n, edges)
+
+
+@contextmanager
+def outside_pole_guard():
+    """Assert, at every evaluation of the prepared secular form, that no point
+    lies in its pole guard: the form tests none, and the solver's clamp
+    (``_secular_roots``) and the polish's small steps next to 0 must keep
+    their iterates out of it.  The one point no clamp can move is the first,
+    the middle -A/2 of a bracket (-A, 0) whose whole mass A lies within twice
+    the guard; f rounds there as anywhere, the pole 0 being exact."""
+    evaluate = search._SecularForm.__call__
+
+    def checked(form, x):
+        narrow = (np.asarray(x) < 0.0) & (form.p @ form.p < 2.0 * search.POLE_GUARD * form.scale)
+        assert not (form.guarded(x) & ~narrow).any(), (
+            f"secular form evaluated at {x} in its pole guard")
+        return evaluate(form, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search._SecularForm, "__call__", checked)
+        yield
 
 
 # Dense routes no production code takes, kept as the oracles the library's

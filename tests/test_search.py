@@ -44,6 +44,7 @@ from conftest import (
     basis_eigenvalues,
     basis_overlaps,
     evolve,
+    outside_pole_guard,
     overlaps,
     random_connected_graph,
     random_marked_state,
@@ -624,8 +625,8 @@ def reference_secular(mu, p, lam, rate):
 
 class TestSecularForm:
     """The prepared form, as the solver calls it, against f_of_mu and the
-    arithmetic f_of_mu had before it: equal bit for bit, and refusing the
-    same mu."""
+    arithmetic f_of_mu had before it: equal bit for bit, and f_of_mu refusing
+    the same mu (the form itself tests no pole guard)."""
 
     @settings(max_examples=100, deadline=None)
     @given(BASES, st.integers(0, 2**32 - 1), st.booleans(), st.floats(-3.0, 3.0),
@@ -649,22 +650,22 @@ class TestSecularForm:
             except PoleError:
                 want.append(None)
         if None in want:
-            for evaluate in (form, lambda x: f_of_mu(x, p, lam, rate)):
-                with pytest.raises(PoleError):
-                    evaluate(mu)
+            with pytest.raises(PoleError):
+                f_of_mu(mu, p, lam, rate)
         else:
             assert np.array_equal(form(mu), want)
             assert np.array_equal(f_of_mu(mu, p, lam, rate), want)
             assert np.array_equal(form(mu.reshape(1, -1)), [want])
         for m, value in zip(mu, want):
-            calls = (lambda: form(float(m)), lambda: f_of_mu(float(m), p, lam, rate),
+            calls = (lambda: f_of_mu(float(m), p, lam, rate),
                      lambda: f_of_mu(np.float64(m), p, lam, rate),
                      lambda: f_of_mu(np.array(m), p, lam, rate))
-            for call in calls:
-                if value is None:
+            if value is None:
+                for call in calls:
                     with pytest.raises(PoleError):
                         call()
-                else:
+            else:
+                for call in (lambda: form(float(m)),) + calls:
                     got = call()
                     assert type(got) is float and np.array_equal(got, value)
 
@@ -679,8 +680,7 @@ class TestSecularForm:
         mu = pole + offset * search.POLE_GUARD * form.scale
         with pytest.raises(PoleError):
             reference_secular(mu, p, lam, rate)
-        for call in (lambda: form(mu), lambda: form(np.array([0.5 * pole, mu])),
-                     lambda: f_of_mu(mu, p, lam, rate),
+        for call in (lambda: f_of_mu(mu, p, lam, rate),
                      lambda: f_of_mu(np.array([mu, 0.5 * pole]), p, lam, rate)):
             with pytest.raises(PoleError):
                 call()
@@ -823,14 +823,8 @@ def conditioned_tol(overlaps, eigenvalues, jump_rate, mu):
 
 
 def assert_roots_match_references(p, lam, rate):
-    """solve_mu against the bisection reference and against eigvalsh; where
-    it raises PoleError the reference must raise it too."""
-    try:
-        roots = solve_mu(p, lam, rate)
-    except PoleError:
-        with pytest.raises(PoleError):
-            bisection_solve_mu(p, lam, rate)
-        return
+    """solve_mu against the bisection reference and against eigvalsh."""
+    roots = solve_mu(p, lam, rate)
     try:
         want = bisection_solve_mu(p, lam, rate)
     except PoleError:  # the reference stops farther from the poles
@@ -866,10 +860,7 @@ def assert_root_check_decides_as_full_bound(p, lam, rate):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_check_root", recording)
-        try:
-            solve_mu(p, lam, rate)
-        except PoleError:
-            return
+        solve_mu(p, lam, rate)
     for form, root, bracket in checks:
         for x in (root * (1.0 + ROOT_OFFSETS)).tolist():
             if form.guarded(x):
@@ -932,8 +923,9 @@ class TestSolveMuMatchesOracle:
             # a small mass on the lowest active pole
             active = np.flatnonzero((lam > 0.0) & (p**2 > search.NEGLIGIBLE_OVERLAP_SQ))
             p[active[np.argmin(lam[active])]] = math.sqrt(10.0**log_low_mass)
-        assert_roots_match_references(p, lam, params.gamma_c * 10.0**log_rate)
-        assert_root_check_decides_as_full_bound(p, lam, params.gamma_c * 10.0**log_rate)
+        with outside_pole_guard():
+            assert_roots_match_references(p, lam, params.gamma_c * 10.0**log_rate)
+            assert_root_check_decides_as_full_bound(p, lam, params.gamma_c * 10.0**log_rate)
 
     @pytest.mark.parametrize("masses, levels", [
         ([1.0 - 1e-16, 1e-16], [1.0, 0.0]),  # roots about 1e-8 from the pole 0
@@ -942,7 +934,20 @@ class TestSolveMuMatchesOracle:
     def test_roots_near_guarded_poles(self, masses, levels):
         # Brent's first steps land within f_of_mu's pole guard here unless
         # they are kept out of it
-        assert_roots_match_references(np.sqrt(masses), np.array(levels), 1.0)
+        with outside_pole_guard():
+            assert_roots_match_references(np.sqrt(masses), np.array(levels), 1.0)
+
+    def test_total_mass_within_the_pole_guard(self):
+        # the whole bracket (-A, 0) lies within 2 * POLE_GUARD * rate*lambda_max
+        # of the pole 0, so no clamp keeps the solver's first point, -A/2, out
+        # of the guard; f is exact there, and the roots match 40 digits
+        for mass in (1e-17, 1e-15, 5e-15):
+            for rate in (1.0, 1e3):
+                p, lam = np.sqrt([0.9 * mass, 0.1 * mass]), np.array([9.0, 0.0])
+                with outside_pole_guard():
+                    roots = solve_mu(p, lam, rate)
+                for got, want in zip(roots, exact_roots_next_to_zero(p, lam, rate)):
+                    assert got == pytest.approx(float(want), rel=1e-15)
 
     def test_tiny_uniform_overlap_at_critical_rate(self):
         rng = np.random.default_rng(41)

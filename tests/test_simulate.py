@@ -32,6 +32,7 @@ from conftest import (
     amplitude_exact_sum,
     evolve,
     hamiltonian,
+    outside_pole_guard,
     random_connected_graph,
     random_marked_state,
     transform_level_masses,
@@ -314,7 +315,8 @@ class TestReducedTrace:
         state = random_marked_state(rng, g.n_vertices, p_n=10.0**log_p_n)
         params = instance(g, state)
         rate = params.gamma_c * 10.0**log_rate
-        run(g, state, rate, steps=8)  # raises no PoleError
+        with outside_pole_guard():
+            run(g, state, rate, steps=8)
         levels, masses = np.array(params.eigenvalues), np.array(params.a_k)
         k = int(rng.integers(0, levels.size - 1))  # a nonzero level
         if split is not None:  # into two poles a relative 10**split[0] apart
@@ -325,7 +327,8 @@ class TestReducedTrace:
             masses[k] = 10.0**log_low_mass
             masses[:-1] *= (1.0 - masses[-1]) / masses[:-1].sum()
         params = _level_params(levels, masses, state.digest())
-        trace = simulate._reduced_trace(rate, params, None, 64)
+        with outside_pole_guard():
+            trace = simulate._reduced_trace(rate, params, None, 64)
         oracle, slack = oracle_trace(levels, params.overlaps, rate, trace.times)
         # 1e-10 plus the oracle's own phase rounding, which exceeds 1e-10 only
         # past t ~ 1e5/||H||, that is for p_n below about 1e-4

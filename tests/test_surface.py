@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -74,12 +75,17 @@ def test_benchmark_layers_are_public_functions():
 
 @pytest.mark.parametrize(
     "workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
-def test_traced_smoke_run_calls_every_required_layer(workload):
+def test_traced_smoke_run_calls_every_required_layer(workload, tmp_path):
     # a traced run fails when a required layer records no call, and checks
-    # every output against the benchmark's own reference
+    # every output against the benchmark's own reference; it runs from a copy
+    # of perfbench/ beside a link to src/, so that its results files, named by
+    # workload, seed and trace only, do not replace those of a full run
+    shutil.copytree(PERFBENCH, tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1", "--smoke"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1])["failed"] == 0
