@@ -113,10 +113,7 @@ def _dense_graph(spec: str) -> Graph:
     if ":" in spec:
         g = _family_graph(*_parse_family_spec(spec))
     else:
-        try:
-            text = Path(spec).read_text()
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read graph file {spec!r}: {exc}") from exc
+        text = _read_text(spec, "graph")
         if text.lstrip().startswith("graph"):
             g = graphs_mod.parse_dot(text)
         else:
@@ -141,11 +138,16 @@ def _load_state(spec: str, n: int) -> MarkedState:
         return MarkedState.uniform_over(n, verts)
     if ":" in spec:
         raise InvalidParameterError(f"unknown state preset {spec!r}")
+    return _parse_state_file(_read_text(spec, "state"), n)
+
+
+def _read_text(path: str, kind: str) -> str:
+    """The UTF-8 text of a ``kind`` file; an unreadable or undecodable file
+    is refused as input."""
     try:
-        text = Path(spec).read_text()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read state file {spec!r}: {exc}") from exc
-    return _parse_state_file(text, n)
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {kind} file {path!r}: {exc}") from exc
 
 
 def _parse_state_file(text: str, n: int) -> MarkedState:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ class Graph:
     family: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_vertices", _index(self.n_vertices, "vertex count"))
         object.__setattr__(self, "edges", _canonical_edges(self.edges))
 
     @classmethod
@@ -48,7 +50,7 @@ class Graph:
         family: str | None = None,
     ) -> "Graph":
         """Graph from any iterable of vertex pairs (or an (E, 2) array)."""
-        return cls(int(n_vertices), edges, family)
+        return cls(n_vertices, edges, family)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -76,13 +78,29 @@ class Graph:
         return np.bincount(self.edges[keep].ravel(), minlength=self.n_vertices).astype(float)
 
 
+def _index(value, what: str) -> int:
+    """``value`` as a Python int, if it is an integer (``operator.index``)."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def _canonical_edges(edges) -> np.ndarray:
     """Copy of ``edges`` as a read-only (E, 2) int64 array, rows ordered
-    (min, max) and sorted; the sorts are skipped when already in order."""
+    (min, max) and sorted; the sorts are skipped when already in order.
+
+    Edges whose array dtype casts safely to int64 are copied as they are;
+    otherwise each entry must be an integer (``operator.index``), as Python
+    ints past int64, which infer a float or object array, are."""
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
+    arr = np.asarray(edges)
     try:
-        arr = np.array(edges, dtype=np.int64)
+        if arr.size and not np.can_cast(arr.dtype, np.int64):
+            arr = np.array([_index(x, "vertex index") for x in np.array(edges, dtype=object).flat],
+                           dtype=np.int64).reshape(arr.shape)
+        arr = np.array(arr, dtype=np.int64)
     except OverflowError as exc:
         raise InvalidInputError("edge list has a vertex index beyond the 64-bit range") from exc
     if arr.size == 0:
@@ -361,8 +379,6 @@ def export_dot(g: Graph) -> str:
 
 
 _DOT_HEADER = re.compile(r'graph\s+(?:"([^"]*)"|(\w+))?\s*\{')
-_DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+);?$")
-_DOT_VERTEX = re.compile(r"^(\d+);?$")
 # A body whose every line, split at each '\r' and '\n', is blank, 'v' or
 # 'u -- v' in ASCII digits, spaces and tabs, the last two optionally ended by
 # ';' right after the last digit.
@@ -374,8 +390,12 @@ _DASH_SEMI_TO_SPACE = str.maketrans("-;", "  ")
 def parse_dot(text: str) -> Graph:
     """Parse the DOT subset emitted by ``export_dot``.
 
-    The body is read as one integer array by ``_scan_dot``; a body that scan
-    does not take goes through the line loop, which words any error.
+    The body between the header's '{' and the last '}' holds lines ended by
+    '\\n', '\\r\\n' or '\\r', each blank, 'v' or 'u -- v', optionally ended by
+    ';' right after the last digit, with spaces and tabs around the tokens;
+    indices are ASCII decimal numbers of at most 18 digits.  The order is the
+    largest index + 1; a body without a vertex is refused.  Any other body is
+    refused, naming its first bad line.
     """
     header = _DOT_HEADER.search(text)
     if header is None:
@@ -386,46 +406,20 @@ def parse_dot(text: str) -> Graph:
     close = body.rfind("}")
     if close < 0:
         raise InvalidParameterError("unterminated DOT graph")
-    n, edges = _scan_dot(body[:close]) or _dot_lines(body[:close])
-    return Graph.from_edges(n, edges, family=family)
-
-
-def _dot_lines(body: str) -> tuple[int, list[tuple[int, int]]]:
-    """Order and edges of a DOT body, line by line."""
-    vertices: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for raw in body.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        edge = _DOT_EDGE.match(line)
-        if edge:
-            u, v = int(edge.group(1)), int(edge.group(2))
-            vertices.update((u, v))
-            edges.append((u, v))
-            continue
-        vertex = _DOT_VERTEX.match(line)
-        if vertex:
-            vertices.add(int(vertex.group(1)))
-            continue
-        raise InvalidParameterError(f"unsupported DOT line: {line!r}")
-    if not vertices:
-        raise InvalidParameterError("DOT graph has no vertices")
-    return max(vertices) + 1, edges
-
-
-def _scan_dot(body: str) -> tuple[int, np.ndarray] | None:
-    """Order and (E, 2) edges of a DOT body that ``_DOT_BODY`` takes, as
-    ``_dot_lines`` reads it; None for any other body, or one without
-    vertices."""
-    if _DOT_BODY.fullmatch(body) is None:
-        return None
-    scan = _scan_numbers(body.translate(_DASH_SEMI_TO_SPACE))
-    if scan is None or scan[1].size == 0:
-        return None
+    body = body[:close]
+    scan = None
+    if _DOT_BODY.fullmatch(body):
+        scan = _scan_numbers(body.translate(_DASH_SEMI_TO_SPACE))
+    if scan is None:
+        line = _first_refused(body, lambda line: re.fullmatch(_DOT_LINE, line)
+                              and not re.search("[0-9]{19}", line))
+        raise InvalidParameterError(f"unsupported DOT line: {line.strip()!r}")
     line, values = scan
+    if values.size == 0:
+        raise InvalidParameterError("DOT graph has no vertices")
     per_line = np.bincount(line)
-    return int(values.max()) + 1, values[np.repeat(per_line == 2, per_line)].reshape(-1, 2)
+    edges = values[np.repeat(per_line == 2, per_line)].reshape(-1, 2)
+    return Graph.from_edges(int(values.max()) + 1, edges, family=family)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -437,69 +431,36 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A comment of ASCII text: from a line's first '#' to its end, at any line
-# boundary of str.splitlines.
-_COMMENT = re.compile(r"#([^\n\r\v\f\x1c-\x1e]*)")
+# A comment: from a '#' to the end of its line.
+_COMMENT = re.compile(r"#([^\n\r]*)")
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text; '#' starts a comment, vertex count from the header
-    comment when present, otherwise max index + 1.
+    """Parse edge-list text.
 
-    The text is read as one integer array by ``_scan_edge_list``; text that
-    scan does not take goes through the line loop, which words any error.
+    Lines end at '\\n', '\\r\\n' or '\\r'.  A comment runs from '#' to the end
+    of its line and may hold any text; '# vertices: N' declares the order and
+    '# family: NAME' the family tag, N in ASCII digits.  Every line, its
+    comment removed, is blank or holds two vertex indices, ASCII decimal
+    numbers of at most 18 digits, with spaces and tabs around them.  Without a
+    declared order it is the largest index + 1.  Any other text is refused,
+    naming its first bad line.
     """
-    return _scan_edge_list(text) or _edge_list_lines(text)
-
-
-def _scan_edge_list(text: str) -> Graph | None:
-    """``parse_edge_list`` of ASCII text whose every line, its comment
-    removed, is blank or holds two numbers; None for any other text, or one
-    with neither an edge nor a vertex count."""
-    if not text.isascii():
-        return None
     n_declared = family = None
     for comment in _COMMENT.finditer(text):
         n_declared, family = _directive(comment.group(1), n_declared, family)
     scan = _scan_numbers(_COMMENT.sub("", text))
-    if scan is None:
-        return None
-    line, values = scan
-    per_line = np.bincount(line, minlength=1)
-    if not ((per_line == 0) | (per_line == 2)).all():
-        return None
+    per_line = None if scan is None else np.bincount(scan[0], minlength=1)
+    if per_line is None or not ((per_line == 0) | (per_line == 2)).all():
+        raw = _first_refused(text, lambda raw: re.fullmatch(
+            r"[ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)?", raw.split("#", 1)[0]))
+        raise InvalidParameterError(f"bad edge-list line: {raw!r}")
+    values = scan[1]
     if n_declared is None:
         if values.size == 0:
-            return None
+            raise InvalidParameterError("edge list is empty and declares no vertex count")
         n_declared = int(values.max()) + 1
     return Graph.from_edges(n_declared, values.reshape(-1, 2), family=family)
-
-
-def _edge_list_lines(text: str) -> Graph:
-    """``parse_edge_list`` line by line."""
-    n_declared: int | None = None
-    family: str | None = None
-    edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        comment = raw.split("#", 1)
-        if len(comment) == 2:
-            n_declared, family = _directive(comment[1], n_declared, family)
-        line = comment[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidParameterError(f"bad edge-list line: {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InvalidParameterError(f"bad edge-list line: {raw!r}") from exc
-        edges.append((u, v))
-    if n_declared is None:
-        if not edges:
-            raise InvalidParameterError("edge list is empty and declares no vertex count")
-        n_declared = max(max(u, v) for u, v in edges) + 1
-    return Graph.from_edges(n_declared, edges, family=family)
 
 
 def _directive(comment: str, n_declared: int | None,
@@ -507,13 +468,19 @@ def _directive(comment: str, n_declared: int | None,
     """The vertex count and family after an edge-list comment (the text after
     its '#'): 'vertices: N' and 'family: NAME' set them."""
     directive = comment.strip()
-    header = re.match(r"vertices:\s*(\d+)$", directive)
+    header = re.match(r"vertices:\s*([0-9]+)$", directive)
     if header:
         n_declared = int(header.group(1))
     header = re.match(r"family:\s*(\S+)$", directive)
     if header:
         family = header.group(1)
     return n_declared, family
+
+
+def _first_refused(text: str, accepts) -> str:
+    """The first line of ``text``, split at each '\\n', '\\r\\n' and '\\r', that
+    ``accepts`` refuses; only refused text is split."""
+    return next(line for line in re.split(r"\r\n|\r|\n", text) if not accepts(line))
 
 
 # Powers of ten of the digits of a number of at most 18 digits, below 2**63.

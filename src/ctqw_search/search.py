@@ -22,7 +22,7 @@ from .errors import (
     OrthogonalStateError,
     PoleError,
 )
-from .graphs import Graph, _check_graph
+from .graphs import Graph, _check_graph, _index
 from .linalg import HypercubeEigenbasis, SpectralDecomposition, _level_tol, laplacian_solve
 
 Eigenbasis = Union[SpectralDecomposition, HypercubeEigenbasis]
@@ -114,16 +114,19 @@ class MarkedState:
         Raises
         ------
         InvalidInputError
-            If the mapping is empty, a vertex lies outside 0..n-1, or a weight
-            is not finite, or all are zero.
+            If the mapping is empty, ``n`` or a vertex is not an integer, a
+            vertex lies outside 0..n-1, or a weight is not finite, or all are
+            zero.
         """
         if not amplitudes:
             raise InvalidInputError("marked state has empty support")
+        n = _index(n, "dimension")
         weights: dict[int, float] = {}
         for v, amp in amplitudes.items():
-            if not 0 <= int(v) < n:
+            v = _index(v, "vertex")
+            if not 0 <= v < n:
                 raise InvalidInputError(f"vertex {v} out of range for dimension {n}")
-            weights[int(v)] = amp
+            weights[v] = amp
         vertices = np.fromiter(weights, dtype=np.int64, count=len(weights))
         values = np.fromiter(weights.values(), dtype=float, count=len(weights))
         order = np.argsort(vertices)

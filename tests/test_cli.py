@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctqw_search import fwht, graphs, linalg, optimality, parse_dot, parse_edge_list
@@ -143,6 +143,28 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "/nonexistent/path", "single:0")
         assert code == 1
+
+    @pytest.mark.parametrize("kind", ["graph", "state"])
+    def test_undecodable_file_is_refused(self, capsys, tmp_path, kind):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(b"0 1\xff\n")
+        graph = tmp_path / "k2.edges"
+        graph.write_text("0 1\n")
+        argv = ["certify", str(bad)] if kind == "graph" else ["analyze", str(graph), str(bad)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: cannot read {kind} file {str(bad)!r}: 'utf-8' codec can't decode "
+            "byte 0xff in position 3: invalid start byte"]
+
+    @pytest.mark.parametrize("line", [
+        "1_0 2", "+0 1", "٣ 1", "-1 2", "0 1\x0b1 2", "0 1\x85", "0 1\u20282 3",
+        "0 1234567890123456789"])
+    def test_edge_list_outside_the_language_names_its_line(self, capsys, tmp_path, line):
+        path = tmp_path / "g.edges"
+        path.write_text(f"# généré\n0 1\n{line}\n1 2\n", encoding="utf-8")
+        assert run_cli(capsys, "certify", str(path)) == (
+            1, "", f"error: bad edge-list line: {line!r}\n")
 
     def test_general_graph_takes_no_eigensolver(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -755,8 +777,10 @@ VALID_STATE = _states(st.integers(0, 5))
 STATE = _states(SIZE) | st.just("tripod:1")
 
 
+# "\udcff" stands for a raw 0xff byte: files are written with surrogateescape
 JUNK_LINE = st.sampled_from(["1 2 3", "x y", "7", "1 -- ", "0 1 # note", "--", ";", "\t",
-                             "", "1\t2", "+1 2", "# family: f", "99999999999999999999 0"])
+                             "", "1\t2", "+1 2", "# family: f", "99999999999999999999 0",
+                             "1_0 2", "٣ 1", "# généré", "\udcff"])
 
 
 @st.composite
@@ -847,13 +871,18 @@ def _reject_constant(name):
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(argv())
+    @example((["certify", "{graph}", "--json"], ("0 1\n1_0 2\n1 2\n", ".edges", 3)))
+    @example((["certify", "{graph}", "--json"], ("0 1\n٣ 1\n", ".edges", 2)))
+    @example((["certify", "{graph}", "--json"], ("# généré\n0 1\n", ".edges", 2)))
+    @example((["certify", "{graph}", "--json"], ("graph G {\n# généré\n}\n", ".dot", 0)))
+    @example((["certify", "{graph}", "--json"], ("0 1\n\udcff\n", ".edges", 2)))
     def test_exit_code_one_line_and_strict_json(self, args):
         args, file = args
         with tempfile.TemporaryDirectory() as tmp:
             graph = f"{tmp}/graph{file[1] if file else ''}"
             if file:
-                with open(graph, "w") as handle:
-                    handle.write(file[0])
+                with open(graph, "wb") as handle:
+                    handle.write(file[0].encode("utf-8", "surrogateescape"))
             args = [a.replace("{out}", f"{tmp}/out").replace("{graph}", graph) for a in args]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -220,6 +221,45 @@ class TestValidate:
     def test_out_of_range(self):
         g = Graph.from_edges(2, [(0, 5)])
         assert any("out of range" in d for d in validate(g))
+
+
+class TestIndicesAreIntegers:
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0.7, 1.9)]),
+        (3, [("0", "1")]),
+        (3.7, [(0, 1)]),
+        ("3", [(0, 1)]),
+        (3, np.array([[0.0, 1.0]])),
+        (3, [(0, 1), (1, 2.0)])])
+    def test_non_integer_refused(self, n, edges):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            Graph.from_edges(n, edges)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 2**63)], [(-1, 2**63)], [(0, 2**70)], np.array([[0, 2**63]], dtype=np.uint64)])
+    def test_past_int64_keeps_its_message(self, edges):
+        with pytest.raises(InvalidInputError, match="beyond the 64-bit range"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+    def test_numpy_integers_accepted(self, dtype):
+        g = Graph.from_edges(np.int64(3), np.array([[2, 1], [0, 1]], dtype=dtype))
+        assert type(g.n_vertices) is int and g.n_vertices == 3
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1], [1, 2]]
+        assert Graph.from_edges(3, [(np.int32(2), 1), (0, 1)]) == g
+        assert Graph.from_edges(3, []).edges.shape == (0, 2)
+
+    def test_integer_arrays_are_not_read_entry_by_entry(self, monkeypatch):
+        index = graphs._index
+
+        def whole_counts_only(value, what):
+            assert what != "vertex index", "an integer edge array was read entry by entry"
+            return index(value, what)
+
+        monkeypatch.setattr(graphs, "_index", whole_counts_only)
+        for g in ALL_FAMILY_GRAPHS:
+            assert parse_edge_list(format_edge_list(g)) == g
+            assert parse_dot(export_dot(g)) == g
 
 
 class TestSerialization:
@@ -665,13 +705,83 @@ class TestDegrees:
         np.testing.assert_array_equal(g.degrees(), g.adjacency().sum(axis=1))
 
 
-# --- Array scan of graph text against the line loop ---------------------------
+# --- The readers of graph text against line loops -----------------------------
 
 TEXT_PIECES = st.sampled_from([
     "0", "1", "2", "17", "007", "99999999999999999999", " ", "\t", "\n", "\r", "\r\n",
-    "\x0b", "\x1c", "\x1f", "--", "-", ";", "#", "# vertices: 5", "# family: x",
-    "#vertices:3", "1 2", "3 -- 4;", "5;", "+1", "-3", "é", "٣", "}"])
-TEXTS = st.lists(TEXT_PIECES, max_size=30).map("".join)
+    "\x0b", "\x1c", "\x1f", "\x85", "\u2028", "--", "-", ";", "#", "# vertices: 5",
+    "# family: x", "#vertices:3", "# vertices: ٣", "1 2", "3 -- 4;", "5;", "+1", "-3",
+    "1_0", "é", "٣", "}"])
+# pieces of text inside the language of both formats but for the comment
+LANGUAGE_PIECES = st.sampled_from([
+    "0", "17", "007", " ", "\t", "\n", "\r", "\r\n", "\n1 2\n", "\n3 -- 4;\n", "\n5;\n",
+    "\n# vertices: 5\n", "\n# family: x\n", "# généré\x0b1 2"])
+TEXTS = st.one_of(st.lists(TEXT_PIECES, max_size=30),
+                  st.lists(LANGUAGE_PIECES, max_size=30)).map("".join)
+
+# The documented language, line by line: lines end at '\n', '\r\n' or '\r';
+# indices are ASCII decimal numbers of at most 18 digits, separated by spaces
+# and tabs.
+LINE_BREAK = re.compile(r"\r\n|\r|\n")
+NUMBER = r"[0-9]{1,18}"
+EDGE_LIST_LINE = re.compile(rf"[ \t]*(?:{NUMBER}[ \t]+{NUMBER}[ \t]*)?")
+DOT_LINE = re.compile(rf"[ \t]*(?:{NUMBER}(?:[ \t]*--[ \t]*{NUMBER})?;?[ \t]*)?")
+DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+);?$")
+DOT_VERTEX = re.compile(r"^(\d+);?$")
+
+
+def first_refused(text, line_language, strip_comment=False):
+    """The first line of ``text`` outside ``line_language``, or None."""
+    for raw in LINE_BREAK.split(text):
+        if not line_language.fullmatch(raw.split("#", 1)[0] if strip_comment else raw):
+            return raw
+    return None
+
+
+def edge_list_lines(text):
+    """Edge-list text read line by line, each number by ``int``."""
+    n_declared = family = None
+    edges = []
+    for raw in LINE_BREAK.split(text):
+        comment = raw.split("#", 1)
+        if len(comment) == 2:
+            n_declared, family = graphs._directive(comment[1], n_declared, family)
+        line = comment[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InvalidParameterError(f"bad edge-list line: {raw!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    if n_declared is None:
+        if not edges:
+            raise InvalidParameterError("edge list is empty and declares no vertex count")
+        n_declared = max(max(u, v) for u, v in edges) + 1
+    return Graph.from_edges(n_declared, edges, family=family)
+
+
+def dot_lines(body):
+    """Order and edges of a DOT body read line by line, each number by ``int``."""
+    vertices = set()
+    edges = []
+    for raw in LINE_BREAK.split(body):
+        line = raw.strip()
+        if not line:
+            continue
+        edge = DOT_EDGE.match(line)
+        if edge:
+            u, v = int(edge.group(1)), int(edge.group(2))
+            vertices.update((u, v))
+            edges.append((u, v))
+            continue
+        vertex = DOT_VERTEX.match(line)
+        if vertex:
+            vertices.add(int(vertex.group(1)))
+            continue
+        raise InvalidParameterError(f"unsupported DOT line: {line!r}")
+    if not vertices:
+        raise InvalidParameterError("DOT graph has no vertices")
+    return max(vertices) + 1, edges
 
 
 def parse_outcome(func, *args):
@@ -686,11 +796,22 @@ def parse_outcome(func, *args):
 
 
 class TestParseScanMatchesLineLoop:
+    """Inside the documented language each reader gives the line loop's graph;
+    outside it, it refuses naming the first line outside the language."""
+
     @settings(max_examples=500, deadline=None)
     @given(TEXTS)
+    @example("1_0 2")
+    @example("# généré\n0 1")
+    @example("# a\x0b1 2\n")
     def test_edge_list(self, text):
-        assert (parse_outcome(parse_edge_list, text)
-                == parse_outcome(graphs._edge_list_lines, text))
+        refused = first_refused(text, EDGE_LIST_LINE, strip_comment=True)
+        if refused is None:
+            assert (parse_outcome(parse_edge_list, text)
+                    == parse_outcome(edge_list_lines, text))
+        else:
+            assert parse_outcome(parse_edge_list, text) == (
+                InvalidParameterError, f"bad edge-list line: {refused!r}")
 
     @settings(max_examples=500, deadline=None)
     @given(TEXTS)
@@ -702,21 +823,13 @@ class TestParseScanMatchesLineLoop:
     @example("0 -- 1234567890123456789\n")
     @example("0;\n1 -- 0;")
     def test_dot_body(self, body):
-        assert (parse_outcome(lambda b: graphs._scan_dot(b) or graphs._dot_lines(b), body)
-                == parse_outcome(graphs._dot_lines, body))
-
-    def test_exported_text_takes_the_scan(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("line loop used")
-
-        monkeypatch.setattr(graphs, "_edge_list_lines", refuse)
-        monkeypatch.setattr(graphs, "_dot_lines", refuse)
-        for g in ALL_FAMILY_GRAPHS:
-            assert parse_edge_list(format_edge_list(g)) == g
-            assert parse_dot(export_dot(g)) == g
-        text = "# vertices: 6\r\n5 0 # trailing\n\n 1\t2  \n"
-        assert parse_edge_list(text).edges.tolist() == [[0, 5], [1, 2]]
-        assert parse_dot("graph G {\n 0;\n3--1\n 2 -- 0;\n}").edges.tolist() == [[0, 2], [1, 3]]
+        text = "graph G {" + body + "}"
+        refused = first_refused(body, DOT_LINE)
+        if refused is None:
+            assert parse_outcome(parse_dot, text) == parse_outcome(dot_lines, body)
+        else:
+            assert parse_outcome(parse_dot, text) == (
+                InvalidParameterError, f"unsupported DOT line: {refused.strip()!r}")
 
     def test_errors_keep_their_wording(self):
         with pytest.raises(InvalidParameterError, match=r"bad edge-list line: '1 2 3'"):

@@ -95,6 +95,21 @@ class TestMarkedState:
             MarkedState.uniform_over(4, [1, 2]).weights[1], 1 / math.sqrt(2)
         )
 
+    @pytest.mark.parametrize("make", [
+        lambda: MarkedState.from_mapping(3, {1.5: 1.0}),
+        lambda: MarkedState.uniform_over(3, [0.9, 2]),
+        lambda: MarkedState.from_mapping(3.0, {1: 1.0}),
+        lambda: MarkedState.single(3, "1"),
+        lambda: MarkedState.pair(4, 0, np.float64(3.0))])
+    def test_non_integer_vertex_or_dimension_refused(self, make):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        state = MarkedState.uniform_over(np.int64(4), [np.int32(3), np.uint8(1)])
+        assert type(state.n) is int and state.n == 4
+        assert state.support == (1, 3)
+
     def test_digest_computed_once(self, monkeypatch):
         a = MarkedState.from_mapping(9, {2: 0.6, 7: 0.8})
         first = a.digest()

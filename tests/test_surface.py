@@ -20,6 +20,9 @@ PERFBENCH = ROOT / "perfbench"
 
 # Dense routes kept only as test oracles (``conftest``), not in the library.
 ORACLES = ("hamiltonian", "evolve", "amplitude_exact_sum", "overlaps")
+# Line-by-line readers of graph text, kept only as the reference of the
+# readers' property test (``test_graphs``): each format has one reader.
+LINE_LOOPS = ("_edge_list_lines", "_dot_lines")
 
 
 def test_public_surface():
@@ -29,6 +32,8 @@ def test_public_surface():
         assert name not in ctqw_search.__all__ and not hasattr(ctqw_search, name), name
         for module in (ctqw_search.search, ctqw_search.linalg, ctqw_search.simulate):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in LINE_LOOPS:
+        assert not hasattr(ctqw_search.graphs, name), name
     # both eigenbases answer one level_masses(support, values)
     dense = inspect.signature(SpectralDecomposition.level_masses).parameters
     walsh = inspect.signature(HypercubeEigenbasis.level_masses).parameters
