@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -25,40 +26,24 @@ from .errors import (
     OrthogonalStateError,
     PoleError,
 )
-# ``validate`` stays importable as ``cli.validate``: the benchmark's self-test
-# checks through it that a tracer rebinds by-name imports.
-from .graphs import Graph, SrgParams, _check_graph, laplacian, validate  # noqa: F401
+# ``validate`` and ``FAMILIES`` stay importable as ``cli.validate`` and
+# ``cli.FAMILIES``: the benchmark's self-test checks through them that a
+# tracer rebinds by-name imports and the family table.
+from .graphs import (  # noqa: F401
+    FAMILIES, Graph, _LINE_BREAK, _check_graph, _family, laplacian, validate)
 from .closed_forms import general_pair, hypercube_exact
 from .linalg import MAX_BASIS_BITS, hypercube_eigenbasis, laplacian_eigenvalues
-from .optimality import (
-    OptimalityReport,
-    certify,
-    certify_hypercube,
-    certify_induced_complete,
-    certify_multipartite,
-    certify_paley,
-    certify_srg,
-    prove_not_certified,
-)
+from .optimality import OptimalityReport, certify, certify_family, prove_not_certified
 from .search import MarkedState, graph_search_params, search_params
 from .simulate import run, run_hypercube
-
-# family name -> (constructor, parameter names, certificate from the
-# parameters); srg names parameters that no constructor builds
-FAMILIES = {
-    "complete": (graphs_mod.complete, ("n",), lambda n: certify_induced_complete(n, 0)),
-    "hypercube": (graphs_mod.hypercube, ("n",), certify_hypercube),
-    "complete-minus": (graphs_mod.complete_minus_disjoint_edges, ("n", "l"),
-                       certify_induced_complete),
-    "paley": (graphs_mod.paley, ("q",), certify_paley),
-    "multipartite": (graphs_mod.regular_multipartite, ("m", "k"), certify_multipartite),
-    "srg": (None, ("n", "k", "a", "c"), lambda *p: certify_srg(SrgParams(*p))),
-}
-BUILDABLE = sorted(name for name, (ctor, _, _) in FAMILIES.items() if ctor)
 
 DENSE_LIMIT = 4096
 # rows of a --grid sweep, which are collected before any is printed
 GRID_LIMIT = 1 << 16
+
+# An integer argument, parameter or state-file vertex: an optional '-' and
+# ASCII digits, the digits the graph readers read.
+_INTEGER = re.compile("-?[0-9]+")
 
 
 class _UsageError(Exception):
@@ -75,49 +60,41 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _family_graph(name: str, params: list[int]) -> Graph:
-    if name not in BUILDABLE:
-        raise InvalidParameterError(
-            f"unknown family {name!r}; choose from {', '.join(BUILDABLE)}"
-        )
-    return _family_entry(name, params)[0](*params)
-
-
-def _family_entry(name: str, params: list[int]) -> tuple:
-    """The ``FAMILIES`` entry of ``name``, after checking the parameter count."""
-    if name not in FAMILIES:
-        raise InvalidParameterError(
-            f"unknown family {name!r}; choose from {', '.join(sorted(FAMILIES))}"
-        )
-    entry = FAMILIES[name]
-    if len(params) != len(entry[1]):
-        raise InvalidParameterError(
-            f"family {name} takes parameters {' '.join(entry[1])}, got {len(params)}"
-        )
-    return entry
+def _ints(texts: list[str], what: str) -> list[int]:
+    """Each of ``texts`` as an int in the ``_INTEGER`` grammar, else refused
+    as a bad ``what``."""
+    try:
+        if all(map(_INTEGER.fullmatch, texts)):
+            return [int(t) for t in texts]
+    except ValueError:  # past the digit limit of int()
+        pass
+    raise InvalidParameterError(f"bad {what}")
 
 
 def _parse_family_spec(spec: str) -> tuple[str, list[int]]:
     name, _, rest = spec.partition(":")
-    try:
-        params = [int(p) for p in rest.split(",")] if rest else []
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad family parameters in {spec!r}") from exc
-    return name, params
+    return name, _ints(rest.split(",") if rest else [], f"family parameters in {spec!r}")
+
+
+def _graph(spec: str) -> Graph:
+    """Family:params form when a colon is present, otherwise a file path.
+    The family builders refuse an order past their own budget before they
+    allocate."""
+    if ":" in spec:
+        name, params = _parse_family_spec(spec)
+        build = _family(name, params)[0]
+        if build is None:
+            raise InvalidParameterError(f"{name} parameters build no graph; certify them")
+        return build(*params)
+    text = _read_text(spec, "graph")
+    if text.lstrip().startswith("graph"):
+        return graphs_mod.parse_dot(text)
+    return graphs_mod.parse_edge_list(text)
 
 
 def _dense_graph(spec: str) -> Graph:
-    """Family:params form when a colon is present, otherwise a file path; a
-    graph of more than DENSE_LIMIT vertices is refused.  The family builders
-    refuse an order past their own budget before they allocate."""
-    if ":" in spec:
-        g = _family_graph(*_parse_family_spec(spec))
-    else:
-        text = _read_text(spec, "graph")
-        if text.lstrip().startswith("graph"):
-            g = graphs_mod.parse_dot(text)
-        else:
-            g = graphs_mod.parse_edge_list(text)
+    """The graph of ``_graph``, refused past DENSE_LIMIT vertices."""
+    g = _graph(spec)
     if g.n_vertices > DENSE_LIMIT:
         raise InvalidParameterError(
             f"graph with {g.n_vertices} vertices exceeds the dense limit {DENSE_LIMIT}"
@@ -128,10 +105,7 @@ def _dense_graph(spec: str) -> Graph:
 def _load_state(spec: str, n: int) -> MarkedState:
     kind, _, rest = spec.partition(":")
     if kind in ("single", "pair", "uniform") and rest:
-        try:
-            verts = [int(p) for p in rest.split(",")]
-        except ValueError as exc:
-            raise InvalidParameterError(f"bad vertex list in state preset {spec!r}") from exc
+        verts = _ints(rest.split(","), f"vertex list in state preset {spec!r}")
         count = {"single": 1, "pair": 2}.get(kind, len(verts))
         if len(verts) != count:
             raise InvalidParameterError(f"{kind} preset takes {count} vertices, got {spec!r}")
@@ -152,20 +126,20 @@ def _read_text(path: str, kind: str) -> str:
 
 def _parse_state_file(text: str, n: int) -> MarkedState:
     """The marked state of a state file's ``vertex weight`` lines, normalized
-    with a warning when the weights' norm deviates from 1 by more than 1e-6."""
+    with a warning when the weights' norm deviates from 1 by more than 1e-6.
+    Lines end at a graph file's ``_LINE_BREAK``; spaces and tabs separate
+    the fields."""
     amplitudes: dict[int, float] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for raw in _LINE_BREAK.split(text):
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidInputError(f"bad state line: {raw!r}")
-        try:
-            vertex = int(parts[0])
-            weight = float(parts[1])
+        parts = re.split("[ \t]+", line)
+        try:  # a line of other than two fields fails the unpacking
+            [vertex] = _ints(parts[:-1], f"state line: {raw!r}")
+            weight = float(parts[-1])
         except ValueError as exc:
-            raise InvalidInputError(f"bad state line: {raw!r}") from exc
+            raise InvalidParameterError(f"bad state line: {raw!r}") from exc
         if vertex in amplitudes:
             raise InvalidInputError(f"vertex {vertex} appears twice in the state file")
         amplitudes[vertex] = weight
@@ -191,9 +165,8 @@ def _hypercube_instance(g_spec: str, state_spec: str):
     name, params = _parse_family_spec(g_spec)
     if name != "hypercube":
         return None
-    if len(params) != 1:
-        raise InvalidParameterError("hypercube takes one parameter")
-    n_bits = params[0]
+    _family(name, params)[2](*params)  # the family's domain check
+    [n_bits] = params
     _check_bits(n_bits, 1, "hypercube")
     return n_bits, _load_state(state_spec, 1 << n_bits)
 
@@ -258,7 +231,7 @@ def _slug(tag: str) -> str:
 
 
 def cmd_family(args) -> int:
-    g = _family_graph(args.family, args.params)
+    g = _graph(f"{args.family}:{','.join(args.params)}")
     if args.out == "dot":
         text = graphs_mod.export_dot(g)
         suffix = ".dot"
@@ -284,16 +257,12 @@ def _parse_grid_spec(specs: list[str], names: tuple[str, ...]) -> dict[str, rang
         if not eq:
             raise InvalidParameterError(f"bad grid spec {spec!r}, expected name=a..b")
         lo, dots, hi = rest.partition("..")
-        try:
-            lo_i = int(lo)
-            hi_i = int(hi) if dots else lo_i
-        except ValueError as exc:
-            raise InvalidParameterError(f"bad grid spec {spec!r}") from exc
+        bounds = _ints([lo, hi] if dots else [lo], f"grid spec {spec!r}")
         if name not in names:
             raise InvalidParameterError(
                 f"grid parameter {name!r} is not one of {', '.join(names)}"
             )
-        grid[name] = range(lo_i, hi_i + 1)
+        grid[name] = range(bounds[0], bounds[-1] + 1)
     for name in names:
         if name not in grid:
             raise InvalidParameterError(f"grid is missing parameter {name!r}")
@@ -301,8 +270,8 @@ def _parse_grid_spec(specs: list[str], names: tuple[str, ...]) -> dict[str, rang
 
 
 def cmd_certify(args) -> int:
-    """A family or srg certifies from its parameters through its ``FAMILIES``
-    entry, with no graph or eigensolver.  A file is proven "not-certified" by
+    """A family or srg certifies from its parameters (``certify_family``),
+    with no graph or eigensolver.  A file is proven "not-certified" by
     Lanczos on its edges when it can be; otherwise it certifies from its
     dense spectrum."""
     head, *extra = args.target
@@ -310,13 +279,14 @@ def cmd_certify(args) -> int:
         head, extra = f"{head}:{','.join(extra)}", []
     if extra:
         raise InvalidParameterError(f"unexpected arguments after {head!r}: {' '.join(extra)}")
+    # a file path has no colon, so it reads as a name without parameters
+    name, params = _parse_family_spec(head)
     if args.grid:
-        name, params = _parse_family_spec(head)
         if params or name not in FAMILIES:
             raise InvalidParameterError(
-                f"--grid takes one of {', '.join(sorted(FAMILIES))}, got {head!r}"
+                f"--grid takes one of {', '.join(FAMILIES)}, got {head!r}"
             )
-        _, names, certifier = FAMILIES[name]
+        names = FAMILIES[name][1]
         grid = _parse_grid_spec(args.grid, names)
         count = math.prod(max(0, r.stop - r.start) for r in grid.values())
         if count > GRID_LIMIT:
@@ -324,7 +294,7 @@ def cmd_certify(args) -> int:
         rows = [",".join(names) + ",ratio,verdict"]
         for values in itertools.product(*(grid[p] for p in names)):
             try:
-                report = certifier(*values)
+                report = certify_family(name, *values)
             except FloatRangeError:
                 raise
             except (InvalidParameterError, DisconnectedGraphError):
@@ -334,8 +304,7 @@ def cmd_certify(args) -> int:
         return 0
 
     if ":" in head:
-        name, params = _parse_family_spec(head)
-        report = _family_entry(name, params)[2](*params)
+        report = certify_family(name, *params)
     else:
         g = _dense_graph(head)
         _check_graph(g)
@@ -346,7 +315,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_pair_table(args) -> int:
-    bits = args.bits
+    [bits] = _ints([args.bits], f"--bits {args.bits!r}")
     _check_bits(bits, 2, "pair table")
     size = 1 << bits
     lines = ["m,envelope_closed_form,envelope_oracle,abs_diff"]
@@ -366,8 +335,9 @@ def cmd_pair_table(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.steps < 2:
-        raise InvalidParameterError(f"need at least 2 grid points, got {args.steps}")
+    [steps] = _ints([args.steps], f"--steps {args.steps!r}")
+    if steps < 2:
+        raise InvalidParameterError(f"need at least 2 grid points, got {steps}")
     rate = args.gamma
     if rate != "critical":
         try:
@@ -380,10 +350,10 @@ def cmd_simulate(args) -> int:
     hypercube = _hypercube_instance(args.graph, args.state)
     if hypercube:
         n_bits, state = hypercube
-        trace = run_hypercube(n_bits, state, rate, args.tmax, args.steps)
+        trace = run_hypercube(n_bits, state, rate, args.tmax, steps)
     else:
         g = _dense_graph(args.graph)
-        trace = run(g, _load_state(args.state, g.n_vertices), rate, args.tmax, args.steps)
+        trace = run(g, _load_state(args.state, g.n_vertices), rate, args.tmax, steps)
 
     if args.csv:
         _write_text(args.csv, trace.to_csv())
@@ -404,8 +374,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="generate a graph family and write it to a file")
-    p.add_argument("family", choices=BUILDABLE)
-    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("family", help="a family name; srg parameters build no graph")
+    p.add_argument("params", nargs="*")
     p.add_argument("--out", choices=("edgelist", "dot"), default="edgelist")
     p.add_argument("--output", help="output path (defaults to a name derived from the family)")
     p.set_defaults(func=cmd_family)
@@ -426,7 +396,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pair-table",
                        help="two-vertex envelope vs Hamming distance: closed form against the transform oracle")
-    p.add_argument("--bits", type=int, default=16, help="hypercube coordinate count (default 16)")
+    p.add_argument("--bits", default="16", help="hypercube coordinate count (default 16)")
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_pair_table)
 
@@ -435,7 +405,7 @@ def build_parser() -> _Parser:
     p.add_argument("state", help="single:V | pair:U,V | uniform:V1,...,Vk | state file path")
     p.add_argument("--gamma", default="critical", help="jump rate: 'critical' or a number")
     p.add_argument("--tmax", type=float, default=None, help="grid end time (default twice the optimal time)")
-    p.add_argument("--steps", type=int, default=1024, help="grid point count (default 1024)")
+    p.add_argument("--steps", default="1024", help="grid point count (default 1024)")
     p.add_argument("--csv", help="write the trace CSV here")
     p.set_defaults(func=cmd_simulate)
     return parser

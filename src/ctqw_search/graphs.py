@@ -6,6 +6,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -167,16 +168,14 @@ class SrgParams:
 
 def complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
-    if n < 2:
-        raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
+    _check_complete(n)
     _check_pair_order(n)
     return Graph.from_edges(n, _rows(np.arange(1, n + 1)), family=f"complete{{{n}}}")
 
 
 def hypercube(n: int) -> Graph:
     """Hypercube on 2**n vertices; u ~ v iff their bitmasks differ in one bit."""
-    if n < 1:
-        raise InvalidParameterError(f"hypercube needs n >= 1, got {n}")
+    _check_hypercube(n)
     if n > MAX_HYPERCUBE_BITS:
         raise InvalidParameterError(f"hypercube with n = {n} exceeds the memory budget")
     size = 1 << n
@@ -189,11 +188,8 @@ def hypercube(n: int) -> Graph:
 
 
 def complete_minus_disjoint_edges(n: int, l: int) -> Graph:
-    """Complete graph on n vertices with l disjoint edges {0,1},...,{2l-2,2l-1} removed."""
-    if l < 0:
-        raise InvalidParameterError(f"edge deletions must be non-negative, got {l}")
-    if 2 * l > n:
-        raise InvalidParameterError(f"need 2l <= n, got n={n}, l={l}")
+    """Complete graph on n >= 2 vertices with l disjoint edges {0,1},...,{2l-2,2l-1} removed."""
+    _check_complete_minus(n, l)
     _check_pair_order(n)
     # the deleted edge {2i, 2i+1} is row 2i's first
     lo = np.arange(1, n + 1)
@@ -204,7 +200,7 @@ def complete_minus_disjoint_edges(n: int, l: int) -> Graph:
 def paley(q: int) -> Graph:
     """Paley graph on a prime q = 1 (mod 4): u ~ v iff u - v is a nonzero square mod q."""
     _check_pair_order(q)
-    _check_paley_order(q)
+    _check_paley(q)
     is_residue = np.zeros(q, dtype=bool)
     is_residue[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
     # -1 is a square mod q = 1 (mod 4), so row u holds v = u + d for the
@@ -213,7 +209,35 @@ def paley(q: int) -> Graph:
     return Graph.from_edges(q, edges, family=f"paley{{{q}}}")
 
 
-def _check_paley_order(q: int) -> None:
+def regular_multipartite(m: int, k: int) -> Graph:
+    """Complete m-partite graph with m blocks of k vertices each."""
+    _check_multipartite(m, k)
+    _check_pair_order(m * k)
+    # row u's neighbours above it start at the next block
+    lo = np.repeat(np.arange(k, m * k + 1, k), k)
+    return Graph.from_edges(m * k, _rows(lo), family=f"multipartite{{{m},{k}}}")
+
+
+def _check_complete(n: int) -> None:
+    if n < 2:
+        raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
+
+
+def _check_hypercube(n: int) -> None:
+    if n < 1:
+        raise InvalidParameterError(f"hypercube needs n >= 1, got {n}")
+
+
+def _check_complete_minus(n: int, l: int) -> None:
+    if n < 2:
+        raise InvalidParameterError(f"complete-minus graph needs n >= 2, got {n}")
+    if l < 0:
+        raise InvalidParameterError(f"edge deletions must be non-negative, got {l}")
+    if 2 * l > n:
+        raise InvalidParameterError(f"need 2l <= n, got n={n}, l={l}")
+
+
+def _check_paley(q: int) -> None:
     if q >= PRIME_TEST_LIMIT:
         raise InvalidParameterError(
             f"paley order {q} is past the primality test's bound {PRIME_TEST_LIMIT}"
@@ -224,16 +248,56 @@ def _check_paley_order(q: int) -> None:
         raise InvalidParameterError(f"paley order must be 1 mod 4, got {q}")
 
 
-def regular_multipartite(m: int, k: int) -> Graph:
-    """Complete m-partite graph with m blocks of k vertices each."""
+def _check_multipartite(m: int, k: int) -> None:
     if m < 2:
         raise InvalidParameterError(f"multipartite graph needs m >= 2, got {m}")
     if k < 1:
         raise InvalidParameterError(f"block size must be >= 1, got {k}")
-    _check_pair_order(m * k)
-    # row u's neighbours above it start at the next block
-    lo = np.repeat(np.arange(k, m * k + 1, k), k)
-    return Graph.from_edges(m * k, _rows(lo), family=f"multipartite{{{m},{k}}}")
+
+
+def _srg_levels(n: int, k: int, a: int, c: int) -> list:
+    """Laplacian levels k - (a-c -+ sqrt(delta))/2 and 0 of a strongly
+    regular graph, the root taken to 2**-64 in exact arithmetic so that
+    ``certify`` rounds each level once."""
+    half_root = Fraction(math.isqrt(((a - c) ** 2 + 4 * (k - c)) << 128), 1 << 65)
+    middle = k - Fraction(a - c, 2)
+    return [middle + half_root, middle - half_root, 0]
+
+
+# name -> (builder, parameter names, domain check, exact Laplacian levels
+# lambda_max, lambda_2 and 0 of in-domain parameters).  Each builder runs its
+# family's check; srg names parameters that no builder builds.  The entries
+# are plain tuples: the benchmark's tracer rebinds functions held in those.
+FAMILIES = {
+    "complete": (complete, ("n",), _check_complete, lambda n: [n, n, 0]),
+    "hypercube": (hypercube, ("n",), _check_hypercube, lambda n: [2 * n, 2, 0]),
+    # l >= 1 deleted edges add the level n - 2; l = 0 is the complete graph
+    "complete-minus": (complete_minus_disjoint_edges, ("n", "l"), _check_complete_minus,
+                       lambda n, l: [n, n - 2 if l else n, 0]),
+    # the strongly regular graph (q, (q-1)/2, (q-5)/4, (q-1)/4)
+    "paley": (paley, ("q",), _check_paley,
+              lambda q: _srg_levels(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)),
+    # singleton blocks (k = 1) are the complete graph: the level (m-1)k has
+    # multiplicity m(k-1) = 0
+    "multipartite": (regular_multipartite, ("m", "k"), _check_multipartite,
+                     lambda m, k: [m * k, (m - 1) * k if k > 1 else m * k, 0]),
+    "srg": (None, ("n", "k", "a", "c"), SrgParams, _srg_levels),
+}
+
+
+def _family(name: str, params) -> tuple:
+    """The ``FAMILIES`` entry of ``name``, refused unless it takes as many
+    parameters as ``params`` holds."""
+    if name not in FAMILIES:
+        raise InvalidParameterError(
+            f"unknown family {name!r}; choose from {', '.join(FAMILIES)}"
+        )
+    entry = FAMILIES[name]
+    if len(params) != len(entry[1]):
+        raise InvalidParameterError(
+            f"family {name} takes parameters {' '.join(entry[1])}, got {len(params)}"
+        )
+    return entry
 
 
 def _rows(lo: np.ndarray, gaps: np.ndarray | None = None) -> np.ndarray:
@@ -378,7 +442,8 @@ def export_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_HEADER = re.compile(r'graph\s+(?:"([^"]*)"|(\w+))?\s*\{')
+# After whitespace only, as the CLI's test for a DOT file has it.
+_DOT_HEADER = re.compile(r'\s*graph\s+(?:"([^"]*)"|(\w+))?\s*\{')
 # A body whose every line, split at each '\r' and '\n', is blank, 'v' or
 # 'u -- v' in ASCII digits, spaces and tabs, the last two optionally ended by
 # ';' right after the last digit.
@@ -390,14 +455,15 @@ _DASH_SEMI_TO_SPACE = str.maketrans("-;", "  ")
 def parse_dot(text: str) -> Graph:
     """Parse the DOT subset emitted by ``export_dot``.
 
-    The body between the header's '{' and the last '}' holds lines ended by
-    '\\n', '\\r\\n' or '\\r', each blank, 'v' or 'u -- v', optionally ended by
-    ';' right after the last digit, with spaces and tabs around the tokens;
-    indices are ASCII decimal numbers of at most 18 digits.  The order is the
-    largest index + 1; a body without a vertex is refused.  Any other body is
-    refused, naming its first bad line.
+    Only whitespace may precede the 'graph NAME {' header.  The body between
+    its '{' and the last '}' holds lines ended by '\\n', '\\r\\n' or '\\r', each
+    blank, 'v' or 'u -- v', optionally ended by ';' right after the last
+    digit, with spaces and tabs around the tokens; indices are ASCII decimal
+    numbers of at most 18 digits.  The order is the largest index + 1; a body
+    without a vertex is refused.  Any other text is refused, naming its first
+    bad line.
     """
-    header = _DOT_HEADER.search(text)
+    header = _DOT_HEADER.match(text)
     if header is None:
         raise InvalidParameterError("not a DOT graph")
     name = header.group(1) or header.group(2)
@@ -477,10 +543,14 @@ def _directive(comment: str, n_declared: int | None,
     return n_declared, family
 
 
+# The one line break of every text format: '\n', '\r\n' or '\r'.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
 def _first_refused(text: str, accepts) -> str:
-    """The first line of ``text``, split at each '\\n', '\\r\\n' and '\\r', that
+    """The first line of ``text``, split at each ``_LINE_BREAK``, that
     ``accepts`` refuses; only refused text is split."""
-    return next(line for line in re.split(r"\r\n|\r|\n", text) if not accepts(line))
+    return next(line for line in _LINE_BREAK.split(text) if not accepts(line))
 
 
 # Powers of ten of the digits of a number of at most 18 digits, below 2**63.

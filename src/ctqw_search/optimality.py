@@ -1,17 +1,16 @@
 """Spectral certificate for optimal search of arbitrary marked states, with
-closed-form certifications for the structured graph families."""
+closed-form certification of the named graph families."""
 
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import FloatRangeError, InvalidParameterError
-from .graphs import SrgParams, _check_paley_order
+from .graphs import _family
 from .linalg import SpectralDecomposition, _snap_zero_mode, laplacian_extremes
 from .search import _level_sums, _phased_states, uniform_state
 
@@ -108,58 +107,15 @@ def prove_not_certified(n: int, edges: np.ndarray) -> OptimalityReport | None:
     return None if report.certified else report
 
 
-def certify_induced_complete(n: int, l: int) -> OptimalityReport:
-    """Closed form for the complete graph with l disjoint edges deleted.
-
-    Levels {n, n-2, 0}, so the ratio is n/(n-2) for l >= 1 and the verdict
-    flips to certified at n = 5.  l = 0 is the plain complete graph.
-    """
-    if l < 0 or 2 * l > n:
-        raise InvalidParameterError(f"need 0 <= 2l <= n, got n={n}, l={l}")
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2 vertices, got {n}")
-    return certify([n, n - 2, 0] if l else [n, 0])
-
-
-def certify_hypercube(n: int) -> OptimalityReport:
-    """Closed form for the hypercube on 2**n vertices: levels 2n, ..., 2, 0,
-    so the ratio is n and only n = 1 (the complete graph K_2) is certified."""
-    if n < 1:
-        raise InvalidParameterError(f"hypercube needs n >= 1, got {n}")
-    return certify([2 * n, 2, 0])
-
-
-def certify_srg(params: SrgParams) -> OptimalityReport:
-    """Closed form from strongly-regular-graph parameters.
-
-    Laplacian levels k - (a-c +- sqrt(delta))/2 and 0.  The root is taken to
-    2**-64 in exact arithmetic, so that ``certify`` rounds each level once.
-    """
-    half_root = Fraction(math.isqrt(params.delta << 128), 1 << 65)
-    middle = params.k - Fraction(params.a - params.c, 2)
-    return certify([middle + half_root, middle - half_root, 0])
-
-
-def certify_paley(q: int) -> OptimalityReport:
-    """Closed form for the Paley graph on a prime q = 1 (mod 4), the strongly
-    regular graph (q, (q-1)/2, (q-5)/4, (q-1)/4)."""
-    _check_paley_order(q)
-    return certify_srg(SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4))
-
-
-def certify_multipartite(m: int, k: int) -> OptimalityReport:
-    """Closed form for the regular complete m-partite graph with block size k.
-
-    For k >= 2 the levels are {mk, (m-1)k, 0}: ratio m/(m-1), certified
-    exactly when m >= 3.  Singleton blocks (k = 1) collapse to the complete
-    graph: the (m-1)k eigenvalue has multiplicity m(k-1) = 0, so the ratio
-    is 1.
-    """
-    if m < 2:
-        raise InvalidParameterError(f"multipartite graph needs m >= 2, got {m}")
-    if k < 1:
-        raise InvalidParameterError(f"block size must be >= 1, got {k}")
-    return certify([m * k, (m - 1) * k, 0] if k > 1 else [m, 0])
+def certify_family(name: str, *params: int) -> OptimalityReport:
+    """Certificate of a family of ``graphs.FAMILIES`` from the exact levels
+    of its parameters, with no graph or eigensolver, so any order whose levels
+    fit a float is certified.  An unknown name, a wrong parameter count and
+    parameters outside the family's domain (the check its builder runs) raise
+    InvalidParameterError; the levels raise as ``certify`` does."""
+    _, _, check, levels = _family(name, params)
+    check(*params)
+    return certify(levels(*params))
 
 
 @dataclass(frozen=True)

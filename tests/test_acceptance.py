@@ -9,11 +9,8 @@ import pytest
 
 from ctqw_search import (
     MarkedState,
-    SrgParams,
     certify,
-    certify_induced_complete,
-    certify_multipartite,
-    certify_srg,
+    certify_family,
     compare,
     complete,
     complete_minus_disjoint_edges,
@@ -143,7 +140,7 @@ def test_certification_table():
     not; every closed form matches the eigensolver on the constructed graph."""
     for n in range(4, 21):
         for l in range(1, n // 2 + 1):
-            closed = certify_induced_complete(n, l)
+            closed = certify_family("complete-minus", n, l)
             assert closed.certified == (n >= 5), f"n={n}, l={l}"
             constructed = certify(
                 laplacian_eigenvalues(laplacian(complete_minus_disjoint_edges(n, l)))
@@ -152,22 +149,22 @@ def test_certification_table():
 
     for m in range(2, 9):
         for k in range(2, 5):
-            closed = certify_multipartite(m, k)
+            closed = certify_family("multipartite", m, k)
             assert closed.certified == (m >= 3), f"m={m}, k={k}"
             constructed = certify(
                 laplacian_eigenvalues(laplacian(regular_multipartite(m, k)))
             )
             assert closed.verdict == constructed.verdict, f"m={m}, k={k}"
 
-    srg_report = certify_srg(SrgParams(29, 14, 6, 7))
+    srg_report = certify_family("srg", 29, 14, 6, 7)
     assert srg_report.certified
     paley_report = certify(laplacian_eigenvalues(laplacian(paley(29))))
     assert paley_report.verdict == srg_report.verdict
 
     for k in range(2, 6):
-        assert not certify_multipartite(2, k).certified
+        assert not certify_family("multipartite", 2, k).certified
 
-    petersen = certify_srg(SrgParams(10, 3, 0, 1))
+    petersen = certify_family("srg", 10, 3, 0, 1)
     assert not petersen.certified
     assert petersen.ratio == pytest.approx(2.5, abs=1e-12)
     print("ACCEPTANCE PASS: certification table verdicts match closed forms "

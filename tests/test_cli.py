@@ -119,7 +119,7 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
-    @pytest.mark.parametrize("text", ["0 1\n0 2\n", "3 0.6\n1 0.8\n+3 0.6\n"])
+    @pytest.mark.parametrize("text", ["0 1\n0 2\n", "3 0.6\n1 0.8\n03 0.6\n"])
     def test_state_file_refuses_repeated_vertex(self, capsys, tmp_path, text):
         state = tmp_path / "w.state"
         state.write_text(text)
@@ -204,11 +204,12 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
 
-    # K2 minus its edge, the empty graph, and the one-vertex graph
+    # K2 minus its edge; the empty and the one-vertex graph are outside the
+    # family's domain, as they are outside the complete graph's
     @pytest.mark.parametrize("spec, code, message", [
         ("complete-minus:2,1", 2, "error: disconnected"),
-        ("complete-minus:0,0", 1, "error: vertex 0 out of range for dimension 0"),
-        ("complete-minus:1,0", 2, "error: marked state equals the uniform state")])
+        ("complete-minus:0,0", 1, "error: complete-minus graph needs n >= 2, got 0"),
+        ("complete-minus:1,0", 1, "error: complete-minus graph needs n >= 2, got 1")])
     def test_degenerate_complete_minus(self, capsys, spec, code, message):
         assert run_cli(capsys, "analyze", spec, "single:0") == (code, "", message + "\n")
 
@@ -323,8 +324,8 @@ class TestCertify:
         def refuse(*args, **kwargs):
             raise AssertionError("certify of a named family built a graph or a spectrum")
 
-        for name, (ctor, names, certifier) in cli.FAMILIES.items():
-            monkeypatch.setitem(cli.FAMILIES, name, (ctor and refuse, names, certifier))
+        for name, (build, *rest) in graphs.FAMILIES.items():
+            monkeypatch.setitem(graphs.FAMILIES, name, (build and refuse, *rest))
         for module, attr in [(graphs, "_rows"), (graphs, "laplacian"), (cli, "laplacian"),
                              (linalg, "laplacian_eigenvalues"), (cli, "laplacian_eigenvalues"),
                              (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
@@ -729,11 +730,49 @@ class TestUsage:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("state", ["single:abc", "single:1,2", "pair:0,x", "uniform:1,b"])
-    def test_bad_preset_vertices(self, capsys, state):
-        code, _, err = run_cli(capsys, "analyze", "complete:8", state)
+    @pytest.mark.parametrize("state", ["single:abc", "single:1,2", "pair:0,x", "uniform:1,b",
+                                       "single:1_0", "single:+0", "pair:0,٣", "uniform: 1",
+                                       "file:1_0 0.6\n٣ 0.8\n", "file:0 0.6\x0b1 0.8\n",
+                                       "file:0 0.6\x851 0.8\n", "file:+0 1\n"])
+    def test_bad_preset_vertices(self, capsys, tmp_path, state):
+        if state.startswith("file:"):
+            path = tmp_path / "w.state"
+            path.write_text(state[5:], encoding="utf-8")
+            state = str(path)
+        code, _, err = run_cli(capsys, "analyze", "complete:12", state)
         assert code == 1
         assert len(err.splitlines()) == 1
+
+    # integers are an optional '-' and ASCII digits wherever the CLI reads one
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "complete:1_2", "single:1_0"], "bad family parameters in 'complete:1_2'"),
+        (["certify", "complete:٣"], "bad family parameters in 'complete:٣'"),
+        (["certify", "paley:1_3"], "bad family parameters in 'paley:1_3'"),
+        (["analyze", "complete:+8", "single:+0"], "bad family parameters in 'complete:+8'"),
+        (["certify", "srg", "--grid", "n=1_0", "k=3", "a=0", "c=1"], "bad grid spec 'n=1_0'"),
+        (["family", "complete", "1_2"], "bad family parameters in 'complete:1_2'"),
+        (["simulate", "complete:8", "single:0", "--steps", "1_6"], "bad --steps '1_6'"),
+        (["pair-table", "--bits", "1_6"], "bad --bits '1_6'"),
+        (["certify", "complete:" + "1" * 5000], "bad family parameters in 'complete:"
+         + "1" * 5000 + "'"),
+        (["analyze", "complete:12", "{state}"], "bad state line: '1_0 0.6'"),
+        (["certify", "complete:-3"], "complete graph needs n >= 2, got -3")])
+    def test_integers_outside_the_grammar(self, capsys, tmp_path, argv, message):
+        (tmp_path / "w.state").write_text("1_0 0.6\n٣ 0.8\n", encoding="utf-8")
+        argv = [a.replace("{state}", str(tmp_path / "w.state")) for a in argv]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "hypercube:4,5", "single:0"], "hypercube takes parameters n, got 2"),
+        (["simulate", "hypercube:4,5", "single:0"], "hypercube takes parameters n, got 2"),
+        (["certify", "hypercube:4,5"], "hypercube takes parameters n, got 2"),
+        (["certify", "hypercube", "4", "5"], "hypercube takes parameters n, got 2"),
+        (["family", "hypercube", "4", "5"], "hypercube takes parameters n, got 2"),
+        (["analyze", "complete:4,5", "single:0"], "complete takes parameters n, got 2"),
+        (["certify", "srg:10,3,0"], "srg takes parameters n k a c, got 3"),
+        (["family", "multipartite", "4"], "multipartite takes parameters m k, got 1")])
+    def test_one_message_for_a_wrong_parameter_count(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: family {message}\n")
 
 
 # Sizes are either small and valid or far past every budget, up to past the
@@ -859,7 +898,7 @@ def certify_argv(draw, target):
         return ["certify", name, *params, "--json"]
     if form == "spec":
         return ["certify", target, *draw(st.lists(SIZE.map(str), max_size=1)), "--json"]
-    names = cli.FAMILIES[name][1] if name in cli.FAMILIES else ("n",)
+    names = graphs.FAMILIES[name][1] if name in graphs.FAMILIES else ("n",)
     grid = [f"{p}={lo}..{int(lo) + draw(st.integers(-1, 4))}" for p, lo in zip(names, params)]
     return ["certify", name, "--grid", *grid]
 
@@ -876,6 +915,15 @@ class TestFuzz:
     @example((["certify", "{graph}", "--json"], ("# généré\n0 1\n", ".edges", 2)))
     @example((["certify", "{graph}", "--json"], ("graph G {\n# généré\n}\n", ".dot", 0)))
     @example((["certify", "{graph}", "--json"], ("0 1\n\udcff\n", ".edges", 2)))
+    @example((["analyze", "complete:1_2", "single:1_0"], None))
+    @example((["certify", "complete:٣"], None))
+    @example((["certify", "paley:1_3"], None))
+    @example((["analyze", "complete:+8", "single:+0"], None))
+    @example((["certify", "srg", "--grid", "n=1_0", "k=3", "a=0", "c=1"], None))
+    @example((["family", "complete", "1_2", "--output", "{out}"], None))
+    @example((["simulate", "complete:8", "single:0", "--steps", "1_6"], None))
+    @example((["analyze", "complete:12", "{graph}"], ("1_0 0.6\n٣ 0.8\n", ".state", 0)))
+    @example((["analyze", "complete:12", "{graph}"], ("0 0.6\x0b1 0.8\n", ".state", 0)))
     def test_exit_code_one_line_and_strict_json(self, args):
         args, file = args
         with tempfile.TemporaryDirectory() as tmp:

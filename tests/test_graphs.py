@@ -275,6 +275,13 @@ class TestSerialization:
         for g in ALL_FAMILY_GRAPHS:
             assert parse_edge_list(format_edge_list(g)) == g
 
+    @pytest.mark.parametrize("text", ["digraph G {\n0 -- 1;\n1 -- 2;\n}",
+                                      "strict graph G {\n0 -- 1;\n}", "junk graph G {\n0;\n}"])
+    def test_dot_header_only_after_whitespace(self, text):
+        with pytest.raises(InvalidParameterError, match="not a DOT graph"):
+            parse_dot(text)
+        assert parse_dot(" \n\t" + text[text.index("graph"):]).n_vertices > 0
+
     def test_edge_list_comments_and_inferred_size(self):
         g = parse_edge_list("# a comment\n0 1\n1 2  # trailing\n")
         assert g.n_vertices == 3
@@ -343,7 +350,7 @@ class TestPrimality:
 
     def test_paley_order_past_the_test_bound(self):
         with pytest.raises(InvalidParameterError, match="primality"):
-            graphs._check_paley_order(graphs.PRIME_TEST_LIMIT + 4)
+            graphs._check_paley(graphs.PRIME_TEST_LIMIT + 4)
 
     def test_paley_graph_checks_the_pair_budget_first(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -543,7 +550,7 @@ class TestBuildersMatchPairMask:
     def test_complete(self, n):
         assert_pair_mask_graph(complete(n), n, lambda u, v: u < v, f"complete{{{n}}}")
 
-    @pytest.mark.parametrize("n", range(40))
+    @pytest.mark.parametrize("n", range(2, 40))
     def test_complete_minus(self, n):
         for l in range(n // 2 + 1):
             assert_pair_mask_graph(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctqw_search import cli, optimality
+from ctqw_search import optimality
 from ctqw_search import (
     OPTIMALITY_THRESHOLD,
     DisconnectedGraphError,
@@ -19,9 +19,7 @@ from ctqw_search import (
     MarkedState,
     SrgParams,
     certify,
-    certify_induced_complete,
-    certify_multipartite,
-    certify_srg,
+    certify_family,
     complete,
     complete_minus_disjoint_edges,
     hypercube,
@@ -34,6 +32,7 @@ from ctqw_search import (
     stress_random_states,
     uniform_state,
 )
+from ctqw_search.graphs import FAMILIES
 from ctqw_search.linalg import LanczosExtremes
 from ctqw_search.optimality import prove_not_certified
 from ctqw_search.search import _phased_states as phased_states
@@ -88,38 +87,52 @@ def petersen():
     return Graph.from_edges(10, outer + inner + spokes, family="petersen")
 
 
-# small parameters of every named certificate and the graph of each, for the
-# dense route; srg is checked on the Petersen graph and on Paley(29)
+# small parameters of every named family and the graph of each, for the
+# dense route; srg is checked on the Petersen graph and on Paley(29).  The
+# parameters outside each domain are refused alike by its builder (by
+# ``SrgParams`` for srg) and by ``certify_family``.
 TABLE_CASES = {
-    "complete": [(n,) for n in range(2, 13)],
-    "hypercube": [(n,) for n in range(1, 7)],
-    "complete-minus": [(n, l) for n in range(2, 13) for l in range(n // 2 + 1)],
-    "paley": [(5,), (13,), (17,), (29,)],
-    "multipartite": [(m, k) for m in range(2, 6) for k in range(1, 5)],
-    "srg": [(10, 3, 0, 1), (29, 14, 6, 7)],
+    "complete": [(n,) for n in range(-1, 13)],
+    "hypercube": [(n,) for n in range(-1, 7)],
+    "complete-minus": [(n, l) for n in range(-1, 13) for l in range(-1, n // 2 + 2)],
+    "paley": [(q,) for q in range(-1, 30)],
+    "multipartite": [(m, k) for m in range(-1, 6) for k in range(-1, 5)],
+    "srg": [(10, 3, 0, 1), (29, 14, 6, 7),
+            (1, 5, 10, 6), (-1, 0, 0, 0), (9, 4, 0, 3), (29, 14, 6, 6)],
 }
 SRG_GRAPHS = {(10, 3, 0, 1): petersen, (29, 14, 6, 7): lambda: paley(29)}
 
 
 class TestFamilyTable:
-    """Each entry of the CLI's family table certifies from its parameters what
-    the dense route certifies from the graph those parameters build."""
+    """Each family's builder and ``certify_family`` accept the same
+    parameters, and on them ``certify_family`` certifies what the dense route
+    certifies from the graph the builder builds."""
 
     def test_every_entry_is_covered(self):
-        assert set(TABLE_CASES) == set(cli.FAMILIES)
+        assert set(TABLE_CASES) == set(FAMILIES)
 
     @pytest.mark.parametrize("name", sorted(TABLE_CASES))
     def test_matches_dense_route(self, name):
-        build, _, certifier = cli.FAMILIES[name]
+        build = FAMILIES[name][0]
         for params in TABLE_CASES[name]:
-            g = build(*params) if build else SRG_GRAPHS[params]()
+            try:
+                if build:
+                    g = build(*params)
+                else:
+                    SrgParams(*params)
+                    g = SRG_GRAPHS[params]()
+            except InvalidParameterError as refused:
+                with pytest.raises(type(refused)) as raised:
+                    certify_family(name, *params)
+                assert str(raised.value) == str(refused), (name, params)
+                continue
             try:
                 dense = certify_graph(g)
             except DisconnectedGraphError:
                 with pytest.raises(DisconnectedGraphError):
-                    certifier(*params)
+                    certify_family(name, *params)
                 continue
-            closed = certifier(*params)
+            closed = certify_family(name, *params)
             for field in ("lambda_max", "lambda_min_nonzero", "ratio"):
                 assert getattr(closed, field) == pytest.approx(
                     getattr(dense, field), rel=1e-12), (name, params, field)
@@ -129,13 +142,12 @@ class TestFamilyTable:
             assert closed.verdict == dense.verdict, (name, params)
 
     def test_levels_past_float_range(self):
-        for certifier, params in [(certify_induced_complete, (10**400, 1)),
-                                  (certify_multipartite, (10**400, 2)),
-                                  (optimality.certify_hypercube, (10**308,)),
-                                  # the complete bipartite graph as an SRG
-                                  (certify_srg, (SrgParams(2 * 10**400, 10**400, 0, 10**400),))]:
+        for params in [("complete-minus", 10**400, 1), ("multipartite", 10**400, 2),
+                       ("hypercube", 10**308),
+                       # the complete bipartite graph as an SRG
+                       ("srg", 2 * 10**400, 10**400, 0, 10**400)]:
             with pytest.raises(FloatRangeError):
-                certifier(*params)
+                certify_family(*params)
 
 
 class TestCertify:
@@ -160,7 +172,7 @@ class TestCertify:
         report = certify_graph(regular_multipartite(2, 1))
         assert report.ratio == pytest.approx(1.0, abs=1e-9)
         assert report.certified
-        assert certify_multipartite(2, 1).verdict == report.verdict
+        assert certify_family("multipartite", 2, 1).verdict == report.verdict
 
     def test_hypercubes_not_certified_past_one_bit(self):
         assert certify_graph(hypercube(1)).certified
@@ -177,7 +189,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("n", [10**15, 10**200], ids=["1e15", "1e200"])
     def test_exact_levels_at_any_ratio(self, n):
-        report = optimality.certify_hypercube(n)
+        report = certify_family("hypercube", n)
         assert (report.lambda_min_nonzero, report.verdict) == (2.0, optimality.NOT_CERTIFIED)
         assert report.ratio == pytest.approx(n, rel=1e-15)
         with pytest.raises(DisconnectedGraphError):
@@ -253,28 +265,28 @@ class TestProveNotCertified:
 
 class TestInducedComplete:
     def test_boundary(self):
-        assert certify_induced_complete(4, 1).ratio == pytest.approx(2.0)
-        assert not certify_induced_complete(4, 1).certified
-        assert certify_induced_complete(5, 1).ratio == pytest.approx(5 / 3)
-        assert certify_induced_complete(5, 1).certified
+        assert certify_family("complete-minus", 4, 1).ratio == pytest.approx(2.0)
+        assert not certify_family("complete-minus", 4, 1).certified
+        assert certify_family("complete-minus", 5, 1).ratio == pytest.approx(5 / 3)
+        assert certify_family("complete-minus", 5, 1).certified
 
     def test_figure_graph(self):
-        report = certify_induced_complete(10, 5)
+        report = certify_family("complete-minus", 10, 5)
         assert report.ratio == pytest.approx(1.25)
         assert report.certified
 
     def test_no_deletion_is_complete(self):
-        report = certify_induced_complete(7, 0)
+        report = certify_family("complete-minus", 7, 0)
         assert report.ratio == pytest.approx(1.0)
 
     def test_k2_minus_edge_disconnects(self):
         with pytest.raises(DisconnectedGraphError):
-            certify_induced_complete(2, 1)
+            certify_family("complete-minus", 2, 1)
 
     def test_matches_eigensolver_verdicts(self):
         for n in range(4, 21):
             for l in range(0, n // 2 + 1):
-                closed = certify_induced_complete(n, l)
+                closed = certify_family("complete-minus", n, l)
                 constructed = certify_graph(complete_minus_disjoint_edges(n, l))
                 assert closed.verdict == constructed.verdict
                 assert closed.ratio == pytest.approx(constructed.ratio, abs=1e-8)
@@ -282,19 +294,19 @@ class TestInducedComplete:
 
 class TestSrg:
     def test_paper_parameters_certified(self):
-        report = certify_srg(SrgParams(29, 14, 6, 7))
+        report = certify_family("srg", 29, 14, 6, 7)
         assert report.ratio == pytest.approx(1.456, abs=1e-3)
         assert report.certified
 
     def test_petersen_not_certified(self):
-        report = certify_srg(SrgParams(10, 3, 0, 1))
+        report = certify_family("srg", 10, 3, 0, 1)
         assert report.lambda_max == pytest.approx(5.0)
         assert report.lambda_min_nonzero == pytest.approx(2.0)
         assert report.ratio == pytest.approx(2.5)
         assert not report.certified
 
     def test_matches_paley_construction(self):
-        closed = certify_srg(SrgParams(29, 14, 6, 7))
+        closed = certify_family("srg", 29, 14, 6, 7)
         constructed = certify_graph(paley(29))
         assert closed.verdict == constructed.verdict
         assert closed.lambda_max == pytest.approx(constructed.lambda_max, abs=1e-8)
@@ -304,29 +316,29 @@ class TestSrg:
 
     def test_matches_petersen_construction(self):
         constructed = certify_graph(petersen())
-        closed = certify_srg(SrgParams(10, 3, 0, 1))
+        closed = certify_family("srg", 10, 3, 0, 1)
         assert closed.verdict == constructed.verdict
         assert closed.ratio == pytest.approx(constructed.ratio, abs=1e-8)
 
     def test_disconnected_parameters(self):
         # two disjoint triangles form an SRG with c = 0
         with pytest.raises(DisconnectedGraphError):
-            certify_srg(SrgParams(6, 2, 1, 0))
+            certify_family("srg", 6, 2, 1, 0)
 
 
 class TestMultipartite:
     def test_two_blocks_not_certified(self):
-        assert not certify_multipartite(2, 3).certified
+        assert not certify_family("multipartite", 2, 3).certified
 
     def test_three_blocks_certified(self):
         for k in (2, 3, 5):
-            report = certify_multipartite(3, k)
+            report = certify_family("multipartite", 3, k)
             assert report.ratio == pytest.approx(1.5)
             assert report.certified
-        assert certify_multipartite(3, 1).ratio == pytest.approx(1.0)
+        assert certify_family("multipartite", 3, 1).ratio == pytest.approx(1.0)
 
     def test_figure_graph(self):
-        report = certify_multipartite(4, 4)
+        report = certify_family("multipartite", 4, 4)
         assert report.lambda_max == pytest.approx(16.0)
         assert report.lambda_min_nonzero == pytest.approx(12.0)
         assert report.certified
@@ -334,7 +346,7 @@ class TestMultipartite:
     def test_matches_eigensolver_verdicts(self):
         for m in range(2, 9):
             for k in range(1, 5):
-                closed = certify_multipartite(m, k)
+                closed = certify_family("multipartite", m, k)
                 constructed = certify_graph(regular_multipartite(m, k))
                 assert closed.verdict == constructed.verdict
                 assert closed.ratio == pytest.approx(constructed.ratio, abs=1e-8)

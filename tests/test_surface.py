@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ctqw_search
+import ctqw_search.cli
 from ctqw_search import HypercubeEigenbasis, SpectralDecomposition
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +24,11 @@ ORACLES = ("hamiltonian", "evolve", "amplitude_exact_sum", "overlaps")
 # Line-by-line readers of graph text, kept only as the reference of the
 # readers' property test (``test_graphs``): each format has one reader.
 LINE_LOOPS = ("_edge_list_lines", "_dot_lines")
+# Per-family certificates and the CLI's copies of the family table, replaced
+# by the one table ``graphs.FAMILIES`` and ``optimality.certify_family``.
+FAMILY_CERTIFIERS = ("certify_induced_complete", "certify_hypercube", "certify_paley",
+                     "certify_multipartite", "certify_srg")
+CLI_FAMILY_COPIES = ("FAMILIES", "BUILDABLE", "_family_entry", "_family_graph")
 
 
 def test_public_surface():
@@ -34,6 +40,17 @@ def test_public_surface():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in LINE_LOOPS:
         assert not hasattr(ctqw_search.graphs, name), name
+    for name in FAMILY_CERTIFIERS:
+        assert name not in ctqw_search.__all__ and not hasattr(ctqw_search.optimality, name), name
+    assert "certify_family" in ctqw_search.__all__
+    # the CLI imports the one table by name (the benchmark's self-test reads
+    # it as ``cli.FAMILIES``) and defines none of its own
+    body = ast.parse(inspect.getsource(ctqw_search.cli)).body
+    defined = {getattr(node, "name", None) for node in body}
+    defined |= {target.id for node in body for target in getattr(node, "targets", ())
+                if isinstance(target, ast.Name)}
+    assert not defined & set(CLI_FAMILY_COPIES)
+    assert ctqw_search.cli.FAMILIES is ctqw_search.graphs.FAMILIES
     # both eigenbases answer one level_masses(support, values)
     dense = inspect.signature(SpectralDecomposition.level_masses).parameters
     walsh = inspect.signature(HypercubeEigenbasis.level_masses).parameters
