@@ -44,6 +44,10 @@ GRID_LIMIT = 1 << 16
 # An integer argument, parameter or state-file vertex: an optional '-' and
 # ASCII digits, the digits the graph readers read.
 _INTEGER = re.compile("-?[0-9]+")
+# A real argument or state-file weight: an optional '-', ASCII digits with an
+# optional point and exponent, as ``repr`` writes a float, or inf, infinity
+# or nan in any case, which the range checks then refuse.
+_REAL = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|(?i:inf|infinity|nan))")
 
 
 class _UsageError(Exception):
@@ -68,6 +72,14 @@ def _ints(texts: list[str], what: str) -> list[int]:
             return [int(t) for t in texts]
     except ValueError:  # past the digit limit of int()
         pass
+    raise InvalidParameterError(f"bad {what}")
+
+
+def _real(text: str, what: str) -> float:
+    """``text`` as a float in the ``_REAL`` grammar, else refused as a bad
+    ``what``."""
+    if _REAL.fullmatch(text):
+        return float(text)
     raise InvalidParameterError(f"bad {what}")
 
 
@@ -137,7 +149,7 @@ def _parse_state_file(text: str, n: int) -> MarkedState:
         parts = re.split("[ \t]+", line)
         try:  # a line of other than two fields fails the unpacking
             [vertex] = _ints(parts[:-1], f"state line: {raw!r}")
-            weight = float(parts[-1])
+            weight = _real(parts[-1], f"state line: {raw!r}")
         except ValueError as exc:
             raise InvalidParameterError(f"bad state line: {raw!r}") from exc
         if vertex in amplitudes:
@@ -340,20 +352,16 @@ def cmd_simulate(args) -> int:
         raise InvalidParameterError(f"need at least 2 grid points, got {steps}")
     rate = args.gamma
     if rate != "critical":
-        try:
-            rate = float(rate)
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"--gamma must be 'critical' or a number, got {args.gamma!r}"
-            ) from exc
+        rate = _real(rate, f"--gamma {rate!r} (not 'critical' or a number)")
+    t_max = args.tmax if args.tmax is None else _real(args.tmax, f"--tmax {args.tmax!r}")
 
     hypercube = _hypercube_instance(args.graph, args.state)
     if hypercube:
         n_bits, state = hypercube
-        trace = run_hypercube(n_bits, state, rate, args.tmax, steps)
+        trace = run_hypercube(n_bits, state, rate, t_max, steps)
     else:
         g = _dense_graph(args.graph)
-        trace = run(g, _load_state(args.state, g.n_vertices), rate, args.tmax, steps)
+        trace = run(g, _load_state(args.state, g.n_vertices), rate, t_max, steps)
 
     if args.csv:
         _write_text(args.csv, trace.to_csv())
@@ -404,7 +412,7 @@ def build_parser() -> _Parser:
     p.add_argument("graph", help="family:params or a graph file path")
     p.add_argument("state", help="single:V | pair:U,V | uniform:V1,...,Vk | state file path")
     p.add_argument("--gamma", default="critical", help="jump rate: 'critical' or a number")
-    p.add_argument("--tmax", type=float, default=None, help="grid end time (default twice the optimal time)")
+    p.add_argument("--tmax", help="grid end time (default twice the optimal time)")
     p.add_argument("--steps", default="1024", help="grid point count (default 1024)")
     p.add_argument("--csv", help="write the trace CSV here")
     p.set_defaults(func=cmd_simulate)

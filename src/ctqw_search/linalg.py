@@ -11,6 +11,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DisconnectedGraphError, InvalidInputError, NumericError
+from .graphs import _check_hypercube
 
 SYMMETRY_RTOL = 1e-12
 # c of the level tolerance c * N * eps * lambda_max (``_level_tol``).  Over
@@ -416,12 +417,18 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     floats long, and the passes from C to B on the block itself, whose rows
     are C long.  The passes past B run on column slices of the (N/B, B)
     matrix, B floats at a time.  The copy and one scratch buffer of 3B/4
-    floats are reused throughout.
+    floats are reused throughout.  A block whose 64-bit patterns are all zero,
+    every entry +0.0, skips its passes up to span B and is written as +0.0:
+    so a vector with few nonzero blocks, such as a two-vertex state, pays
+    those passes only for the blocks it occupies.
 
     The result is bit for bit the radix-2 transform's: a radix-4 pass is two
     radix-2 levels with each sum and difference kept, and blocking,
     transposing and slicing change only which independent butterflies run in
     one numpy call, never the operands of a butterfly or the order of levels.
+    A skipped block is exact too: +0.0 + +0.0 and +0.0 - +0.0 are +0.0, so
+    its passes would leave it +0.0 bit for bit.  A block holding -0.0, a NaN,
+    an infinity or a subnormal has a nonzero pattern and runs every pass.
 
     Raises
     ------
@@ -444,6 +451,9 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     transposed = np.empty((cols, block // cols))
     out = np.empty(n)
     for i in range(0, n, block):
+        if not src[i:i + block].view(np.int64).any():
+            out[i:i + block] = 0.0
+            continue
         np.copyto(transposed, src[i:i + block].reshape(-1, cols).T)
         _walsh_rows(transposed, buf)
         rows = out[i:i + block].reshape(-1, cols)
@@ -584,9 +594,16 @@ def _distance_histogram(support: np.ndarray, wv: np.ndarray, n_bits: int) -> np.
 
 def hypercube_eigenbasis(n_bits: int) -> HypercubeEigenbasis:
     """Analytic eigenbasis for the hypercube on 2**n_bits vertices; it allocates
-    nothing of size 2**n_bits until a transform needs it."""
-    if n_bits < 1:
-        raise InvalidInputError(f"hypercube needs n >= 1, got {n_bits}")
+    nothing of size 2**n_bits until a transform needs it.
+
+    Raises
+    ------
+    InvalidParameterError
+        If n_bits is outside the hypercube family's domain (``graphs``' check).
+    InvalidInputError
+        If n_bits exceeds ``MAX_BASIS_BITS``.
+    """
+    _check_hypercube(n_bits)
     if n_bits > MAX_BASIS_BITS:
         raise InvalidInputError(f"hypercube basis with n = {n_bits} exceeds the memory budget")
     return HypercubeEigenbasis(n_bits)

@@ -762,6 +762,38 @@ class TestUsage:
         argv = [a.replace("{state}", str(tmp_path / "w.state")) for a in argv]
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
+    # reals are an optional '-', ASCII digits with a point and exponent, or
+    # inf/nan, which the range checks refuse with their own messages
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "complete:8", "single:0", "--tmax", "1_0"], "bad --tmax '1_0'"),
+        (["simulate", "complete:8", "single:0", "--tmax", "+5"], "bad --tmax '+5'"),
+        (["simulate", "complete:8", "single:0", "--tmax", " 5"], "bad --tmax ' 5'"),
+        (["simulate", "complete:8", "single:0", "--gamma", "٠.١"],
+         "bad --gamma '٠.١' (not 'critical' or a number)"),
+        (["simulate", "complete:8", "single:0", "--gamma", "fast"],
+         "bad --gamma 'fast' (not 'critical' or a number)"),
+        (["simulate", "complete:8", "single:0", "--tmax", "inf"],
+         "t_max must be non-negative and finite, got inf"),
+        (["simulate", "complete:8", "single:0", "--gamma", "NaN"],
+         "jump rate must be positive and finite, got nan"),
+        (["analyze", "complete:12", "1 0_0.8\n"], "bad state line: '1 0_0.8'"),
+        (["analyze", "complete:12", "1 ٠.٨\n"], "bad state line: '1 ٠.٨'"),
+        (["analyze", "complete:12", "1 0.8e\n"], "bad state line: '1 0.8e'")])
+    def test_reals_outside_the_grammar(self, capsys, tmp_path, argv, message):
+        if "\n" in argv[-1]:
+            (tmp_path / "w.state").write_text(argv[-1], encoding="utf-8")
+            argv = argv[:-1] + [str(tmp_path / "w.state")]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @given(st.floats())
+    def test_reals_in_repr_form(self, x):
+        # state files are written with {x!r}: every float reads back as itself
+        got = cli._real(repr(x), "real")
+        if math.isnan(x):  # repr drops a NaN's sign
+            assert math.isnan(got)
+        else:
+            assert (got, math.copysign(1.0, got)) == (x, math.copysign(1.0, x))
+
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "hypercube:4,5", "single:0"], "hypercube takes parameters n, got 2"),
         (["simulate", "hypercube:4,5", "single:0"], "hypercube takes parameters n, got 2"),
@@ -924,6 +956,9 @@ class TestFuzz:
     @example((["simulate", "complete:8", "single:0", "--steps", "1_6"], None))
     @example((["analyze", "complete:12", "{graph}"], ("1_0 0.6\n٣ 0.8\n", ".state", 0)))
     @example((["analyze", "complete:12", "{graph}"], ("0 0.6\x0b1 0.8\n", ".state", 0)))
+    @example((["simulate", "complete:8", "single:0", "--tmax", "1_0", "--gamma", "٠.١"], None))
+    @example((["analyze", "complete:12", "{graph}"], ("1 0_0.8\n", ".state", 0)))
+    @example((["analyze", "complete:12", "{graph}"], ("1 ٠.٨\n", ".state", 0)))
     def test_exit_code_one_line_and_strict_json(self, args):
         args, file = args
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from ctqw_search import (
     DisconnectedGraphError,
     Graph,
     InvalidInputError,
+    InvalidParameterError,
     MarkedState,
     NumericError,
+    certify_family,
     complete,
     complete_minus_disjoint_edges,
     eig_sym,
@@ -324,6 +327,56 @@ class TestFwht:
         assert np.array_equal(fwht(strided), fwht_radix2(strided))
         ints = [int(x) for x in rng.integers(-9, 10, 1 << 10)]
         assert np.array_equal(fwht(ints), fwht_radix2(ints))
+        # all-zero blocks skip their passes: 2**17 and 2**18 are four blocks
+        # each, here occupied by pair vectors, one random block at a time,
+        # and blocks whose only entries other than +0.0 are -0.0, a NaN, an
+        # infinity or a subnormal
+        sparse = []
+        for k in (17, 18):
+            size = 1 << k
+            block = size >> 2
+            for m in range(1, k + 1):
+                v = np.zeros(size)
+                v[[0, (1 << m) - 1]] = 1.0
+                sparse.append(v)
+            for i in range(0, size, block):
+                v = np.zeros(size)
+                v[i:i + block] = rng.standard_normal(block)
+                sparse.append(v)
+                for special in (-0.0, math.nan, math.inf, 5e-324):
+                    v = np.zeros(size)
+                    v[i + 7] = special
+                    sparse.append(v)
+                v = np.zeros(size)
+                v[i:i + block] = -0.0
+                sparse.append(v)
+        spread = np.zeros(1 << 19)
+        spread[1 << 17:1 << 18] = rng.standard_normal(1 << 17)
+        sparse.append(spread[::2])  # a strided view whose block 1 is occupied
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for v in sparse:
+                got, want = fwht(v), fwht_radix2(v)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_zero_blocks_skip_their_passes(self, monkeypatch):
+        # 2**18 floats are four blocks: each block other than +0.0 takes two
+        # passes (transposed and direct), then four column-slice passes run
+        # past the block whatever the input
+        walsh_rows, calls = linalg._walsh_rows, []
+
+        def counted(x, buf):
+            calls.append(x.shape)
+            walsh_rows(x, buf)
+
+        monkeypatch.setattr(linalg, "_walsh_rows", counted)
+        v = np.zeros(1 << 18)
+        v[[0, 5]] = 1.0
+        fwht(v)
+        occupied = len(calls)
+        calls.clear()
+        fwht(np.ones(1 << 18))
+        assert (occupied, len(calls)) == (2 + 4, 8 + 4)
 
     def test_rejects_non_power_of_two(self):
         for size in (0, 3, 6, 12, 1000):
@@ -388,6 +441,15 @@ class TestHypercubeEigenbasis:
                 vectors = dense.eigenvectors[:, dense_block]
                 proj_dense = vectors @ vectors.T
                 assert np.max(np.abs(proj_analytic - proj_dense)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_domain_is_the_family_check(self, n):
+        raised = set()
+        for call in (hypercube_eigenbasis, hypercube, partial(certify_family, "hypercube")):
+            with pytest.raises(InvalidParameterError) as info:
+                call(n)
+            raised.add((type(info.value), str(info.value)))
+        assert raised == {(InvalidParameterError, f"hypercube needs n >= 1, got {n}")}
 
     def test_overlaps_match_matrix(self):
         rng = np.random.default_rng(8)
