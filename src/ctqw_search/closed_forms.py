@@ -187,9 +187,10 @@ def hypercube_exact(n: int, marked: MarkedState) -> tuple[float, float, float]:
     """Exact (gamma_c, beta, p_n) of a marked state via the fast transform.
 
     O(N log N) whatever the support: the state's support and values are
-    scattered into one vector of N = 2**n entries, whose Walsh transform,
-    scaled and squared in place, is grouped by Hamming weight
-    (``HypercubeEigenbasis.transform_masses``).  This is the oracle against
+    scattered into one vector of N = 2**n entries, whose squared Walsh
+    transform is summed by Hamming weight
+    (``HypercubeEigenbasis.transform_masses``), exact up to rounding in any
+    summation order.  This is the oracle against
     which every closed form, and the Krawtchouk route of ``search_params``,
     is checked.
     """

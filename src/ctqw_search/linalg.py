@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -142,8 +142,12 @@ def laplacian_decomposition(q: np.ndarray) -> SpectralDecomposition:
     """Decompose a connected-graph Laplacian, snapping the zero mode exactly.
 
     The smallest eigenvalue is pinned to 0 and its eigenvector replaced by the
-    exact uniform vector, so downstream formulas that divide by eigenvalues or
-    project on the uniform state see no rounding noise.
+    exact uniform vector s, so downstream formulas that divide by eigenvalues or
+    project on the uniform state see no rounding noise.  The other columns
+    have s projected out, V <- V - s (s'V), one O(N**2) update: each carries
+    an O(eps * kappa) rounding component along s, which a state's overlaps
+    would carry, times p_n, into its nonzero levels, the whole of them for a
+    state near s.
 
     Raises
     ------
@@ -156,6 +160,7 @@ def laplacian_decomposition(q: np.ndarray) -> SpectralDecomposition:
     lam = decomp.eigenvalues.copy()
     vec = decomp.eigenvectors.copy()
     _snap_zero_mode(lam)
+    vec[:, :-1] -= vec[:, :-1].mean(axis=0)  # s (s'V) = each column's mean
     vec[:, -1] = 1.0 / math.sqrt(lam.size)
     return SpectralDecomposition(lam, vec)
 
@@ -531,17 +536,29 @@ class HypercubeEigenbasis:
                          values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Levels 2n, 2n-2, ..., 0, one per Hamming weight, and the mass in each
         of the vector with ``values`` on ``support``: its squared overlaps,
-        from the Walsh transform, O(N log N), scaled and squared in place and
-        summed over the indices of each Hamming weight."""
+        from the Walsh transform, O(N log N), summed over the indices of each
+        Hamming weight.
+
+        The squared transform, read as a (2**hi, 2**lo) matrix X with hi + lo
+        = n, has weight-w mass (1/N) * sum of M[a, c] over a + c = w, where M
+        = P_hi' X P_lo and P_b is the (2**b, b+1) one-hot matrix of popcount
+        over b bits: two matrix products and n+1 anti-diagonal sums, with
+        nothing of size N beyond the transform.  Every term is a square, so
+        the grouping is exact up to rounding in any summation order; dividing
+        by N, a power of two, adds none.
+        """
         vec = np.zeros(self.n)
         vec[support] = values
         coeffs = fwht(vec)
         del vec
-        coeffs /= math.sqrt(self.n)
         np.square(coeffs, out=coeffs)
-        masses = np.bincount(_hamming_weights(self.n_bits), weights=coeffs,
-                             minlength=self.n_bits + 1)[::-1]
-        return self._level_values(), masses
+        lo = self.n_bits // 2
+        hi = self.n_bits - lo
+        by_weight = _popcount_one_hot(hi).T @ (
+            coeffs.reshape(1 << hi, 1 << lo) @ _popcount_one_hot(lo))
+        flipped = by_weight[:, ::-1]  # anti-diagonal a + c = w is offset lo - w
+        masses = np.array([flipped.trace(lo - w) for w in range(self.n_bits, -1, -1)])
+        return self._level_values(), masses / self.n
 
     def level_masses(self, support: np.ndarray,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,14 +587,10 @@ class HypercubeEigenbasis:
         return r * r > self.n_bits * self.n
 
 
-@lru_cache(maxsize=1)
-def _hamming_weights(n_bits: int) -> np.ndarray:
-    """popcount(z) of every index z of 2**n_bits, as read-only intp, the index
-    ``bincount`` takes without a cast; the last one built is kept, so a run
-    of transforms of one size builds it once."""
-    weights = np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64)).astype(np.intp)
-    weights.setflags(write=False)
-    return weights
+def _popcount_one_hot(bits: int) -> np.ndarray:
+    """The (2**bits, bits+1) matrix with a one at [z, popcount(z)]."""
+    weights = np.bitwise_count(np.arange(1 << bits, dtype=np.uint64))
+    return (weights[:, None] == np.arange(bits + 1)).astype(float)
 
 
 def _distance_histogram(support: np.ndarray, wv: np.ndarray, n_bits: int) -> np.ndarray:

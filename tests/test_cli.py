@@ -644,11 +644,23 @@ class TestSparseHypercubeState:
         assert code == 0
         assert peak < 1 << n_bits
 
-    def test_pair_table_oracle_is_the_dense_transform(self, capsys):
+    def test_pair_table_oracle_is_the_dense_transform(self, capsys, monkeypatch):
+        # each row's oracle is one dense 2**bits transform, whose level sums
+        # match the conftest grouping to a rounding bound of 8*sqrt(N)*eps
+        # relative, and the row prints hypercube_exact's own values
         bits = 12
+        calls = []
+
+        def counting(vec):
+            calls.append(vec.size)
+            return fwht(vec)
+
+        monkeypatch.setattr(linalg, "fwht", counting)
         code, out, _ = run_cli(capsys, "pair-table", "--bits", str(bits))
         assert code == 0
+        assert calls == [1 << bits] * bits
         levels = 2.0 * np.arange(bits, -1, -1)
+        tol = 8 * math.sqrt(1 << bits) * np.finfo(float).eps
         for m, line in enumerate(out.splitlines()[1:], start=1):
             w = np.zeros(1 << bits)
             w[[0, (1 << m) - 1]] = 1 / math.sqrt(2)
@@ -656,9 +668,12 @@ class TestSparseHypercubeState:
                 levels, transform_level_masses(bits, w)))
             state = MarkedState.pair(1 << bits, 0, (1 << m) - 1)
             assert np.array_equal(state.weights, w)
-            assert hypercube_exact(bits, state) == (gamma_c, beta, p_n)
+            calls.clear()
+            exact = hypercube_exact(bits, state)
+            assert calls == [1 << bits]
+            assert exact == pytest.approx((gamma_c, beta, p_n), rel=tol, abs=0.0)
             closed = general_pair(bits, m).envelope
-            oracle = gamma_c / beta
+            oracle = exact[0] / exact[1]
             assert line == f"{m},{closed:.12g},{oracle:.12g},{abs(closed - oracle):.12g}"
 
     @pytest.mark.parametrize("n_bits", [22, 23])

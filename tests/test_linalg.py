@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -38,6 +39,7 @@ from conftest import (
     evolve,
     random_connected_graph,
     sparse_random_graph,
+    transform_level_masses,
 )
 
 
@@ -115,6 +117,19 @@ class TestLaplacianDecomposition:
         d = laplacian_decomposition(laplacian(complete(5)))
         assert d.eigenvalues[-1] == 0.0
         np.testing.assert_array_equal(d.eigenvectors[:, -1], np.full(5, 1 / math.sqrt(5)))
+
+    def test_other_modes_are_orthogonal_to_uniform(self):
+        # eigh leaves an eigenvector of the 98-vertex path, kappa ~ N**2, a
+        # component of 546 eps along the uniform vector s; projected out,
+        # what remains is the rounding of an N-term sum, and the basis stays
+        # orthonormal, both within N*eps
+        n = 98
+        d = laplacian_decomposition(laplacian(Graph.from_edges(n, [(i, i + 1)
+                                                                  for i in range(n - 1)])))
+        v = d.eigenvectors
+        tol = n * np.finfo(float).eps
+        assert np.abs(v[:, -1] @ v[:, :-1]).max() <= tol
+        assert np.abs(v.T @ v - np.eye(n)).max() <= tol
 
     def test_disconnected_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -450,6 +465,41 @@ class TestHypercubeEigenbasis:
                 call(n)
             raised.add((type(info.value), str(info.value)))
         assert raised == {(InvalidParameterError, f"hypercube needs n >= 1, got {n}")}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.booleans(), st.floats(-15.0, 0.0))
+    def test_transform_masses_match_the_grouping(self, n_bits, seed, dense, log_scale):
+        # every level within c*sqrt(N)*eps of the total mass, c = 8, of the
+        # bincount grouping over Hamming weights: odd and even n, a sparse or
+        # a full support, signed values, squares down to 1e-30
+        rng = np.random.default_rng(seed)
+        n = 1 << n_bits
+        size = n if dense else int(rng.integers(1, min(n, 64) + 1))
+        support = np.sort(rng.choice(n, size, replace=False))
+        values = rng.standard_normal(size) * 10.0**log_scale
+        w = np.zeros(n)
+        w[support] = values
+        levels, masses = hypercube_eigenbasis(n_bits).transform_masses(support, values)
+        want = transform_level_masses(n_bits, w)
+        np.testing.assert_array_equal(levels, 2.0 * np.arange(n_bits, -1, -1))
+        assert masses.shape == want.shape
+        tol = 8 * math.sqrt(n) * np.finfo(float).eps * want.sum()
+        assert np.abs(masses - want).max() <= tol
+
+    def test_transform_masses_keep_nothing_of_size_n(self):
+        # the transform's input and result, 16*N bytes, and its cache-sized
+        # buffers at the peak; no popcount index is built or kept
+        n_bits = 20
+        basis = hypercube_eigenbasis(n_bits)
+        support, values = np.array([0, (1 << n_bits) - 1]), np.full(2, 1 / math.sqrt(2))
+        tracemalloc.start()
+        try:
+            basis.transform_masses(support, values)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 << n_bits
+        assert held < 1 << n_bits
 
     def test_overlaps_match_matrix(self):
         rng = np.random.default_rng(8)

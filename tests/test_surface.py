@@ -40,6 +40,9 @@ def test_public_surface():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in LINE_LOOPS:
         assert not hasattr(ctqw_search.graphs, name), name
+    # hypercube level masses group the squared transform by two one-hot
+    # products, with no popcount index of 2**n entries
+    assert not hasattr(ctqw_search.linalg, "_hamming_weights")
     for name in FAMILY_CERTIFIERS:
         assert name not in ctqw_search.__all__ and not hasattr(ctqw_search.optimality, name), name
     assert "certify_family" in ctqw_search.__all__
