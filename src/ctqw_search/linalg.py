@@ -1,12 +1,15 @@
 """Dense symmetric spectral decompositions, the analytic hypercube eigenbasis,
-the fast Walsh-Hadamard transform, and conjugate-gradient solves and Lanczos
-extreme eigenvalues on a sparse graph Laplacian."""
+the fast Walsh-Hadamard transform, conjugate-gradient solves and Lanczos
+extreme eigenvalues on a sparse graph Laplacian, and a vector's Gauss
+quadrature from Lanczos on a dense one (``KrylovBasis``), all Lanczos runs on
+one recurrence."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +44,16 @@ LANCZOS_MAX_BASIS = 256
 # Residual ||Qy - rho*y|| <= LANCZOS_RESIDUAL * rho_max of a converged extreme
 # Ritz pair, for unit y.
 LANCZOS_RESIDUAL = 1e-10
+# c of the Krylov breakdown test beta_m <= c * sqrt(N) * eps * ||T||: at an
+# invariant subspace of complete(512), multipartite(8, 64) and Paley(1009)
+# beta_m read 1e-17 to 9e-16 times ||T||, under sqrt(N) * eps.
+KRYLOV_BREAKDOWN = 8.0
+# Lanczos steps a quadrature may take before the dense decomposition, N //
+# KRYLOV_BUDGET_DIVISOR but at least KRYLOV_MIN_BUDGET: on random graphs of
+# 500 to 2000 vertices, one thread, N/8 steps on the dense Laplacian cost 0.16
+# to 0.3 of its dense decomposition.
+KRYLOV_BUDGET_DIVISOR = 8
+KRYLOV_MIN_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -315,11 +328,10 @@ def laplacian_extremes(n: int, edges: np.ndarray) -> LanczosExtremes:
     complement s-perp of the uniform vector: lambda_max and lambda_2, by
     Lanczos with Q applied from the edges.
 
-    The start vector is seeded, so the result is deterministic.  Each new
-    basis vector is orthogonalized twice against the whole basis, then its
-    mean is projected out again, without which a spurious Ritz value near 0
-    appears.  The Ritz pairs come from one ``eigh`` of the m x m tridiagonal
-    T, m <= ``LANCZOS_MAX_BASIS``, so no N x N eigensolver runs.
+    The start vector is seeded, so the result is deterministic, and the
+    recurrence is the library's one (``_lanczos``).  The Ritz pairs come from
+    one ``eigh`` of the m x m tridiagonal T, m <= ``LANCZOS_MAX_BASIS``, so
+    no N x N eigensolver runs.
     The pairs are checked every 8 steps, or every m/8 past 64, and the basis
     stops growing when both extreme Ritz vectors y, mean-free and of unit
     norm, have ||Qy - rho*y|| <= ``LANCZOS_RESIDUAL`` * rho_max and
@@ -346,12 +358,38 @@ def laplacian_extremes(n: int, edges: np.ndarray) -> LanczosExtremes:
         raise InvalidInputError(f"Lanczos needs at least two vertices, got {n}")
     apply, scale = _edge_laplacian(n, edges)
     size = min(n - 1, LANCZOS_MAX_BASIS)
-    basis = np.empty((size, n))
-    alpha, beta = np.empty(size), np.empty(size)
     v = np.random.default_rng(0).standard_normal(n)
     v -= v.mean()
     v /= np.linalg.norm(v)
     check = 8
+    for basis, alpha, beta in _lanczos(apply, v, size):
+        steps = alpha.size
+        # a full basis, or an invariant subspace: every Ritz residual is at most beta
+        exhausted = steps == size or beta[-1] <= LANCZOS_RESIDUAL * alpha.max()
+        if exhausted or steps == check:
+            result = _ritz_extremes(apply, basis, alpha, beta[:-1], scale)
+            if result.converged or exhausted:
+                break
+            check += max(8, steps // 8)
+    return result
+
+
+def _lanczos(apply, start: np.ndarray, size: int):
+    """The Lanczos recurrence of the symmetric operator ``apply`` in the
+    complement of the uniform vector, from the unit, mean-free ``start``, for
+    at most ``size`` steps: after step m it yields the m basis rows, the
+    diagonal alpha of the m x m tridiagonal T and beta, whose first m - 1
+    entries are T's off-diagonal and whose last, beta_m, is the norm of the
+    next residual: apply(V) = V T + beta_m v_m e_m' for the basis V.
+
+    Each new vector is orthogonalized twice against the whole basis, then
+    its mean is projected out again, without which a spurious Ritz value
+    near 0 appears.  The views yielded change at the next step; the next
+    vector is formed only when the caller asks for it, so a caller that
+    stops at a breakdown (beta_m at rounding) never divides by it."""
+    basis = np.empty((size, start.size))
+    alpha, beta = np.empty(size), np.empty(size)
+    v = start
     for j in range(size):
         basis[j] = v
         w = apply(v)
@@ -363,17 +401,8 @@ def laplacian_extremes(n: int, edges: np.ndarray) -> LanczosExtremes:
             w -= (basis[:j + 1] @ w) @ basis[:j + 1]
         w -= w.mean()
         beta[j] = np.linalg.norm(w)
-        steps = j + 1
-        # a full basis, or an invariant subspace: every Ritz residual is at most beta
-        exhausted = steps == size or beta[j] <= LANCZOS_RESIDUAL * alpha[:steps].max()
-        if exhausted or steps == check:
-            result = _ritz_extremes(apply, basis[:steps], alpha[:steps], beta[:steps - 1],
-                                    scale)
-            if result.converged or exhausted:
-                break
-            check += max(8, steps // 8)
+        yield basis[:j + 1], alpha[:j + 1], beta[:j + 1]
         v = w / beta[j]
-    return result
 
 
 def _ritz_extremes(apply, basis: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
@@ -400,6 +429,76 @@ def _ritz_extremes(apply, basis: np.ndarray, alpha: np.ndarray, beta: np.ndarray
         delta=float((2 * n + scale / 2 + 4) * np.finfo(float).eps * scale),
         steps=basis.shape[0], converged=converged,
     )
+
+
+@dataclass(frozen=True)
+class KrylovBasis:
+    """A connected-graph Laplacian Q, dense, whose ``level_masses`` gives a
+    vector's spectral measure by Gauss quadrature from Lanczos, and the
+    dense decomposition only when the quadrature cannot settle.
+
+    After m Lanczos steps on the vector's part b orthogonal to the uniform
+    vector, the m-node Gauss rule has the Ritz values of the tridiagonal T as
+    nodes, non-increasing, and ||b||**2 * S[0, k]**2 as weights, S the
+    eigenvectors of T; ``level_masses`` appends the zero level with the
+    vector's mass on it.  ``settled(levels, masses, exact, budget)`` decides
+    on that pair after steps 1, 2, 4, 8, then every 8, or every m/8 past 64,
+    at a breakdown and at the budget's last step, ``exact`` telling that the
+    Krylov space is invariant (beta_m within rounding of ||T||, or every
+    direction taken) and the rule exact to rounding: True takes the pair,
+    False asks for more steps, and None, a measure that cannot settle within
+    ``budget`` steps, takes the dense route at once.
+    """
+
+    laplacian: np.ndarray
+    settled: Callable[[np.ndarray, np.ndarray, bool, int], bool | None]
+
+    @property
+    def n(self) -> int:
+        return self.laplacian.shape[0]
+
+    def level_masses(self, support: np.ndarray,
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss nodes and the zero level, with the weights and the zero-level
+        mass p_n**2 of the vector with ``values`` on the sorted, distinct
+        ``support``: Lanczos on the Laplacian from b/||b||, b = w - p_n*s its
+        part orthogonal to the uniform vector s, with the nodes and weights
+        from ``eig_sym`` of the Jacobi matrix T at each decision of
+        ``settled``, for at most N // ``KRYLOV_BUDGET_DIVISOR`` steps (at
+        least ``KRYLOV_MIN_BUDGET``, at most N - 1).  A vector with b = 0 has
+        the zero level alone.  When ``settled`` gives up, or the budget ends
+        with no quadrature taken, the levels and masses of
+        ``laplacian_decomposition``.
+        """
+        n = self.n
+        w = np.zeros(n)
+        w[support] = values
+        p_n = float(values.sum()) / math.sqrt(n)
+        b = w - w.mean()  # w - p_n*s: s(s'w) is the mean of w
+        b_sq = float(b @ b)
+        if b_sq == 0.0:
+            return np.zeros(1), np.array([p_n * p_n])
+        size = min(n - 1, max(KRYLOV_MIN_BUDGET, n // KRYLOV_BUDGET_DIVISOR))
+        scale = 0.0
+        check = 1
+        for _, alpha, beta in _lanczos(self.laplacian.__matmul__, b / math.sqrt(b_sq), size):
+            steps = alpha.size
+            scale = max(scale, abs(float(alpha[-1])), float(beta[-1]))  # about ||T||
+            exact = (beta[-1] <= KRYLOV_BREAKDOWN * math.sqrt(n) * np.finfo(float).eps * scale
+                     or steps == n - 1)
+            if not (exact or steps == check or steps == size):
+                continue
+            ritz = eig_sym(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+            first = ritz.eigenvectors[0]
+            levels = np.append(ritz.eigenvalues, 0.0)
+            masses = np.append(b_sq * first * first, p_n * p_n)
+            verdict = self.settled(levels, masses, exact, size)
+            if verdict:
+                return levels, masses
+            if verdict is None or exact:
+                break
+            check = 2 * check if check < 8 else check + max(8, steps // 8)
+        return laplacian_decomposition(self.laplacian).level_masses(support, values)
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:

@@ -23,9 +23,10 @@ from .errors import (
     PoleError,
 )
 from .graphs import Graph, _check_graph, _index
-from .linalg import HypercubeEigenbasis, SpectralDecomposition, _level_tol, laplacian_solve
+from .linalg import (HypercubeEigenbasis, KrylovBasis, SpectralDecomposition, _level_tol,
+                     laplacian_solve)
 
-Eigenbasis = Union[SpectralDecomposition, HypercubeEigenbasis]
+Eigenbasis = Union[SpectralDecomposition, HypercubeEigenbasis, KrylovBasis]
 
 # Squared-amplitude floor below which an overlap is treated as exactly zero.
 NEGLIGIBLE_OVERLAP_SQ = 1e-20
@@ -277,7 +278,8 @@ def search_params(basis: Eigenbasis, state: MarkedState) -> SearchParameters:
     The level masses come from ``basis.level_masses`` of the state's support
     and values: grouped overlaps for a dense decomposition; for the
     hypercube, the Krawtchouk kernel on small supports and the Walsh
-    transform on wide ones.
+    transform on wide ones; for a Krylov basis, the Gauss quadrature of the
+    state's spectral measure, whose nodes stand for the levels.
 
     Raises
     ------

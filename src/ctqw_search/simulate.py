@@ -1,5 +1,7 @@
 """Exact search dynamics: time evolution of the uniform state in the reduced
-rank-one basis, peak location, and deviation against the sinusoidal
+rank-one basis, on a graph's Gauss quadrature of the marked state's spectral
+measure (Lanczos, with the dense decomposition as fallback) or on the
+hypercube's levels; peak location, and deviation against the sinusoidal
 approximation."""
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 from .graphs import Graph, _check_graph, laplacian
-from .linalg import hypercube_eigenbasis, laplacian_decomposition
+from .linalg import KrylovBasis, hypercube_eigenbasis
 from .search import (NEGLIGIBLE_OVERLAP_SQ, POLE_GUARD, MarkedState, SearchParameters,
-                     _SecularForm, _secular_roots, amplitude_approx, search_params)
+                     _level_params, _SecularForm, _secular_roots, amplitude_approx,
+                     search_params)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Budget of time-grid points times reduced levels, the phase products of a
@@ -22,6 +25,15 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # hold one float per cell, 32 MiB.
 MAX_TRACE_CELLS = 1 << 22
 PRECISION_LIMIT = 2.0**53
+# The quadrature of ``run`` is taken when gamma_c and beta moved by at most
+# KRYLOV_TOL, relative, and the trace by at most KRYLOV_TOL plus its phase
+# rounding, since the last decision.
+KRYLOV_TOL = 1e-12
+# Lanczos steps a trace needs per radian of rate * lambda_max * t_max: the
+# Krylov error of exp(-iHt)s starts to fall once m passes about a quarter of
+# it (Hochbruck and Lubich, SIAM J. Numer. Anal. 34, 1997); random graphs of
+# 800 and 1000 vertices reached KRYLOV_TOL at 0.55 to 0.6 of it.
+KRYLOV_STEPS_PER_RADIAN = 0.5
 
 
 @dataclass(frozen=True)
@@ -70,17 +82,76 @@ def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",
     """Evolve the uniform state under the search Hamiltonian and trace the
     marked-state amplitude.
 
-    One dense decomposition of the Laplacian, the only one, gives the search
-    parameters; the dynamics then run in the span of the eigenspace components
-    of the marked state, one per distinct Laplacian level of those parameters.
+    The dynamics run in the span of the uniform state s and the Krylov space
+    of the Laplacian Q from b = w - p_n*s, the whole orbit of s under H =
+    rate*Q - w w'.  Lanczos on the dense Q from b (``linalg.KrylovBasis``)
+    gives the m-node Gauss rule of b's spectral measure; with the zero level
+    at mass p_n**2 it reaches ``search_params`` as the state's levels and
+    masses, and the reduced trace runs on them.  The rule is taken when the
+    Krylov space is invariant, or when gamma_c, beta and the trace on the
+    requested grid have settled to ``KRYLOV_TOL`` between two decisions
+    (``_krylov_rule``).  A measure that cannot settle within the step budget,
+    which the rule can foresee from rate * lambda_max * t_max, takes the
+    dense decomposition of the same Q.
 
     ``jump_rate="critical"`` resolves to the critical rate of the instance;
     ``t_max`` defaults to twice the optimal time.  ``t_max=0`` produces the
     single-point trace at t = 0.
     """
     _check_graph(g)
-    params = search_params(laplacian_decomposition(laplacian(g)), w)
+    basis = KrylovBasis(laplacian(g), _krylov_rule(jump_rate, t_max, steps))
+    params = search_params(basis, w)
     return _reduced_trace(_resolve_rate(jump_rate, params), params, t_max, steps)
+
+
+def _krylov_rule(jump_rate: float | str, t_max: float | None, steps: int):
+    """The ``settled(levels, masses, exact, budget)`` of ``run``'s Krylov basis.
+
+    Each decision takes the search parameters of the quadrature, which
+    refuses an orthogonal or degenerate state, a bad rate, t_max or step
+    count as the dense route does, in its order.  A quadrature whose trace
+    would exceed the budget of cells goes to the dense route, which refuses
+    it as before.  An exact quadrature is taken.  Otherwise the rule gives up
+    (None) when ``KRYLOV_STEPS_PER_RADIAN`` * rate * lambda_max * t_max
+    exceeds the budget, with the quadrature's own lambda_max, gamma_c and
+    t_opt; and it takes the quadrature when gamma_c and beta moved by at most
+    ``KRYLOV_TOL``, relative, since the last decision, and the trace on the
+    requested grid (``_krylov_amplitudes``) by at most ``KRYLOV_TOL`` plus its
+    phase rounding."""
+    previous = None
+
+    def settled(levels: np.ndarray, masses: np.ndarray, exact: bool,
+                budget: int) -> bool | None:
+        nonlocal previous
+        params = _level_params(levels, masses, "")
+        rate = _resolve_rate(jump_rate, params)
+        horizon = _horizon(params, t_max, steps)
+        points = steps if horizon > 0.0 else 1
+        if points * levels.size > MAX_TRACE_CELLS:
+            return None  # refused by the trace; with the dense levels, as before
+        if exact:
+            return True
+        if KRYLOV_STEPS_PER_RADIAN * rate * float(levels[0]) * horizon > budget:
+            return None
+        amplitudes, rounding = _krylov_amplitudes(rate, levels, masses, horizon, points)
+        earlier, previous = previous, (params.gamma_c, params.beta, amplitudes)
+        return earlier is not None and (
+            all(abs(new - old) <= KRYLOV_TOL * new for new, old in zip(previous, earlier[:2]))
+            and float(np.abs(amplitudes - earlier[2]).max()) <= KRYLOV_TOL + rounding)
+
+    return settled
+
+
+def _krylov_amplitudes(rate: float, levels: np.ndarray, masses: np.ndarray, horizon: float,
+                       points: int) -> tuple[np.ndarray, float]:
+    """|<c| exp(-iHt) |s>| on the grid of ``points`` points over [0, horizon]
+    for H = rate*diag(levels) - c c', c the roots of the masses and s the
+    zero level, from ``eigh`` of H; and the rounding of its phases by the
+    last time, 4 * eps * max|mu| * horizon."""
+    c = np.sqrt(masses)
+    mu, x = np.linalg.eigh(rate * np.diag(levels) - np.outer(c, c))
+    amplitudes = np.abs(_phase_sums(mu, (c @ x) * x[-1], horizon, points))
+    return amplitudes, 4.0 * float(np.finfo(float).eps * abs(mu).max()) * horizon
 
 
 def run_hypercube(n_bits: int, w: MarkedState,
@@ -140,18 +211,8 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
     """Trace in the basis P_k w / c_k, c_k = ||P_k w||, where H is rate *
     diag(levels) - c c^T, w is c and s is e_0: with eigenvectors c/(rate*levels
     - mu_j) at the secular roots mu_j, <c|exp(-iHt)|s> = sum_j u_j*exp(-i*mu_j*t)
-    for u_j = -c_0/(mu_j*f'(mu_j)).
-
-    The grid t_k = k*dt, k = b*i + r with b = ceil(sqrt(points)), separates:
-    exp(-i*mu*t_k) = exp(-i*mu*b*i*dt) * exp(-i*mu*r*dt), so 2b rows of L
-    phases, the head rows i scaled by u, give every amplitude from one complex
-    product, head @ tail^T, in place of points*L exponentials."""
-    if t_max is None:
-        t_max = 2.0 * params.t_opt
-    if not 0.0 <= t_max < math.inf:
-        raise InvalidParameterError(f"t_max must be non-negative and finite, got {t_max}")
-    if t_max > 0.0 and steps < 2:
-        raise InvalidParameterError(f"need at least 2 grid points, got {steps}")
+    for u_j = -c_0/(mu_j*f'(mu_j)), on the grid of ``_phase_sums``."""
+    t_max = _horizon(params, t_max, steps)
     points = steps if t_max > 0.0 else 1
     levels = params.eigenvalues
     if points * levels.size > MAX_TRACE_CELLS:
@@ -168,15 +229,18 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
             f"jump rate {rate:g} with t_max {t_max:g} exceeds float precision: rate * "
             f"lambda_max must lie within 2**-53 to 2**53, and |mu| * t_max below 2**53"
         )
-    # levels from 0 up; one without mass, or within twice the solver's clamp
-    # of the one below, joins that one, leaving an eigenvalue of weight 0 (the
-    # room the clamp needs to keep the form out of its pole guard); the group
-    # sits at the mass-weighted mean of its massive levels, exact to first
-    # order in their spread, so that late phases do not drift by spread * t,
-    # and a level alone keeps its value
+    # levels from 0 up; one without mass joins the one below, and one with
+    # mass within twice the solver's clamp of the massive one below joins
+    # that one's group, leaving an eigenvalue of weight 0 (the room the clamp
+    # needs to keep the form out of its pole guard); the group sits at the
+    # mass-weighted mean of its massive levels, exact to first order in their
+    # spread, so that late phases do not drift by spread * t, and a level
+    # alone keeps its value.  The gap is taken between massive levels, so a
+    # massless level (a Gauss node of weight ~0 beside a heavy one) chains
+    # no two massive levels together.
     lam, masses = levels[::-1], params.overlaps[::-1] ** 2
-    first = np.flatnonzero((masses > NEGLIGIBLE_OVERLAP_SQ)
-                           & (np.diff(lam, prepend=-np.inf) > 4.0 * POLE_GUARD * lam[-1]))
+    massive = np.flatnonzero(masses > NEGLIGIBLE_OVERLAP_SQ)
+    first = massive[np.diff(lam[massive], prepend=-np.inf) > 4.0 * POLE_GUARD * lam[-1]]
     weight = np.where(masses > NEGLIGIBLE_OVERLAP_SQ, masses, 0.0)
     start = np.zeros(lam.size, dtype=np.intp)
     start[first] = first
@@ -205,11 +269,7 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
         return abs(complex(np.exp(-1j * mu * t) @ u))
 
     times = np.linspace(0.0, t_max, points)
-    b = math.isqrt(points - 1) + 1  # ceil(sqrt(points))
-    dt = t_max / max(points - 1, 1)
-    head = np.exp(-1j * np.outer(np.arange(0, points, b) * dt, mu)) * u
-    tail = np.exp(-1j * np.outer(np.arange(b) * dt, mu))
-    amps = np.abs(head @ tail.T).ravel()[:points]
+    amps = np.abs(_phase_sums(mu, u, t_max, points))
     peak_index = int(np.argmax(amps))
     lo = times[max(peak_index - 1, 0)]
     hi = times[min(peak_index + 1, times.size - 1)]
@@ -227,6 +287,31 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
         jump_rate=rate,
         params=params,
     )
+
+
+def _horizon(params: SearchParameters, t_max: float | None, steps: int) -> float:
+    """t_max, or twice the optimal time for None, after checking it and the
+    number of grid points it needs."""
+    if t_max is None:
+        t_max = 2.0 * params.t_opt
+    if not 0.0 <= t_max < math.inf:
+        raise InvalidParameterError(f"t_max must be non-negative and finite, got {t_max}")
+    if t_max > 0.0 and steps < 2:
+        raise InvalidParameterError(f"need at least 2 grid points, got {steps}")
+    return t_max
+
+
+def _phase_sums(mu: np.ndarray, u: np.ndarray, t_max: float, points: int) -> np.ndarray:
+    """sum_j u_j * exp(-i*mu_j*t_k) on the grid t_k = k*dt of ``points``
+    points over [0, t_max].  With k = b*i + r and b = ceil(sqrt(points)),
+    exp(-i*mu*t_k) = exp(-i*mu*b*i*dt) * exp(-i*mu*r*dt), so 2b rows of L
+    phases, the head rows i scaled by u, give every sum from one complex
+    product, head @ tail^T, in place of points*L exponentials."""
+    b = math.isqrt(points - 1) + 1  # ceil(sqrt(points))
+    dt = t_max / max(points - 1, 1)
+    head = np.exp(-1j * np.outer(np.arange(0, points, b) * dt, mu)) * u
+    tail = np.exp(-1j * np.outer(np.arange(b) * dt, mu))
+    return (head @ tail.T).ravel()[:points]
 
 
 def _golden_max(func, lo: float, hi: float, tol: float) -> float:

@@ -515,6 +515,28 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "complete:8", "single:0", "--steps", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("name, text, state, code, message", [
+        ("g.edges", "0 1\n1 2\n2 3\n", "0 0.5\n1 0.5\n2 -0.5\n3 -0.5\n", 2,
+         "marked state is orthogonal to the uniform state"),
+        ("g.edges", "0 1\n1 2\n2 3\n", "uniform:0,1,2,3", 2,
+         "marked state equals the uniform state"),
+        ("g.edges", "# vertices: 1\n", "single:0", 2, "marked state equals the uniform state"),
+        ("g.edges", "0 1\n2 3\n", "single:0", 2, "disconnected"),
+        ("g.edges", "0 1\n1 2\n1 2\n", "single:0", 1, "invalid graph: edge (1,2): duplicate"),
+        ("g.edges", "0 1\n1 x\n", "single:0", 1, "bad edge-list line: '1 x'"),
+        ("g.dot", "graph G {\n  0 -- 1;\n  1 -- 1;\n}\n", "single:0", 1,
+         "invalid graph: edge (1,1): self-loop")])
+    def test_refused_files_keep_exit_code_and_message(self, capsys, tmp_path, name, text,
+                                                      state, code, message):
+        # the Krylov route refuses what the dense decomposition refused, with
+        # the same exit code and line
+        path = tmp_path / name
+        path.write_text(text)
+        if ":" not in state:
+            (tmp_path / "w.state").write_text(state)
+            state = str(tmp_path / "w.state")
+        assert run_cli(capsys, "simulate", str(path), state) == (code, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("graph", ["complete:8", "hypercube:6"])
     @pytest.mark.parametrize("option", [
         ["--tmax", "nan"], ["--tmax", "inf"], ["--gamma", "nan"], ["--gamma", "inf"]])
@@ -974,6 +996,15 @@ class TestFuzz:
     @example((["simulate", "complete:8", "single:0", "--tmax", "1_0", "--gamma", "٠.١"], None))
     @example((["analyze", "complete:12", "{graph}"], ("1 0_0.8\n", ".state", 0)))
     @example((["analyze", "complete:12", "{graph}"], ("1 ٠.٨\n", ".state", 0)))
+    # simulate of an orthogonal state, a degenerate state, a disconnected
+    # file and malformed ones
+    @example((["simulate", "complete:4", "{graph}"],
+              ("0 0.5\n1 0.5\n2 -0.5\n3 -0.5\n", ".state", 0)))
+    @example((["simulate", "{graph}", "uniform:0,1,2"], ("0 1\n1 2\n", ".edges", 3)))
+    @example((["simulate", "{graph}", "single:0"], ("0 1\n2 3\n", ".edges", 4)))
+    @example((["simulate", "{graph}", "single:0"], ("0 1\n1 2\n1 2\n", ".edges", 3)))
+    @example((["simulate", "{graph}", "single:0", "--gamma", "0.5"],
+              ("graph G {\n  0 -- 1;\n  1 -- 1;\n}\n", ".dot", 2)))
     def test_exit_code_one_line_and_strict_json(self, args):
         args, file = args
         with tempfile.TemporaryDirectory() as tmp:

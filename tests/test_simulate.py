@@ -19,6 +19,8 @@ from ctqw_search import (
     hypercube_eigenbasis,
     laplacian,
     laplacian_decomposition,
+    paley,
+    regular_multipartite,
     run,
     run_hypercube,
     search_params,
@@ -266,25 +268,135 @@ class TestRunHypercube:
 
 class TestOneDecomposition:
     def test_eig_sym_calls(self, monkeypatch):
-        # run decomposes the Laplacian once and finds the rest from the
-        # secular equation; run_hypercube decomposes nothing
+        # run takes its levels from eig_sym of m x m Jacobi matrices, m < N,
+        # and decomposes the N x N Laplacian once only when Lanczos cannot
+        # settle; run_hypercube decomposes nothing
         calls = []
 
         def counting(matrix):
-            calls.append(matrix.shape)
+            calls.append(matrix.shape[0])
             return eig_sym(matrix)
 
         for module in (linalg, search, simulate):  # every name a call could go through
             monkeypatch.setattr(module, "eig_sym", counting, raising=False)
         rng = np.random.default_rng(5)
-        for g in (complete(16), hypercube(4), random_connected_graph(rng, 60, 0.1)):
+        for g in (complete(16), hypercube(4), paley(29), random_connected_graph(rng, 60, 0.1)):
             calls.clear()
             run(g, random_marked_state(rng, g.n_vertices, support=3))
-            assert calls == [(g.n_vertices, g.n_vertices)]
+            assert calls and max(calls) < g.n_vertices
+        # a path's optimal time asks for more Lanczos steps than its budget
+        calls.clear()
+        run(path_graph(200), MarkedState.single(200, 0))
+        assert calls.count(200) == 1 and max(calls) == 200
         calls.clear()
         run_hypercube(6, MarkedState.pair(64, 0, 5))
         run_hypercube(6, MarkedState.from_weights(rng.standard_normal(64)))
         assert calls == []
+
+
+def star_of_stars():
+    """A vertex joined to three centres of five leaves each: 19 vertices,
+    with a Laplacian level 1 of multiplicity 12 beside simple ones."""
+    edges = [(0, c) for c in (1, 2, 3)]
+    edges += [(c, 4 + 5 * (c - 1) + i) for c in (1, 2, 3) for i in range(5)]
+    return Graph.from_edges(19, edges)
+
+
+def path_graph(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def dense_laplacian_calls(monkeypatch):
+    """The sizes of the Laplacians ``laplacian_decomposition`` decomposes
+    from here on: the Krylov basis's dense route."""
+    calls = []
+    decompose = linalg.laplacian_decomposition
+
+    def counting(q):
+        calls.append(q.shape[0])
+        return decompose(q)
+
+    monkeypatch.setattr(linalg, "laplacian_decomposition", counting)
+    return calls
+
+
+class TestKrylovRoute:
+    """``run`` against the dense route: the Laplacian decomposition's search
+    parameters and reduced trace, and the amplitudes of eig_sym of H."""
+
+    def check(self, g, state, rate, t_max, steps=64):
+        dense = instance(g, state)
+        rate = dense.gamma_c * rate
+        horizon = None if t_max is None else t_max * dense.t_opt
+        trace = run(g, state, rate, horizon, steps)
+        params = trace.params
+        # p_n = sum(w)/sqrt(N) is rounded at eps * sum|w| in either route, a
+        # large relative error for a small p_n, which t_opt divides by
+        cond = 8.0 * np.finfo(float).eps * np.abs(state.values).sum() / state.values.sum()
+        for name, rtol in (("gamma_c", 1e-10), ("beta", 1e-10), ("t_opt", 1e-10 + cond)):
+            got, want = getattr(params, name), getattr(dense, name)
+            assert abs(got - want) <= rtol * want, name
+        reference = simulate._reduced_trace(rate, dense, horizon, steps)
+        np.testing.assert_allclose(trace.times, reference.times, rtol=1e-10 + cond, atol=0)
+        # 1e-10 plus the phase rounding of H, eps * ||H|| per unit time, which
+        # passes p_n = 1e-8 near the critical rate a part in 1e7 by t_opt
+        slack = 4.0 * np.finfo(float).eps * max(rate * dense.eigenvalues[0], 1.0)
+        peak_time = max(trace.peak_time, reference.peak_time)
+        assert (abs(trace.peak_probability - reference.peak_probability)
+                <= 1e-10 + slack * peak_time)
+        assert np.all(np.abs(trace.amplitudes - oracle_amplitudes(g, state, trace))
+                      <= 1e-10 + slack * trace.times)
+        return trace
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.sampled_from(DEGENERATE_FAMILIES),
+                     st.builds(random_connected_graph,
+                               st.integers(0, 2**32 - 1).map(np.random.default_rng),
+                               st.integers(3, 200), st.floats(0.0, 0.3))),
+           st.integers(0, 2**32 - 1), st.floats(-8.0, math.log10(0.99)), st.floats(-3.0, 3.0),
+           st.one_of(st.none(), st.floats(0.0, 50.0)))
+    # breakdown: one step on the complete graph, two on the multipartite one
+    @example(complete(40), 1, -1.0, 0.0, None)
+    @example(regular_multipartite(4, 10), 2, -0.5, 0.0, 3.0)
+    # convergence before the budget, and the dense route for a path whose
+    # optimal time asks for more steps than it has
+    @example(random_connected_graph(np.random.default_rng(3), 200, 0.05), 4, -0.3, 0.0, None)
+    @example(random_connected_graph(np.random.default_rng(5), 200, 0.1), 6, -1.0, 0.5, 2.0)
+    @example(path_graph(120), 7, -1.0, 0.0, None)
+    # trees, whose beta converges slowly: the quadrature of the decision
+    # before the one taken, or a stop tolerance 1e4 times looser, misses
+    # gamma_c or beta by more than 1e-10 here
+    @example(random_connected_graph(np.random.default_rng(896198823), 63, 3.556727354963041e-05),
+             2828720907, -0.9915482831391627, -1.9522000382918212, None)
+    @example(random_connected_graph(np.random.default_rng(4180299864), 66, 0.006607430158958739),
+             109568983, -0.6152627937846218, -0.9375965139450191, 0.18470999407708077)
+    @example(random_connected_graph(np.random.default_rng(265740349), 180, 0.003001930865902718),
+             1010353087, -0.3356172935863031, -0.8729426463979513, None)
+    @example(random_connected_graph(np.random.default_rng(1002226460), 141, 0.0015418340902122042),
+             3837072417, -0.10700725313816473, -0.16974888829502044, None)
+    def test_matches_dense_route(self, g, seed, log_p_n, log_rate, t_max):
+        state = random_marked_state(np.random.default_rng(seed), g.n_vertices,
+                                    p_n=10.0**log_p_n)
+        self.check(g, state, 10.0**log_rate, t_max)
+
+    @pytest.mark.parametrize("g, steps", [(complete(64), 1), (regular_multipartite(8, 8), 2),
+                                          (paley(61), 2)])
+    def test_breakdown_is_exact(self, monkeypatch, g, steps):
+        # an invariant Krylov space ends the quadrature: one node per level
+        # the state reaches, with no dense decomposition
+        dense = dense_laplacian_calls(monkeypatch)
+        trace = self.check(g, MarkedState.single(g.n_vertices, 0), 1.0, None)
+        assert trace.params.eigenvalues.size == steps + 1
+        assert dense == []
+
+    def test_converged_and_fallback_routes(self, monkeypatch):
+        dense = dense_laplacian_calls(monkeypatch)
+        g = random_connected_graph(np.random.default_rng(3), 200, 0.05)
+        trace = self.check(g, random_marked_state(np.random.default_rng(4), 200, p_n=0.5),
+                           1.0, None)
+        assert dense == [] and 2 < trace.params.eigenvalues.size < 200
+        self.check(path_graph(120), MarkedState.single(120, 0), 1.0, None)
+        assert dense == [120]
 
 
 def oracle_trace(levels, c, rate, times):
@@ -335,6 +447,22 @@ class TestReducedTrace:
         assert np.all(np.abs(trace.amplitudes - oracle) <= 1e-10 + slack)
         # the weights sum to p_n
         assert abs(trace.amplitudes[0] - params.p_n) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-15, 1e-13])
+    def test_massless_level_chains_no_massive_ones(self, offset):
+        # a level of mass ~0 just below a heavy one, as a Gauss quadrature
+        # gives beside a large eigenspace, joins the level below it; the heavy
+        # one must not join that group through it
+        params = instance(star_of_stars(), MarkedState.single(19, 4))
+        levels, masses = np.array(params.eigenvalues), np.array(params.a_k)
+        k = int(np.argmax(masses[:-1]))
+        levels = np.insert(levels, k + 1, levels[k] * (1.0 - offset))
+        masses = np.insert(masses, k + 1, 1e-25)
+        params = _level_params(levels, masses, "")
+        for rate in (params.gamma_c, 0.01 * params.gamma_c):
+            trace = simulate._reduced_trace(rate, params, None, 64)
+            oracle, slack = oracle_trace(levels, params.overlaps, rate, trace.times)
+            assert np.all(np.abs(trace.amplitudes - oracle) <= 1e-10 + slack)
 
     def test_roots_evaluated_while_live(self, monkeypatch):
         # 20 levels split 1e-13 to 1e-6 apart and 10 masses down to 1e-19:

@@ -15,6 +15,7 @@ import pytest
 import ctqw_search
 import ctqw_search.cli
 from ctqw_search import HypercubeEigenbasis, SpectralDecomposition
+from ctqw_search.linalg import KrylovBasis
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -54,10 +55,11 @@ def test_public_surface():
                 if isinstance(target, ast.Name)}
     assert not defined & set(CLI_FAMILY_COPIES)
     assert ctqw_search.cli.FAMILIES is ctqw_search.graphs.FAMILIES
-    # both eigenbases answer one level_masses(support, values)
+    # every basis answers one level_masses(support, values)
     dense = inspect.signature(SpectralDecomposition.level_masses).parameters
-    walsh = inspect.signature(HypercubeEigenbasis.level_masses).parameters
-    assert list(dense.values()) == list(walsh.values())
+    for basis in (HypercubeEigenbasis, KrylovBasis):
+        assert list(inspect.signature(basis.level_masses).parameters.values()) == list(
+            dense.values())
     assert list(dense) == ["self", "support", "values"]
 
 
