@@ -1,8 +1,10 @@
 """Dense symmetric spectral decompositions, the analytic hypercube eigenbasis,
 the fast Walsh-Hadamard transform, conjugate-gradient solves and Lanczos
 extreme eigenvalues on a sparse graph Laplacian, and a vector's Gauss
-quadrature from Lanczos on a dense one (``KrylovBasis``), all Lanczos runs on
-one recurrence."""
+quadrature from Lanczos on a dense one (``KrylovBasis``).  Both Lanczos runs
+are loops over one driver (``_lanczos``), which alone decides when a run is
+looked at, detects its breakdown, and solves its Jacobi matrix by
+``eig_sym``; each caller keeps only its step cap and its stop rule."""
 
 from __future__ import annotations
 
@@ -37,9 +39,9 @@ FWHT_COLUMN_BITS = 8
 CG_STEPS_PER_VERTEX = 10
 # c of the conjugate-gradient stop ||b - Qx|| <= c * eps * (2*d_max*||x|| + ||b||).
 CG_BACKWARD_ERROR = 8.0
-# Largest Lanczos basis: N times this many floats, and O(N * m**2) flops of
-# reorthogonalization; the extremes of random sparse graphs of 1000 to 4000
-# vertices converge in under 100 steps.
+# Step cap of ``laplacian_extremes``: N times this many floats of basis, and
+# O(N * m**2) flops of reorthogonalization; the extremes of random sparse
+# graphs of 1000 to 4000 vertices converge in under 100 steps.
 LANCZOS_MAX_BASIS = 256
 # Residual ||Qy - rho*y|| <= LANCZOS_RESIDUAL * rho_max of a converged extreme
 # Ritz pair, for unit y.
@@ -328,16 +330,15 @@ def laplacian_extremes(n: int, edges: np.ndarray) -> LanczosExtremes:
     complement s-perp of the uniform vector: lambda_max and lambda_2, by
     Lanczos with Q applied from the edges.
 
-    The start vector is seeded, so the result is deterministic, and the
-    recurrence is the library's one (``_lanczos``).  The Ritz pairs come from
-    one ``eigh`` of the m x m tridiagonal T, m <= ``LANCZOS_MAX_BASIS``, so
-    no N x N eigensolver runs.
-    The pairs are checked every 8 steps, or every m/8 past 64, and the basis
-    stops growing when both extreme Ritz vectors y, mean-free and of unit
-    norm, have ||Qy - rho*y|| <= ``LANCZOS_RESIDUAL`` * rho_max and
-    |theta - rho| within the same bound, where rho = y'Qy is evaluated on y
-    itself; or when it reaches ``LANCZOS_MAX_BASIS`` vectors, or all of
-    s-perp, and ``converged`` is false unless the check passed.
+    The start vector is seeded, so the result is deterministic.  The run is
+    the library's one driver (``_lanczos``), for at most
+    ``LANCZOS_MAX_BASIS`` steps: at each of its looks the extreme Ritz pairs
+    come from its ``eig_sym`` of the m x m Jacobi matrix, so no N x N
+    eigensolver runs, and the run stops when both extreme Ritz vectors y,
+    mean-free and of unit norm, have ||Qy - rho*y|| <= ``LANCZOS_RESIDUAL``
+    * rho_max and |theta - rho| within the same bound, where rho = y'Qy is
+    evaluated on y itself; or when the driver stops, at a breakdown or at
+    the step cap, and ``converged`` is false unless the check passed.
 
     Each rho is the Rayleigh quotient of a vector of s-perp, so rho_max <=
     lambda_max and rho_min >= lambda_2 whether or not the iteration
@@ -357,39 +358,41 @@ def laplacian_extremes(n: int, edges: np.ndarray) -> LanczosExtremes:
     if n < 2:
         raise InvalidInputError(f"Lanczos needs at least two vertices, got {n}")
     apply, scale = _edge_laplacian(n, edges)
-    size = min(n - 1, LANCZOS_MAX_BASIS)
     v = np.random.default_rng(0).standard_normal(n)
     v -= v.mean()
     v /= np.linalg.norm(v)
-    check = 8
-    for basis, alpha, beta in _lanczos(apply, v, size):
-        steps = alpha.size
-        # a full basis, or an invariant subspace: every Ritz residual is at most beta
-        exhausted = steps == size or beta[-1] <= LANCZOS_RESIDUAL * alpha.max()
-        if exhausted or steps == check:
-            result = _ritz_extremes(apply, basis, alpha, beta[:-1], scale)
-            if result.converged or exhausted:
-                break
-            check += max(8, steps // 8)
+    for basis, ritz, _ in _lanczos(apply, v, min(n - 1, LANCZOS_MAX_BASIS)):
+        result = _ritz_extremes(apply, basis, ritz, scale)
+        if result.converged:
+            break
     return result
 
 
 def _lanczos(apply, start: np.ndarray, size: int):
-    """The Lanczos recurrence of the symmetric operator ``apply`` in the
-    complement of the uniform vector, from the unit, mean-free ``start``, for
-    at most ``size`` steps: after step m it yields the m basis rows, the
-    diagonal alpha of the m x m tridiagonal T and beta, whose first m - 1
-    entries are T's off-diagonal and whose last, beta_m, is the norm of the
-    next residual: apply(V) = V T + beta_m v_m e_m' for the basis V.
+    """The one Lanczos driver: the recurrence of the symmetric operator
+    ``apply`` in the complement of the uniform vector, from the unit,
+    mean-free ``start``, for at most ``size`` steps, with the one schedule,
+    breakdown rule and Jacobi eigensolve of every run on it.
+
+    After step m, apply(V) = V T + beta_m v_m e_m' for the m basis rows V,
+    the m x m Jacobi matrix T and beta_m the norm of the next residual.  The
+    run is looked at after steps 1, 2, 4, 8, then every 8, or every m/8 past
+    64, and at step ``size``; each look yields V, ``eig_sym`` of T (Ritz
+    values non-increasing, Ritz coefficient columns) and ``exact``.  The run
+    stops at a breakdown, which is looked at with ``exact`` true: beta_m <=
+    ``KRYLOV_BREAKDOWN`` * sqrt(N) * eps * ||T||, ||T|| the running maximum
+    of |alpha| and beta, or m = N - 1.  The Krylov space is then invariant
+    and every Ritz value exact to rounding, and the next vector, rounding
+    over beta_m, is never formed.
 
     Each new vector is orthogonalized twice against the whole basis, then
     its mean is projected out again, without which a spurious Ritz value
-    near 0 appears.  The views yielded change at the next step; the next
-    vector is formed only when the caller asks for it, so a caller that
-    stops at a breakdown (beta_m at rounding) never divides by it."""
-    basis = np.empty((size, start.size))
+    near 0 appears.  The basis view yielded changes at the next step."""
+    n = start.size
+    basis = np.empty((size, n))
     alpha, beta = np.empty(size), np.empty(size)
-    v = start
+    breakdown = KRYLOV_BREAKDOWN * math.sqrt(n) * np.finfo(float).eps
+    v, norm, look = start, 0.0, 1
     for j in range(size):
         basis[j] = v
         w = apply(v)
@@ -401,21 +404,28 @@ def _lanczos(apply, start: np.ndarray, size: int):
             w -= (basis[:j + 1] @ w) @ basis[:j + 1]
         w -= w.mean()
         beta[j] = np.linalg.norm(w)
-        yield basis[:j + 1], alpha[:j + 1], beta[:j + 1]
+        m = j + 1
+        norm = max(norm, abs(float(alpha[j])), float(beta[j]))
+        exact = beta[j] <= breakdown * norm or m == n - 1
+        if exact or m == look or m == size:
+            t = np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
+            yield basis[:m], eig_sym(t), exact
+            if exact:
+                return
+            look = 2 * look if look < 8 else look + max(8, m // 8)
         v = w / beta[j]
 
 
-def _ritz_extremes(apply, basis: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+def _ritz_extremes(apply, basis: np.ndarray, ritz: SpectralDecomposition,
                    scale: float) -> LanczosExtremes:
-    """The extreme Ritz pairs of the Lanczos ``basis`` rows and tridiagonal
-    (``alpha``, ``beta``), checked on the explicit Ritz vectors."""
+    """The extreme Ritz pairs of the Lanczos ``basis`` rows and ``ritz``, the
+    decomposition of their Jacobi matrix, checked on the explicit Ritz
+    vectors."""
     n = basis.shape[1]
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    theta, s = np.linalg.eigh(t)
-    ends = (float(theta[-1]), float(theta[0]))
+    ends = (float(ritz.eigenvalues[0]), float(ritz.eigenvalues[-1]))
     rho, residual = [], []
-    for col in (-1, 0):
-        y = s[:, col] @ basis
+    for col in (0, -1):
+        y = ritz.eigenvectors[:, col] @ basis
         y -= y.mean()
         y /= np.linalg.norm(y)
         qy = apply(y)
@@ -438,16 +448,15 @@ class KrylovBasis:
     dense decomposition only when the quadrature cannot settle.
 
     After m Lanczos steps on the vector's part b orthogonal to the uniform
-    vector, the m-node Gauss rule has the Ritz values of the tridiagonal T as
-    nodes, non-increasing, and ||b||**2 * S[0, k]**2 as weights, S the
+    vector, the m-node Gauss rule has the Ritz values of the Jacobi matrix T
+    as nodes, non-increasing, and ||b||**2 * S[0, k]**2 as weights, S the
     eigenvectors of T; ``level_masses`` appends the zero level with the
     vector's mass on it.  ``settled(levels, masses, exact, budget)`` decides
-    on that pair after steps 1, 2, 4, 8, then every 8, or every m/8 past 64,
-    at a breakdown and at the budget's last step, ``exact`` telling that the
-    Krylov space is invariant (beta_m within rounding of ||T||, or every
-    direction taken) and the rule exact to rounding: True takes the pair,
-    False asks for more steps, and None, a measure that cannot settle within
-    ``budget`` steps, takes the dense route at once.
+    on that pair at each look of the driver (``_lanczos``), ``exact``
+    telling that it stopped at a breakdown and the rule is exact to
+    rounding: True takes the pair, False asks for more steps, and None, a
+    measure that cannot settle within ``budget`` steps, takes the dense
+    route at once.
     """
 
     laplacian: np.ndarray
@@ -461,14 +470,13 @@ class KrylovBasis:
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gauss nodes and the zero level, with the weights and the zero-level
         mass p_n**2 of the vector with ``values`` on the sorted, distinct
-        ``support``: Lanczos on the Laplacian from b/||b||, b = w - p_n*s its
-        part orthogonal to the uniform vector s, with the nodes and weights
-        from ``eig_sym`` of the Jacobi matrix T at each decision of
-        ``settled``, for at most N // ``KRYLOV_BUDGET_DIVISOR`` steps (at
-        least ``KRYLOV_MIN_BUDGET``, at most N - 1).  A vector with b = 0 has
-        the zero level alone.  When ``settled`` gives up, or the budget ends
-        with no quadrature taken, the levels and masses of
-        ``laplacian_decomposition``.
+        ``support``: the driver (``_lanczos``) on the Laplacian from b/||b||,
+        b = w - p_n*s its part orthogonal to the uniform vector s, for at most
+        N // ``KRYLOV_BUDGET_DIVISOR`` steps (at least ``KRYLOV_MIN_BUDGET``,
+        at most N - 1), with the nodes and weights from its decomposition of
+        the Jacobi matrix at each look.  A vector with b = 0 has the zero
+        level alone.  When ``settled`` gives up, or the run ends with no
+        quadrature taken, the levels and masses of ``laplacian_decomposition``.
         """
         n = self.n
         w = np.zeros(n)
@@ -479,25 +487,15 @@ class KrylovBasis:
         if b_sq == 0.0:
             return np.zeros(1), np.array([p_n * p_n])
         size = min(n - 1, max(KRYLOV_MIN_BUDGET, n // KRYLOV_BUDGET_DIVISOR))
-        scale = 0.0
-        check = 1
-        for _, alpha, beta in _lanczos(self.laplacian.__matmul__, b / math.sqrt(b_sq), size):
-            steps = alpha.size
-            scale = max(scale, abs(float(alpha[-1])), float(beta[-1]))  # about ||T||
-            exact = (beta[-1] <= KRYLOV_BREAKDOWN * math.sqrt(n) * np.finfo(float).eps * scale
-                     or steps == n - 1)
-            if not (exact or steps == check or steps == size):
-                continue
-            ritz = eig_sym(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        for _, ritz, exact in _lanczos(self.laplacian.__matmul__, b / math.sqrt(b_sq), size):
             first = ritz.eigenvectors[0]
             levels = np.append(ritz.eigenvalues, 0.0)
             masses = np.append(b_sq * first * first, p_n * p_n)
             verdict = self.settled(levels, masses, exact, size)
             if verdict:
                 return levels, masses
-            if verdict is None or exact:
+            if verdict is None:
                 break
-            check = 2 * check if check < 8 else check + max(8, steps // 8)
         return laplacian_decomposition(self.laplacian).level_masses(support, values)
 
 

@@ -1,8 +1,7 @@
 """Exact search dynamics: time evolution of the uniform state in the reduced
 rank-one basis, on a graph's Gauss quadrature of the marked state's spectral
 measure (Lanczos, with the dense decomposition as fallback) or on the
-hypercube's levels; peak location, and deviation against the sinusoidal
-approximation."""
+hypercube's levels, and the peak location."""
 
 from __future__ import annotations
 
@@ -11,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidParameterError
 from .graphs import Graph, _check_graph, laplacian
 from .linalg import KrylovBasis, hypercube_eigenbasis
 from .search import (NEGLIGIBLE_OVERLAP_SQ, POLE_GUARD, MarkedState, SearchParameters,
-                     _level_params, _SecularForm, _secular_roots, amplitude_approx,
-                     search_params)
+                     _level_params, _SecularForm, _secular_roots, search_params)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Budget of time-grid points times reduced levels, the phase products of a
@@ -65,16 +63,6 @@ class EvolutionTrace:
         for t, amp in zip(self.times, self.amplitudes):
             lines.append(f"{t:.12g},{amp:.12g},{amp * amp:.12g}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    """Grid deviations between an exact trace and the sinusoidal approximation."""
-
-    max_abs_deviation: float
-    rms_deviation: float
-    peak_time_rel_dev: float
-    peak_value_rel_dev: float
 
 
 def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",
@@ -166,31 +154,6 @@ def run_hypercube(n_bits: int, w: MarkedState,
     """
     params = search_params(hypercube_eigenbasis(n_bits), w)
     return _reduced_trace(_resolve_rate(jump_rate, params), params, t_max, steps)
-
-
-def compare(trace: EvolutionTrace, params: SearchParameters) -> DeviationReport:
-    """Deviations of an exact trace from the sinusoidal approximation.
-
-    The trace must come from the same marked state at the critical jump rate,
-    where the approximation is defined.
-    """
-    if trace.state_digest != params.state_digest:
-        raise InvalidInputError("trace and parameters describe different marked states")
-    if abs(trace.jump_rate - params.gamma_c) > 1e-9 * max(params.gamma_c, 1e-300):
-        raise InvalidInputError(
-            f"trace ran at jump rate {trace.jump_rate}, parameters require the "
-            f"critical rate {params.gamma_c}"
-        )
-    if trace.times.size < 2:
-        raise InvalidInputError("trace has fewer than two grid points")
-    dev = np.abs(trace.amplitudes - amplitude_approx(params, trace.times))
-    peak_amp = math.sqrt(trace.peak_probability)
-    return DeviationReport(
-        max_abs_deviation=float(dev.max()),
-        rms_deviation=float(math.sqrt(np.mean(dev**2))),
-        peak_time_rel_dev=abs(trace.peak_time - params.t_opt) / params.t_opt,
-        peak_value_rel_dev=abs(peak_amp - params.envelope) / params.envelope,
-    )
 
 
 def _resolve_rate(jump_rate: float | str, params: SearchParameters) -> float:

@@ -1,5 +1,6 @@
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ctqw_search import (
     InvalidInputError,
     InvalidParameterError,
     MarkedState,
+    amplitude_approx,
     complete,
     complete_minus_disjoint_edges,
     fwht,
@@ -63,6 +65,10 @@ def random_connected_graph(rng, n, p):
     edges = {(int(rng.integers(v)), v) for v in range(1, n)}
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
     return Graph.from_edges(n, edges)
+
+
+def path_graph(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def sparse_random_graph(rng, n, degree):
@@ -172,3 +178,41 @@ def amplitude_exact_sum(decomp_h, w, s, t):
     if t_arr.ndim == 0:
         return complex(result)
     return result
+
+
+# The deviation of a trace from the sinusoidal approximation, which no
+# production route computes (the CLI's peak_deviation is its own).
+
+@dataclass(frozen=True)
+class DeviationReport:
+    """Grid deviations between an exact trace and the sinusoidal approximation."""
+
+    max_abs_deviation: float
+    rms_deviation: float
+    peak_time_rel_dev: float
+    peak_value_rel_dev: float
+
+
+def compare(trace, params):
+    """Deviations of an exact trace from the sinusoidal approximation.
+
+    The trace must come from the same marked state at the critical jump rate,
+    where the approximation is defined.
+    """
+    if trace.state_digest != params.state_digest:
+        raise InvalidInputError("trace and parameters describe different marked states")
+    if abs(trace.jump_rate - params.gamma_c) > 1e-9 * max(params.gamma_c, 1e-300):
+        raise InvalidInputError(
+            f"trace ran at jump rate {trace.jump_rate}, parameters require the "
+            f"critical rate {params.gamma_c}"
+        )
+    if trace.times.size < 2:
+        raise InvalidInputError("trace has fewer than two grid points")
+    dev = np.abs(trace.amplitudes - amplitude_approx(params, trace.times))
+    peak_amp = math.sqrt(trace.peak_probability)
+    return DeviationReport(
+        max_abs_deviation=float(dev.max()),
+        rms_deviation=float(math.sqrt(np.mean(dev**2))),
+        peak_time_rel_dev=abs(trace.peak_time - params.t_opt) / params.t_opt,
+        peak_value_rel_dev=abs(peak_amp - params.envelope) / params.envelope,
+    )

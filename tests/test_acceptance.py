@@ -11,7 +11,6 @@ from ctqw_search import (
     MarkedState,
     certify,
     certify_family,
-    compare,
     complete,
     complete_minus_disjoint_edges,
     compose_inclusion_exclusion,
@@ -33,7 +32,7 @@ from ctqw_search import (
     stress_random_states,
     weight1_uniform,
 )
-from conftest import hamiltonian, random_marked_state
+from conftest import compare, hamiltonian, random_marked_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -275,6 +275,21 @@ class TestSerialization:
         for g in ALL_FAMILY_GRAPHS:
             assert parse_edge_list(format_edge_list(g)) == g
 
+    @pytest.mark.parametrize("export", [format_edge_list, export_dot])
+    def test_peak_memory_is_a_small_multiple_of_the_text(self, export):
+        # formatted a block of rows at a time: 4.2 and 2.8 times the text of
+        # complete(1024), where formatting every row at once peaked at 24.6
+        # and 14.4 times
+        g = complete(1024)
+        tracemalloc.start()
+        try:
+            text = export(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges) > 4 * graphs.EXPORT_BLOCK
+        assert peak <= 8 * len(text)
+
     @pytest.mark.parametrize("text", ["digraph G {\n0 -- 1;\n1 -- 2;\n}",
                                       "strict graph G {\n0 -- 1;\n}", "junk graph G {\n0;\n}"])
     def test_dot_header_only_after_whitespace(self, text):

@@ -37,6 +37,7 @@ from conftest import (
     basis_eigenvalues,
     basis_overlaps,
     evolve,
+    path_graph,
     random_connected_graph,
     sparse_random_graph,
     transform_level_masses,
@@ -303,6 +304,38 @@ class TestLaplacianExtremes:
         # unconverged Ritz values still bound the spectrum from inside
         assert ritz.rho_max <= 2 - 2 * math.cos(99 * math.pi / 100) + ritz.delta
         assert ritz.rho_min >= 2 - 2 * math.cos(math.pi / 100) - ritz.delta
+
+    @pytest.mark.parametrize("g, steps", [(complete(64), 1), (regular_multipartite(8, 8), 2),
+                                          (paley(61), 2)])
+    def test_breakdown_is_exact(self, g, steps):
+        # an invariant Krylov space stops the run at its breakdown, where
+        # both extremes are exact, without dividing by the rounding left
+        ritz = laplacian_extremes(g.n_vertices, g.edges)
+        assert (ritz.steps, ritz.converged) == (steps, True)
+        lam = laplacian_eigenvalues(laplacian(g))
+        np.testing.assert_allclose([ritz.theta_max, ritz.theta_min], lam[[0, -2]],
+                                   rtol=0.0, atol=1e-10 * lam[0])
+
+    def test_one_schedule_with_the_krylov_basis(self, monkeypatch):
+        # both runs are looked at by the one driver: at the same steps, each
+        # from one eig_sym of the Jacobi matrix
+        sizes = []
+        decompose = linalg.eig_sym
+        monkeypatch.setattr(linalg, "eig_sym",
+                            lambda m: sizes.append(len(m)) or decompose(m))
+        g = path_graph(200)
+        laplacian_extremes(200, g.edges)
+        extremes = sizes.copy()
+        sizes.clear()
+        basis = linalg.KrylovBasis(laplacian(g), lambda *decision: False)
+        basis.level_masses(np.array([0]), np.array([1.0]))
+        assert sizes[-1] == 200  # the rule never settled: the dense route
+        krylov = sizes[:-1]
+        schedule = [1, 2, 4, 8]
+        while schedule[-1] < 64:
+            schedule.append(schedule[-1] + max(8, schedule[-1] // 8))
+        assert krylov == schedule
+        assert extremes[:len(krylov)] == krylov
 
     def test_deterministic(self):
         g = random_connected_graph(np.random.default_rng(4), 60, 0.1)

@@ -46,6 +46,7 @@ from conftest import (
     evolve,
     outside_pole_guard,
     overlaps,
+    path_graph,
     random_connected_graph,
     random_marked_state,
     transform_level_masses,
@@ -476,10 +477,6 @@ class TestLevels:
                     params = run_hypercube(n, state, steps=2).params
                     assert np.all(np.isfinite(params.overlaps))
                     assert np.all(params.overlaps >= 0.0)
-
-
-def path_graph(n):
-    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def star_graph(n):

@@ -12,7 +12,6 @@ from ctqw_search import (
     InvalidInputError,
     InvalidParameterError,
     MarkedState,
-    compare,
     complete,
     eig_sym,
     hypercube,
@@ -34,7 +33,9 @@ from conftest import (
     amplitude_exact_sum,
     evolve,
     hamiltonian,
+    compare,
     outside_pole_guard,
+    path_graph,
     random_connected_graph,
     random_marked_state,
     transform_level_masses,
@@ -300,10 +301,6 @@ def star_of_stars():
     edges = [(0, c) for c in (1, 2, 3)]
     edges += [(c, 4 + 5 * (c - 1) + i) for c in (1, 2, 3) for i in range(5)]
     return Graph.from_edges(19, edges)
-
-
-def path_graph(n):
-    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def dense_laplacian_calls(monkeypatch):

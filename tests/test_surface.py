@@ -25,6 +25,9 @@ ORACLES = ("hamiltonian", "evolve", "amplitude_exact_sum", "overlaps")
 # Line-by-line readers of graph text, kept only as the reference of the
 # readers' property test (``test_graphs``): each format has one reader.
 LINE_LOOPS = ("_edge_list_lines", "_dot_lines")
+# The sinusoidal-deviation report, which no production route computes (the
+# CLI's peak_deviation is its own), kept only for tests (``conftest``).
+TEST_ONLY = ("compare", "DeviationReport")
 # Per-family certificates and the CLI's copies of the family table, replaced
 # by the one table ``graphs.FAMILIES`` and ``optimality.certify_family``.
 FAMILY_CERTIFIERS = ("certify_induced_complete", "certify_hypercube", "certify_paley",
@@ -41,6 +44,9 @@ def test_public_surface():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in LINE_LOOPS:
         assert not hasattr(ctqw_search.graphs, name), name
+    for name in TEST_ONLY:
+        assert name not in ctqw_search.__all__ and not hasattr(ctqw_search, name), name
+        assert not hasattr(ctqw_search.simulate, name), name
     # hypercube level masses group the squared transform by two one-hot
     # products, with no popcount index of 2**n entries
     assert not hasattr(ctqw_search.linalg, "_hamming_weights")
