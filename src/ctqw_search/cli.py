@@ -32,12 +32,11 @@ from .errors import (
 from .graphs import (  # noqa: F401
     FAMILIES, Graph, _LINE_BREAK, _check_graph, _family, laplacian, validate)
 from .closed_forms import general_pair, hypercube_exact
-from .linalg import MAX_BASIS_BITS, hypercube_eigenbasis, laplacian_eigenvalues
+from .linalg import hypercube_eigenbasis, laplacian_eigenvalues
 from .optimality import OptimalityReport, certify, certify_family, prove_not_certified
 from .search import MarkedState, graph_search_params, search_params
 from .simulate import run, run_hypercube
 
-DENSE_LIMIT = 4096
 # rows of a --grid sweep, which are collected before any is printed
 GRID_LIMIT = 1 << 16
 
@@ -105,12 +104,12 @@ def _graph(spec: str) -> Graph:
 
 
 def _dense_graph(spec: str) -> Graph:
-    """The graph of ``_graph``, refused past DENSE_LIMIT vertices."""
+    """The graph of ``_graph``, refused past ``graphs.MAX_PAIR_VERTICES``
+    vertices, the N**2 bound of the dense routes."""
     g = _graph(spec)
-    if g.n_vertices > DENSE_LIMIT:
-        raise InvalidParameterError(
-            f"graph with {g.n_vertices} vertices exceeds the dense limit {DENSE_LIMIT}"
-        )
+    if g.n_vertices > graphs_mod.MAX_PAIR_VERTICES:
+        raise InvalidParameterError(f"graph with {g.n_vertices} vertices exceeds the dense "
+                                    f"limit {graphs_mod.MAX_PAIR_VERTICES}")
     return g
 
 
@@ -166,29 +165,21 @@ def _parse_state_file(text: str, n: int) -> MarkedState:
 
 
 def _hypercube_instance(g_spec: str, state_spec: str):
-    """Bit count and marked state of a ``hypercube:n`` spec, else None.
+    """Eigenbasis and marked state of a ``hypercube:n`` spec, else None.
 
     Hypercubes take the analytic path, exact and the only option past dense
-    scale; n is bounded first, and the state is read sparse, its vertices
-    checked against 2**n in O(r) for r support vertices.
+    scale; the eigenbasis, which bounds n, is built first, and the state is
+    read sparse, its vertices checked against 2**n in O(r) for r support
+    vertices.
     """
     if ":" not in g_spec:
         return None
     name, params = _parse_family_spec(g_spec)
     if name != "hypercube":
         return None
-    _family(name, params)[2](*params)  # the family's domain check
-    [n_bits] = params
-    _check_bits(n_bits, 1, "hypercube")
-    return n_bits, _load_state(state_spec, 1 << n_bits)
-
-
-def _check_bits(n_bits: int, least: int, what: str) -> None:
-    """Bound a hypercube coordinate count before anything of size 2**n exists."""
-    if not least <= n_bits <= MAX_BASIS_BITS:
-        raise InvalidParameterError(
-            f"{what} needs {least} to {MAX_BASIS_BITS} coordinates, got {n_bits}"
-        )
+    _family(name, params)  # the parameter count
+    basis = hypercube_eigenbasis(*params)
+    return basis, _load_state(state_spec, basis.n)
 
 
 def _write_text(path, text: str) -> None:
@@ -201,8 +192,7 @@ def _write_text(path, text: str) -> None:
 def _analysis_report(g_spec: str, state_spec: str) -> dict:
     hypercube = _hypercube_instance(g_spec, state_spec)
     if hypercube:
-        n_bits, state = hypercube
-        return _params_dict(search_params(hypercube_eigenbasis(n_bits), state))
+        return _params_dict(search_params(*hypercube))
     g = _dense_graph(g_spec)
     return _params_dict(graph_search_params(g, _load_state(state_spec, g.n_vertices)))
 
@@ -328,7 +318,9 @@ def cmd_certify(args) -> int:
 
 def cmd_pair_table(args) -> int:
     [bits] = _ints([args.bits], f"--bits {args.bits!r}")
-    _check_bits(bits, 2, "pair table")
+    if bits < 2:
+        raise InvalidParameterError(f"pair table needs at least 2 coordinates, got {bits}")
+    hypercube_eigenbasis(bits)  # bounds bits before anything of size 2**bits
     size = 1 << bits
     lines = ["m,envelope_closed_form,envelope_oracle,abs_diff"]
     for m in range(1, bits + 1):
@@ -357,8 +349,8 @@ def cmd_simulate(args) -> int:
 
     hypercube = _hypercube_instance(args.graph, args.state)
     if hypercube:
-        n_bits, state = hypercube
-        trace = run_hypercube(n_bits, state, rate, t_max, steps)
+        basis, state = hypercube
+        trace = run_hypercube(basis.n_bits, state, rate, t_max, steps)
     else:
         g = _dense_graph(args.graph)
         trace = run(g, _load_state(args.state, g.n_vertices), rate, t_max, steps)

@@ -17,7 +17,8 @@ from .errors import DisconnectedGraphError, InvalidInputError, InvalidParameterE
 MAX_HYPERCUBE_BITS = 16
 # Order bound of the families built from vertex pairs (complete,
 # complete-minus, multipartite, Paley): complete(4096) peaks at about 272 MB
-# by tracemalloc, 2.1 times its 128-MB edge array.
+# by tracemalloc, 2.1 times its 128-MB edge array.  The CLI's dense routes
+# (an N x N Laplacian, 128 MB at 4096) refuse graph files past it too.
 MAX_PAIR_VERTICES = 4096
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
 # bound (Sorenson and Webster, Math. Comp. 86, 2017).

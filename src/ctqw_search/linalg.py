@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InvalidInputError, NumericError
+from .errors import DisconnectedGraphError, InvalidInputError, InvalidParameterError, NumericError
 from .graphs import _check_hypercube
 
 SYMMETRY_RTOL = 1e-12
@@ -25,7 +25,7 @@ SYMMETRY_RTOL = 1e-12
 # over 1e9 * N * eps * lambda_max, so c = 8 sits a decade from each.
 LEVEL_TOL_FACTOR = 8.0
 # Memory budget of anything holding one value per hypercube vertex: a 2**22
-# float64 array is 32 MiB.
+# float64 array is 32 MiB.  ``hypercube_eigenbasis`` alone enforces it.
 MAX_BASIS_BITS = 22
 # Cap, in bits, on the floats per block of the Walsh transform: a 2**16-float
 # block, its transposed copy and three quarter-block buffers (1.4 MiB) stay in
@@ -46,9 +46,10 @@ LANCZOS_MAX_BASIS = 256
 # Residual ||Qy - rho*y|| <= LANCZOS_RESIDUAL * rho_max of a converged extreme
 # Ritz pair, for unit y.
 LANCZOS_RESIDUAL = 1e-10
-# c of the Krylov breakdown test beta_m <= c * sqrt(N) * eps * ||T||: at an
-# invariant subspace of complete(512), multipartite(8, 64) and Paley(1009)
-# beta_m read 1e-17 to 9e-16 times ||T||, under sqrt(N) * eps.
+# c of the Krylov breakdown test beta_m <= c * m * sqrt(N) * eps * ||T||: at
+# an invariant subspace, families read beta_m at 0.02 to 0.27 and cycles of
+# 50 to 200 vertices at 4.5 to 74 times sqrt(N) * eps * ||T||, a rounding
+# that grows with m; short of one, every beta_m read at least 4.5e12 times it.
 KRYLOV_BREAKDOWN = 8.0
 # Lanczos steps a quadrature may take before the dense decomposition, N //
 # KRYLOV_BUDGET_DIVISOR but at least KRYLOV_MIN_BUDGET: on random graphs of
@@ -380,10 +381,10 @@ def _lanczos(apply, start: np.ndarray, size: int):
     64, and at step ``size``; each look yields V, ``eig_sym`` of T (Ritz
     values non-increasing, Ritz coefficient columns) and ``exact``.  The run
     stops at a breakdown, which is looked at with ``exact`` true: beta_m <=
-    ``KRYLOV_BREAKDOWN`` * sqrt(N) * eps * ||T||, ||T|| the running maximum
-    of |alpha| and beta, or m = N - 1.  The Krylov space is then invariant
-    and every Ritz value exact to rounding, and the next vector, rounding
-    over beta_m, is never formed.
+    ``KRYLOV_BREAKDOWN`` * m * sqrt(N) * eps * ||T||, ||T|| the running
+    maximum of |alpha| and beta, or m = N - 1.  The Krylov space is then
+    invariant and every Ritz value exact to rounding, and the next vector,
+    rounding over beta_m, is never formed.
 
     Each new vector is orthogonalized twice against the whole basis, then
     its mean is projected out again, without which a spurious Ritz value
@@ -406,7 +407,7 @@ def _lanczos(apply, start: np.ndarray, size: int):
         beta[j] = np.linalg.norm(w)
         m = j + 1
         norm = max(norm, abs(float(alpha[j])), float(beta[j]))
-        exact = beta[j] <= breakdown * norm or m == n - 1
+        exact = beta[j] <= breakdown * m * norm or m == n - 1
         if exact or m == look or m == size:
             t = np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
             yield basis[:m], eig_sym(t), exact
@@ -456,7 +457,7 @@ class KrylovBasis:
     telling that it stopped at a breakdown and the rule is exact to
     rounding: True takes the pair, False asks for more steps, and None, a
     measure that cannot settle within ``budget`` steps, takes the dense
-    route at once.
+    route at once; a request ``settled`` refuses raises, with no dense route.
     """
 
     laplacian: np.ndarray
@@ -709,11 +710,11 @@ def hypercube_eigenbasis(n_bits: int) -> HypercubeEigenbasis:
     Raises
     ------
     InvalidParameterError
-        If n_bits is outside the hypercube family's domain (``graphs``' check).
-    InvalidInputError
-        If n_bits exceeds ``MAX_BASIS_BITS``.
+        If n_bits is outside the hypercube family's domain (``graphs``' check)
+        or exceeds ``MAX_BASIS_BITS``.
     """
     _check_hypercube(n_bits)
     if n_bits > MAX_BASIS_BITS:
-        raise InvalidInputError(f"hypercube basis with n = {n_bits} exceeds the memory budget")
+        raise InvalidParameterError(
+            f"hypercube needs 1 to {MAX_BASIS_BITS} coordinates, got {n_bits}")
     return HypercubeEigenbasis(n_bits)

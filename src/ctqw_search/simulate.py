@@ -1,7 +1,7 @@
 """Exact search dynamics: time evolution of the uniform state in the reduced
 rank-one basis, on a graph's Gauss quadrature of the marked state's spectral
-measure (Lanczos, with the dense decomposition as fallback) or on the
-hypercube's levels, and the peak location."""
+measure (Lanczos, with the dense decomposition only when the quadrature
+cannot settle) or on the hypercube's levels, and the peak location."""
 
 from __future__ import annotations
 
@@ -75,12 +75,14 @@ def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",
     rate*Q - w w'.  Lanczos on the dense Q from b (``linalg.KrylovBasis``)
     gives the m-node Gauss rule of b's spectral measure; with the zero level
     at mass p_n**2 it reaches ``search_params`` as the state's levels and
-    masses, and the reduced trace runs on them.  The rule is taken when the
-    Krylov space is invariant, or when gamma_c, beta and the trace on the
-    requested grid have settled to ``KRYLOV_TOL`` between two decisions
-    (``_krylov_rule``).  A measure that cannot settle within the step budget,
-    which the rule can foresee from rate * lambda_max * t_max, takes the
-    dense decomposition of the same Q.
+    masses, and the reduced trace runs on them.  Each look (``_krylov_rule``)
+    runs the trace's admission checks on the quadrature, so a refused trace
+    pays no dense decomposition.  The rule is taken when the Krylov space is
+    invariant, or when gamma_c, beta and the trace on the requested grid
+    have settled to ``KRYLOV_TOL`` between two looks.  Only a measure that
+    cannot settle within the step budget, which the rule foresees from rate
+    * lambda_max * t_max from the second look on, takes the dense
+    decomposition of the same Q.
 
     ``jump_rate="critical"`` resolves to the critical rate of the instance;
     ``t_max`` defaults to twice the optimal time.  ``t_max=0`` produces the
@@ -95,17 +97,18 @@ def run(g: Graph, w: MarkedState, jump_rate: float | str = "critical",
 def _krylov_rule(jump_rate: float | str, t_max: float | None, steps: int):
     """The ``settled(levels, masses, exact, budget)`` of ``run``'s Krylov basis.
 
-    Each decision takes the search parameters of the quadrature, which
-    refuses an orthogonal or degenerate state, a bad rate, t_max or step
-    count as the dense route does, in its order.  A quadrature whose trace
-    would exceed the budget of cells goes to the dense route, which refuses
-    it as before.  An exact quadrature is taken.  Otherwise the rule gives up
-    (None) when ``KRYLOV_STEPS_PER_RADIAN`` * rate * lambda_max * t_max
-    exceeds the budget, with the quadrature's own lambda_max, gamma_c and
-    t_opt; and it takes the quadrature when gamma_c and beta moved by at most
-    ``KRYLOV_TOL``, relative, since the last decision, and the trace on the
-    requested grid (``_krylov_amplitudes``) by at most ``KRYLOV_TOL`` plus its
-    phase rounding."""
+    Each look takes the quadrature's search parameters and runs the trace's
+    admission checks on them (``_admit``), in the dense route's order.  The
+    dense route, with at least m + 1 levels and lambda_max at least the top
+    node theta_m, refuses the same, but for the lower end of the precision
+    window: a rate within a factor theta_settled/theta_m of 2**-53/lambda_max
+    may be refused.  An exact quadrature is taken.  From the second look on
+    (strongly regular and complete multipartite graphs break down at m = 2),
+    the rule gives up (None) when ``KRYLOV_STEPS_PER_RADIAN`` * rate *
+    lambda_max * t_max, from the quadrature, exceeds the budget.  It takes
+    the quadrature when gamma_c and beta moved by at most ``KRYLOV_TOL``,
+    relative, since the last look, and the trace on the requested grid
+    (``_krylov_amplitudes``) by at most ``KRYLOV_TOL`` plus its phase rounding."""
     previous = None
 
     def settled(levels: np.ndarray, masses: np.ndarray, exact: bool,
@@ -113,13 +116,11 @@ def _krylov_rule(jump_rate: float | str, t_max: float | None, steps: int):
         nonlocal previous
         params = _level_params(levels, masses, "")
         rate = _resolve_rate(jump_rate, params)
-        horizon = _horizon(params, t_max, steps)
-        points = steps if horizon > 0.0 else 1
-        if points * levels.size > MAX_TRACE_CELLS:
-            return None  # refused by the trace; with the dense levels, as before
+        horizon, points = _admit(rate, params, t_max, steps)
         if exact:
             return True
-        if KRYLOV_STEPS_PER_RADIAN * rate * float(levels[0]) * horizon > budget:
+        if levels.size > 2 and (
+                KRYLOV_STEPS_PER_RADIAN * rate * float(levels[0]) * horizon > budget):
             return None
         amplitudes, rounding = _krylov_amplitudes(rate, levels, masses, horizon, points)
         earlier, previous = previous, (params.gamma_c, params.beta, amplitudes)
@@ -175,23 +176,7 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
     diag(levels) - c c^T, w is c and s is e_0: with eigenvectors c/(rate*levels
     - mu_j) at the secular roots mu_j, <c|exp(-iHt)|s> = sum_j u_j*exp(-i*mu_j*t)
     for u_j = -c_0/(mu_j*f'(mu_j)), on the grid of ``_phase_sums``."""
-    t_max = _horizon(params, t_max, steps)
-    points = steps if t_max > 0.0 else 1
-    levels = params.eigenvalues
-    if points * levels.size > MAX_TRACE_CELLS:
-        raise InvalidParameterError(
-            f"{points} grid points times {levels.size} levels exceed the trace budget "
-            f"of {MAX_TRACE_CELLS} cells"
-        )
-    # |mu| <= walk + 1; past 2**53 the marked projector (norm 1) drops below
-    # the rounding of H, and phases mu * t keep no digits; below 2**-53 the
-    # walk drops below the rounding of the projector
-    walk = rate * float(levels[0])
-    if not (1.0 / PRECISION_LIMIT <= walk and (walk + 1.0) * max(t_max, 1.0) <= PRECISION_LIMIT):
-        raise InvalidParameterError(
-            f"jump rate {rate:g} with t_max {t_max:g} exceeds float precision: rate * "
-            f"lambda_max must lie within 2**-53 to 2**53, and |mu| * t_max below 2**53"
-        )
+    t_max, points = _admit(rate, params, t_max, steps)
     # levels from 0 up; one without mass joins the one below, and one with
     # mass within twice the solver's clamp of the massive one below joins
     # that one's group, leaving an eigenvalue of weight 0 (the room the clamp
@@ -201,7 +186,7 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
     # alone keeps its value.  The gap is taken between massive levels, so a
     # massless level (a Gauss node of weight ~0 beside a heavy one) chains
     # no two massive levels together.
-    lam, masses = levels[::-1], params.overlaps[::-1] ** 2
+    lam, masses = params.eigenvalues[::-1], params.overlaps[::-1] ** 2
     massive = np.flatnonzero(masses > NEGLIGIBLE_OVERLAP_SQ)
     first = massive[np.diff(lam[massive], prepend=-np.inf) > 4.0 * POLE_GUARD * lam[-1]]
     weight = np.where(masses > NEGLIGIBLE_OVERLAP_SQ, masses, 0.0)
@@ -252,16 +237,35 @@ def _reduced_trace(rate: float, params: SearchParameters, t_max: float | None,
     )
 
 
-def _horizon(params: SearchParameters, t_max: float | None, steps: int) -> float:
-    """t_max, or twice the optimal time for None, after checking it and the
-    number of grid points it needs."""
+def _admit(rate: float, params: SearchParameters, t_max: float | None,
+           steps: int) -> tuple[float, int]:
+    """The horizon and grid points of a trace on ``params``' levels at
+    ``rate``: t_max, or twice the optimal time for None, after refusing a bad
+    t_max or step count, grid points times levels past ``MAX_TRACE_CELLS``,
+    and a walk past float precision."""
     if t_max is None:
         t_max = 2.0 * params.t_opt
     if not 0.0 <= t_max < math.inf:
         raise InvalidParameterError(f"t_max must be non-negative and finite, got {t_max}")
     if t_max > 0.0 and steps < 2:
         raise InvalidParameterError(f"need at least 2 grid points, got {steps}")
-    return t_max
+    points = steps if t_max > 0.0 else 1
+    levels = params.eigenvalues
+    if points * levels.size > MAX_TRACE_CELLS:
+        raise InvalidParameterError(
+            f"{points} grid points times {levels.size} levels exceed the trace budget "
+            f"of {MAX_TRACE_CELLS} cells"
+        )
+    # |mu| <= walk + 1; past 2**53 the marked projector (norm 1) drops below
+    # the rounding of H, and phases mu * t keep no digits; below 2**-53 the
+    # walk drops below the rounding of the projector
+    walk = rate * float(levels[0])
+    if not (1.0 / PRECISION_LIMIT <= walk and (walk + 1.0) * max(t_max, 1.0) <= PRECISION_LIMIT):
+        raise InvalidParameterError(
+            f"jump rate {rate:g} with t_max {t_max:g} exceeds float precision: rate * "
+            f"lambda_max must lie within 2**-53 to 2**53, and |mu| * t_max below 2**53"
+        )
+    return t_max, points
 
 
 def _phase_sums(mu: np.ndarray, u: np.ndarray, t_max: float, points: int) -> np.ndarray:

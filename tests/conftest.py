@@ -71,6 +71,10 @@ def path_graph(n):
     return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
+def cycle_graph(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
 def sparse_random_graph(rng, n, degree):
     """A random recursive spanning tree plus uniform random edges, up to
     n*degree/2 edges: the shape of the benchmark's edge-list graphs."""

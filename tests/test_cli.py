@@ -478,12 +478,15 @@ class TestPairTable:
         for row in rows:
             assert float(row[3]) <= 1e-9
 
-    @pytest.mark.parametrize("bits", ["1", "23", "40"])
-    def test_bits_outside_budget_is_usage_error(self, capsys, bits):
-        code, out, err = run_cli(capsys, "pair-table", "--bits", bits)
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
+    @pytest.mark.parametrize("bits, message", [
+        pytest.param("1", "pair table needs at least 2 coordinates, got 1", id="1"),
+        pytest.param("23", "hypercube needs 1 to 22 coordinates, got 23", id="23"),
+        pytest.param("40", "hypercube needs 1 to 22 coordinates, got 40", id="40"),
+        pytest.param(str(10**400), f"hypercube needs 1 to 22 coordinates, got {10**400}",
+                     id="10**400")])
+    def test_bits_outside_budget_is_usage_error(self, capsys, bits, message):
+        # the upper bound is the hypercube eigenbasis's own
+        assert run_cli(capsys, "pair-table", "--bits", bits) == (1, "", f"error: {message}\n")
 
 
 class TestSimulate:
@@ -536,6 +539,34 @@ class TestSimulate:
             (tmp_path / "w.state").write_text(state)
             state = str(tmp_path / "w.state")
         assert run_cli(capsys, "simulate", str(path), state) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("graph, option", [
+        ("{file}", ["--gamma", "1e20"]), ("{file}", ["--tmax", "1e300"]),
+        ("{file}", ["--steps", "3000000"]), ("multipartite:8,64", ["--tmax", "1e300"])])
+    def test_refused_trace_takes_no_dense_route(self, capsys, tmp_path, monkeypatch, graph,
+                                                option):
+        # a trace past its cell budget or float precision is refused from the
+        # quadrature, before any N x N decomposition
+        path = tmp_path / "g.edges"
+        path.write_text(graphs.format_edge_list(
+            sparse_random_graph(np.random.default_rng(300), 300, 8)))
+        graph = graph.replace("{file}", str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate took the dense route")
+
+        decompose = linalg.eig_sym
+
+        def small_only(matrix):
+            if len(matrix) >= 300:
+                raise AssertionError(f"simulate decomposed a {len(matrix)}-row matrix")
+            return decompose(matrix)
+
+        monkeypatch.setattr(linalg, "laplacian_decomposition", refuse)
+        monkeypatch.setattr(linalg, "eig_sym", small_only)
+        code, out, err = run_cli(capsys, "simulate", graph, "single:0", *option)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("graph", ["complete:8", "hypercube:6"])
     @pytest.mark.parametrize("option", [

@@ -36,6 +36,7 @@ from conftest import (
     DEGENERATE_FAMILIES,
     basis_eigenvalues,
     basis_overlaps,
+    cycle_graph,
     evolve,
     path_graph,
     random_connected_graph,
@@ -306,10 +307,13 @@ class TestLaplacianExtremes:
         assert ritz.rho_min >= 2 - 2 * math.cos(math.pi / 100) - ritz.delta
 
     @pytest.mark.parametrize("g, steps", [(complete(64), 1), (regular_multipartite(8, 8), 2),
-                                          (paley(61), 2)])
+                                          (paley(61), 2), (hypercube(6), 6),
+                                          (cycle_graph(50), 25), (cycle_graph(64), 32),
+                                          (cycle_graph(200), 100)])
     def test_breakdown_is_exact(self, g, steps):
         # an invariant Krylov space stops the run at its breakdown, where
-        # both extremes are exact, without dividing by the rounding left
+        # both extremes are exact, without dividing by the rounding left; a
+        # cycle's rounding at its breakdown grows with the step count
         ritz = laplacian_extremes(g.n_vertices, g.edges)
         assert (ritz.steps, ritz.converged) == (steps, True)
         lam = laplacian_eigenvalues(laplacian(g))
@@ -336,6 +340,20 @@ class TestLaplacianExtremes:
             schedule.append(schedule[-1] + max(8, schedule[-1] // 8))
         assert krylov == schedule
         assert extremes[:len(krylov)] == krylov
+
+    def test_krylov_basis_breaks_down_on_a_cycle(self):
+        # the quadrature of a state on the 50-cycle is exact at its 25
+        # levels, with dense Laplacian products
+        looks = []
+
+        def exact_only(levels, masses, exact, budget):
+            looks.append((levels.size - 1, exact))
+            return exact
+
+        state = MarkedState.uniform_over(50, [0, 1, 2])
+        basis = linalg.KrylovBasis(laplacian(cycle_graph(50)), exact_only)
+        levels, _ = basis.level_masses(state.vertices, state.values)
+        assert looks[-1] == (25, True) and levels.size == 26
 
     def test_deterministic(self):
         g = random_connected_graph(np.random.default_rng(4), 60, 0.1)
@@ -489,6 +507,12 @@ class TestHypercubeEigenbasis:
                 vectors = dense.eigenvectors[:, dense_block]
                 proj_dense = vectors @ vectors.T
                 assert np.max(np.abs(proj_analytic - proj_dense)) <= 1e-10
+
+    def test_size_bound_is_the_basis_own(self):
+        # the one owner of the 2**n bound, whose message the CLI prints
+        with pytest.raises(InvalidParameterError,
+                           match=r"^hypercube needs 1 to 22 coordinates, got 23$"):
+            hypercube_eigenbasis(linalg.MAX_BASIS_BITS + 1)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_domain_is_the_family_check(self, n):

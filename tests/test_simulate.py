@@ -386,6 +386,17 @@ class TestKrylovRoute:
         assert trace.params.eigenvalues.size == steps + 1
         assert dense == []
 
+    @pytest.mark.parametrize("g, rate", [(regular_multipartite(8, 64), 5.0), (paley(101), 20.0),
+                                         (regular_multipartite(4, 10), 50.0)])
+    def test_fast_rate_breakdown_takes_the_quadrature(self, monkeypatch, g, rate):
+        # the first look leaves the step estimate alone: these spaces break
+        # down at the second step, however fast the walk
+        dense = dense_laplacian_calls(monkeypatch)
+        state = MarkedState.single(g.n_vertices, 0)
+        trace = self.check(g, state, rate / instance(g, state).gamma_c, None)
+        assert trace.params.eigenvalues.size == 3
+        assert dense == []
+
     def test_converged_and_fallback_routes(self, monkeypatch):
         dense = dense_laplacian_calls(monkeypatch)
         g = random_connected_graph(np.random.default_rng(3), 200, 0.05)

@@ -33,6 +33,9 @@ TEST_ONLY = ("compare", "DeviationReport")
 FAMILY_CERTIFIERS = ("certify_induced_complete", "certify_hypercube", "certify_paley",
                      "certify_multipartite", "certify_srg")
 CLI_FAMILY_COPIES = ("FAMILIES", "BUILDABLE", "_family_entry", "_family_graph")
+# The CLI's copies of library size bounds, replaced by ``graphs.MAX_PAIR_VERTICES``
+# and ``linalg.hypercube_eigenbasis``'s own bound.
+CLI_BOUND_COPIES = ("DENSE_LIMIT", "_check_bits")
 
 
 def test_public_surface():
@@ -60,6 +63,7 @@ def test_public_surface():
     defined |= {target.id for node in body for target in getattr(node, "targets", ())
                 if isinstance(target, ast.Name)}
     assert not defined & set(CLI_FAMILY_COPIES)
+    assert not defined & set(CLI_BOUND_COPIES)
     assert ctqw_search.cli.FAMILIES is ctqw_search.graphs.FAMILIES
     # every basis answers one level_masses(support, values)
     dense = inspect.signature(SpectralDecomposition.level_masses).parameters
