@@ -90,7 +90,8 @@ def _parse_family_spec(spec: str) -> tuple[str, list[int]]:
 def _graph(spec: str) -> Graph:
     """Family:params form when a colon is present, otherwise a file path.
     The family builders refuse an order past their own budget before they
-    allocate."""
+    allocate; a file of any order is read, and each route refuses only what
+    it would allocate (``Graph.adjacency``, ``linalg._lanczos``)."""
     if ":" in spec:
         name, params = _parse_family_spec(spec)
         build = _family(name, params)[0]
@@ -101,16 +102,6 @@ def _graph(spec: str) -> Graph:
     if text.lstrip().startswith("graph"):
         return graphs_mod.parse_dot(text)
     return graphs_mod.parse_edge_list(text)
-
-
-def _dense_graph(spec: str) -> Graph:
-    """The graph of ``_graph``, refused past ``graphs.MAX_PAIR_VERTICES``
-    vertices, the N**2 bound of the dense routes."""
-    g = _graph(spec)
-    if g.n_vertices > graphs_mod.MAX_PAIR_VERTICES:
-        raise InvalidParameterError(f"graph with {g.n_vertices} vertices exceeds the dense "
-                                    f"limit {graphs_mod.MAX_PAIR_VERTICES}")
-    return g
 
 
 def _load_state(spec: str, n: int) -> MarkedState:
@@ -193,7 +184,7 @@ def _analysis_report(g_spec: str, state_spec: str) -> dict:
     hypercube = _hypercube_instance(g_spec, state_spec)
     if hypercube:
         return _params_dict(search_params(*hypercube))
-    g = _dense_graph(g_spec)
+    g = _graph(g_spec)
     return _params_dict(graph_search_params(g, _load_state(state_spec, g.n_vertices)))
 
 
@@ -274,8 +265,9 @@ def _parse_grid_spec(specs: list[str], names: tuple[str, ...]) -> dict[str, rang
 def cmd_certify(args) -> int:
     """A family or srg certifies from its parameters (``certify_family``),
     with no graph or eigensolver.  A file is proven "not-certified" by
-    Lanczos on its edges when it can be; otherwise it certifies from its
-    dense spectrum."""
+    Lanczos on its edges when it can be, up to the Lanczos limit of 65,536
+    vertices; otherwise it certifies from its dense spectrum, up to the
+    dense limit of 4096 (``Graph.adjacency``)."""
     head, *extra = args.target
     if head in FAMILIES:  # the name p1 p2 ... form
         head, extra = f"{head}:{','.join(extra)}", []
@@ -308,7 +300,7 @@ def cmd_certify(args) -> int:
     if ":" in head:
         report = certify_family(name, *params)
     else:
-        g = _dense_graph(head)
+        g = _graph(head)
         _check_graph(g)
         report = (prove_not_certified(g.n_vertices, g.edges)
                   or certify(laplacian_eigenvalues(laplacian(g))))
@@ -352,7 +344,7 @@ def cmd_simulate(args) -> int:
         basis, state = hypercube
         trace = run_hypercube(basis.n_bits, state, rate, t_max, steps)
     else:
-        g = _dense_graph(args.graph)
+        g = _graph(args.graph)
         trace = run(g, _load_state(args.state, g.n_vertices), rate, t_max, steps)
 
     if args.csv:

@@ -17,8 +17,10 @@ from .errors import DisconnectedGraphError, InvalidInputError, InvalidParameterE
 MAX_HYPERCUBE_BITS = 16
 # Order bound of the families built from vertex pairs (complete,
 # complete-minus, multipartite, Paley): complete(4096) peaks at about 272 MB
-# by tracemalloc, 2.1 times its 128-MB edge array.  The CLI's dense routes
-# (an N x N Laplacian, 128 MB at 4096) refuse graph files past it too.
+# by tracemalloc, 2.1 times its 128-MB edge array.  Its square, the floats of
+# a 4096 x 4096 Laplacian (128 MiB), is the one budget of arrays that grow
+# faster than the edges: ``Graph.adjacency`` refuses an order past it, and
+# ``linalg._lanczos`` a basis of more floats than its square.
 MAX_PAIR_VERTICES = 4096
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
 # bound (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -67,6 +69,12 @@ class Graph:
     __hash__ = None
 
     def adjacency(self) -> np.ndarray:
+        """The N x N adjacency matrix, the only array of N**2 entries a graph
+        builds: refused past ``MAX_PAIR_VERTICES`` vertices before it is
+        allocated."""
+        if self.n_vertices > MAX_PAIR_VERTICES:
+            raise InvalidParameterError(f"graph with {self.n_vertices} vertices exceeds the "
+                                        f"dense limit {MAX_PAIR_VERTICES}")
         a = np.zeros((self.n_vertices, self.n_vertices))
         u, v = self.edges[self.edges[:, 0] != self.edges[:, 1]].T
         a[u, v] = 1.0
@@ -346,7 +354,9 @@ def validate(g: Graph) -> list[str]:
 
     A simple graph whose minimum degree d has 2d >= n - 1 is connected (Dirac,
     Proc. London Math. Soc. 2, 1952): two non-adjacent vertices have 2d > n - 2
-    neighbours among the other n - 2 vertices, so they share one.  Every other
+    neighbours among the other n - 2 vertices, so they share one.  A graph of
+    fewer than n - 1 edges is disconnected, decided before anything of size n
+    is built, so a declared order far past the edges costs O(E).  Every other
     graph goes through the breadth-first search of ``_connected``.
     """
     n = g.n_vertices
@@ -357,7 +367,10 @@ def validate(g: Graph) -> list[str]:
     in_range = u.size == 0 or (u[0] >= 0 and v.max() < n)
     self_loop = u == v
     duplicate = _repeats(u, v)
+    too_few = n > u.size + 1
     if in_range and not (self_loop | duplicate).any():
+        if too_few:
+            return ["disconnected"]
         if 2 * _degrees(n, u, v).min() >= n - 1:
             return []
         return [] if _connected(n, u, v) else ["disconnected"]
@@ -369,7 +382,7 @@ def validate(g: Graph) -> list[str]:
         f"edge ({a},{b}): {reasons[k]}"
         for (a, b), k in zip(g.edges[bad].tolist(), kind.tolist())
     ]
-    if in_range and not _connected(n, u, v):
+    if in_range and (too_few or not _connected(n, u, v)):
         diagnostics.append("disconnected")
     return diagnostics
 
@@ -565,12 +578,9 @@ def _first_refused(text: str, accepts) -> str:
     return next(line for line in _LINE_BREAK.split(text) if not accepts(line))
 
 
-# Powers of ten of the digits of a number of at most 18 digits, below 2**63.
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
-
-
 def _scan_numbers(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The unsigned decimal numbers of ASCII ``text``, in one vectorized pass.
+    """The unsigned decimal numbers of ASCII ``text``, vectorized: a pass over
+    the characters, then at most 18 over the numbers.
 
     Returns the line of each number (a count of the '\\n' and '\\r' before
     it) and its value as int64; or None if ``text`` is not ASCII, holds a
@@ -584,18 +594,26 @@ def _scan_numbers(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     breaks = (chars == ord("\n")) | (chars == ord("\r"))
     if not (digit | breaks | (chars == ord(" ")) | (chars == ord("\t"))).all():
         return None
-    step = np.diff(digit.astype(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
-    lengths = ends - starts
-    line = np.cumsum(breaks)[starts]
-    if lengths.size == 0:
-        return line, np.zeros(0, dtype=np.int64)
-    if lengths.max() > _POW10.size:
+    # the per-character arrays are dropped as soon as they are used: with
+    # the per-number ones, they are the reader's peak memory
+    zero = np.int8(0)  # a Python 0 would widen the steps to int64
+    step = np.diff(digit.view(np.int8), prepend=zero, append=zero)
+    del digit
+    starts = np.flatnonzero(step == 1)
+    lengths = np.flatnonzero(step == -1)  # the ends, made lengths in place
+    del step
+    lengths -= starts
+    longest = lengths.max(initial=0)
+    if longest > 18:  # 18 digits stay below 2**63
         return None
-    # each digit times ten to its distance from the end of its number
-    place = np.repeat(ends, lengths) - 1 - np.flatnonzero(digit)
-    terms = (chars[digit] - ord("0")).astype(np.int64) * _POW10[place]
-    return line, np.add.reduceat(terms, np.cumsum(lengths) - lengths)
+    line = np.searchsorted(np.flatnonzero(breaks), starts)
+    del breaks
+    # Horner's rule, a digit position at a time, over the numbers that reach it
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(longest):
+        live = np.flatnonzero(lengths > k)
+        values[live] = values[live] * 10 + (chars[starts[live] + k] - ord("0"))
+    return line, values
 
 
 def _is_prime(q: int) -> bool:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DisconnectedGraphError, InvalidInputError, InvalidParameterError, NumericError
-from .graphs import _check_hypercube
+from .graphs import MAX_PAIR_VERTICES, _check_hypercube
 
 SYMMETRY_RTOL = 1e-12
 # c of the level tolerance c * N * eps * lambda_max (``_level_tol``).  Over
@@ -355,6 +355,10 @@ def laplacian_extremes(n: int, edges: np.ndarray) -> LanczosExtremes:
     ------
     InvalidInputError
         If n < 2.
+    InvalidParameterError
+        If the basis of min(n - 1, ``LANCZOS_MAX_BASIS``) vectors passes the
+        driver's limit (``_lanczos``), n > 65,536 at the cap; nothing of
+        size N*N is built below it.
     """
     if n < 2:
         raise InvalidInputError(f"Lanczos needs at least two vertices, got {n}")
@@ -388,8 +392,16 @@ def _lanczos(apply, start: np.ndarray, size: int):
 
     Each new vector is orthogonalized twice against the whole basis, then
     its mean is projected out again, without which a spurious Ritz value
-    near 0 appears.  The basis view yielded changes at the next step."""
+    near 0 appears.  The basis view yielded changes at the next step.
+
+    The basis holds ``size`` * N floats, refused with InvalidParameterError
+    before it is allocated when that passes ``graphs.MAX_PAIR_VERTICES``**2,
+    the floats of the largest dense Laplacian: at certify's 256 steps, N up
+    to 65,536."""
     n = start.size
+    if size * n > MAX_PAIR_VERTICES**2:
+        raise InvalidParameterError(f"graph with {n} vertices exceeds the Lanczos limit "
+                                    f"{MAX_PAIR_VERTICES**2 // size}")
     basis = np.empty((size, n))
     alpha, beta = np.empty(size), np.empty(size)
     breakdown = KRYLOV_BREAKDOWN * math.sqrt(n) * np.finfo(float).eps

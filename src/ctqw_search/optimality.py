@@ -90,18 +90,25 @@ def prove_not_certified(n: int, edges: np.ndarray) -> OptimalityReport | None:
 
     Lanczos (``linalg.laplacian_extremes``) gives mean-free Ritz vectors
     whose Rayleigh quotients, evaluated within delta, satisfy rho_max <=
-    lambda_max and rho_min >= lambda_2.  So (rho_max - delta)/(rho_min +
-    delta) > ``OPTIMALITY_THRESHOLD`` proves lambda_max/lambda_2 past it, and
-    the report is ``certify`` of the converged Ritz values [theta_max,
-    theta_min, 0].  Lanczos gives no lower bound on lambda_2, so a ratio within
-    the rounding bound of the threshold, or under it, or an iteration that
-    stopped unconverged, proves nothing: the caller takes the dense route.
+    lambda_max and rho_min >= lambda_2 whether or not the run converged.  So
+    (rho_max - delta)/(rho_min + delta) > ``OPTIMALITY_THRESHOLD`` proves
+    lambda_max/lambda_2 past it, and the report is ``certify`` of the Ritz
+    values [theta_max, theta_min, 0]: the extreme eigenvalues of a converged
+    run, and inner bounds theta_max <= lambda_max, theta_min >= lambda_2 of
+    one stopped at its step cap, whose printed ratio is then at most the
+    true one.  Lanczos gives no lower bound on lambda_2, so a ratio within
+    the rounding bound of the threshold, or under it, proves nothing: the
+    caller takes the dense route.
+
+    Raises
+    ------
+    InvalidParameterError
+        If the Lanczos basis passes its limit (see ``laplacian_extremes``).
     """
     if n < 2:
         return None
     ritz = laplacian_extremes(n, edges)
-    if not ritz.converged or (
-            ritz.rho_max - ritz.delta <= OPTIMALITY_THRESHOLD * (ritz.rho_min + ritz.delta)):
+    if ritz.rho_max - ritz.delta <= OPTIMALITY_THRESHOLD * (ritz.rho_min + ritz.delta):
         return None
     report = certify([ritz.theta_max, ritz.theta_min, 0.0])
     return None if report.certified else report

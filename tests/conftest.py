@@ -85,6 +85,15 @@ def sparse_random_graph(rng, n, degree):
     return Graph.from_edges(n, edges)
 
 
+def cycle_union(rng, n, count):
+    """The union of ``count`` random Hamiltonian cycles on n vertices, each
+    edge once: connected, about 2*count-regular, built without a Python loop
+    over the edges."""
+    cycles = [rng.permutation(n) for _ in range(count)]
+    edges = np.concatenate([np.stack([c, np.roll(c, 1)], axis=1) for c in cycles])
+    return Graph.from_edges(n, np.unique(np.sort(edges, axis=1), axis=0))
+
+
 @contextmanager
 def outside_pole_guard():
     """Assert, at every evaluation of the prepared secular form, that no point

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctqw_search import fwht, graphs, linalg, optimality, parse_dot, parse_edge_list
-from ctqw_search import MarkedState, general_pair, hypercube_exact
+from ctqw_search import MarkedState, general_pair, graph_search_params, hypercube_exact
 from ctqw_search import cli
 from ctqw_search.cli import main
 from ctqw_search.search import _level_sums
-from conftest import sparse_random_graph, transform_level_masses
+from conftest import cycle_union, sparse_random_graph, transform_level_masses
 
 
 def run_cli(capsys, *argv):
@@ -372,19 +372,41 @@ class TestCertify:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
 
-    def test_file_over_dense_limit_is_usage_error(self, capsys, tmp_path):
+    def test_file_over_lanczos_limit_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # 256 Lanczos vectors of 100,000 floats pass the 4096**2 floats of
+        # the budget: refused before the basis is allocated
         path = tmp_path / "path.edges"
         path.write_text("".join(f"{v} {v + 1}\n" for v in range(99999)))
+        empty = np.empty
+
+        def no_basis(shape, *args, **kwargs):
+            assert np.prod(shape) < 256 * 100000, "the Lanczos basis was allocated"
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_basis)
         code, out, err = run_cli(capsys, "certify", str(path))
         assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1
-        assert "dense limit" in err
+        assert err == "error: graph with 100000 vertices exceeds the Lanczos limit 65536\n"
 
 
 def _dense_report(g):
     """The report of the dense route, as ``certify --json`` prints it."""
     spectrum = linalg.laplacian_eigenvalues(graphs.laplacian(g))
     return json.loads(json.dumps(cli._report_dict(optimality.certify(spectrum))))
+
+
+def _refuse_square_solvers(monkeypatch, n):
+    """Make ``np.linalg.eigh`` and ``eigvalsh`` raise on a matrix of n or
+    more rows."""
+    def small_only(solver):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[0] >= n:
+                raise AssertionError(f"certify ran an N x N {solver.__name__}")
+            return solver(a, *args, **kwargs)
+        return call
+
+    for solver in (np.linalg.eigh, np.linalg.eigvalsh):
+        monkeypatch.setattr(np.linalg, solver.__name__, small_only(solver))
 
 
 class TestCertifyFileRoutes:
@@ -405,22 +427,35 @@ class TestCertifyFileRoutes:
         for module, attr in [(graphs, "laplacian"), (cli, "laplacian"),
                              (linalg, "laplacian_eigenvalues"), (cli, "laplacian_eigenvalues")]:
             monkeypatch.setattr(module, attr, refuse)
-
-        def small_only(solver):
-            def call(a, *args, **kwargs):
-                if np.shape(a)[0] >= g.n_vertices:
-                    raise AssertionError(f"certify ran an N x N {solver.__name__}")
-                return solver(a, *args, **kwargs)
-            return call
-
-        for solver in (np.linalg.eigh, np.linalg.eigvalsh):
-            monkeypatch.setattr(np.linalg, solver.__name__, small_only(solver))
+        _refuse_square_solvers(monkeypatch, g.n_vertices)
         code, out, _ = run_cli(capsys, "certify", str(path), "--json")
         assert code == 0
         report = json.loads(out)
         assert report.pop("verdict") == want.pop("verdict") == "not-certified"
         for key, value in want.items():
             assert report[key] == pytest.approx(value, rel=1e-10), key
+
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_unconverged_run_proves_a_path(self, capsys, tmp_path, monkeypatch, n):
+        # 256 Lanczos steps leave a long path's low end unconverged, yet its
+        # Rayleigh quotients prove the ratio; the printed Ritz values are then
+        # inner bounds on lambda_max and lambda_2
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+        runs = []
+        extremes = optimality.laplacian_extremes
+        monkeypatch.setattr(optimality, "laplacian_extremes",
+                            lambda *args: runs.append(extremes(*args)) or runs[-1])
+        _refuse_square_solvers(monkeypatch, n)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--json")
+        assert code == 0
+        assert [run.converged for run in runs] == [False]
+        report = json.loads(out)
+        assert report["verdict"] == "not-certified"
+        lambda_2 = 2.0 - 2.0 * math.cos(math.pi / n)  # lambda_max = 4 - lambda_2
+        assert report["lambda_max"] <= 4.0
+        assert report["lambda_min_nonzero"] >= lambda_2
+        assert report["ratio"] <= (4.0 - lambda_2) / lambda_2
 
     @pytest.mark.parametrize("g", [graphs.complete_minus_disjoint_edges(6, 3),
                                    graphs.regular_multipartite(3, 3)])
@@ -441,12 +476,72 @@ class TestCertifyFileRoutes:
         ("0 1\n2 3\n", 2, "error: disconnected"),
         ("# vertices: 1\n", 1, "error: certificate needs at least two vertices"),
         ("".join(f"{v} {v + 1}\n" for v in range(99999)), 1,
-         "error: graph with 100000 vertices exceeds the dense limit 4096")])
+         "error: graph with 100000 vertices exceeds the Lanczos limit 65536")])
     def test_refused_files_keep_exit_code_and_message(self, capsys, tmp_path, text, code,
                                                       message):
         path = tmp_path / "g.edges"
         path.write_text(text)
         assert run_cli(capsys, "certify", str(path)) == (code, "", message + "\n")
+
+
+class TestFilesPastDenseLimit:
+    """A file of any order is read, and each route refuses only what it
+    allocates: ``analyze`` solves on the edges, ``certify`` runs Lanczos on
+    them, and the dense routes stop at ``Graph.adjacency``."""
+
+    @staticmethod
+    def write(tmp_path, g):
+        path = tmp_path / "g.edges"
+        path.write_text(graphs.format_edge_list(g))
+        return str(path)
+
+    def test_analyze_matches_the_library(self, capsys, tmp_path):
+        g = cycle_union(np.random.default_rng(20), 20000, 4)
+        code, out, _ = run_cli(capsys, "analyze", self.write(tmp_path, g), "uniform:0,5,17",
+                               "--json")
+        assert code == 0
+        want = graph_search_params(g, MarkedState.uniform_over(g.n_vertices, [0, 5, 17]))
+        assert json.loads(out) == cli._params_dict(want)
+
+    def test_unproven_certify_stops_at_the_dense_limit(self, capsys, tmp_path):
+        # about 64-regular: a ratio under the threshold, which Lanczos cannot
+        # prove, so the dense route takes the file and refuses its order
+        g = cycle_union(np.random.default_rng(64), 5000, 32)
+        assert run_cli(capsys, "certify", self.write(tmp_path, g)) == (
+            1, "", "error: graph with 5000 vertices exceeds the dense limit 4096\n")
+
+    @pytest.mark.parametrize("state, message", [
+        ("single:0", "graph with 5000 vertices exceeds the dense limit 4096"),
+        # the state is read, and refused, before the graph's route runs
+        ("single:5000", "vertex 5000 out of range for dimension 5000")])
+    def test_simulate_stops_at_the_dense_limit(self, capsys, tmp_path, state, message):
+        n = 5000
+        path = self.write(tmp_path, cycle_union(np.random.default_rng(8), n, 4))
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, "simulate", path, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "", f"error: {message}\n")
+        assert peak < 8 * n * n // 20
+
+    @pytest.mark.parametrize("text", ["# vertices: 1000000000000\n0 1\n",
+                                      "0 999999999999999999\n"])
+    @pytest.mark.parametrize("argv", [["analyze", "single:0"], ["certify"],
+                                      ["simulate", "single:0"]])
+    def test_order_past_the_edges_is_disconnected(self, capsys, tmp_path, text, argv):
+        # fewer than N - 1 edges: decided before anything of size N
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, argv[0], str(path), *argv[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "error: disconnected\n")
+        assert peak < 1 << 20
 
 
 class TestPairTable:
@@ -1036,6 +1131,13 @@ class TestFuzz:
     @example((["simulate", "{graph}", "single:0"], ("0 1\n1 2\n1 2\n", ".edges", 3)))
     @example((["simulate", "{graph}", "single:0", "--gamma", "0.5"],
               ("graph G {\n  0 -- 1;\n  1 -- 1;\n}\n", ".dot", 2)))
+    # orders far past the edges, declared or read from the largest index
+    @example((["analyze", "{graph}", "single:0"], ("# vertices: 1000000000000\n0 1\n", ".edges", 2)))
+    @example((["certify", "{graph}", "--json"], ("# vertices: 1000000000000\n0 1\n", ".edges", 2)))
+    @example((["simulate", "{graph}", "single:0"], ("# vertices: 1000000000000\n0 1\n", ".edges", 2)))
+    @example((["analyze", "{graph}", "single:0"], ("0 999999999999999999\n", ".edges", 2)))
+    @example((["certify", "{graph}", "--json"], ("0 999999999999999999\n", ".edges", 2)))
+    @example((["simulate", "{graph}", "single:0"], ("0 999999999999999999\n", ".edges", 2)))
     def test_exit_code_one_line_and_strict_json(self, args):
         args, file = args
         with tempfile.TemporaryDirectory() as tmp:

@@ -26,6 +26,7 @@ from ctqw_search import (
     regular_multipartite,
     validate,
 )
+from conftest import cycle_union
 
 ALL_FAMILY_GRAPHS = [
     complete(2),
@@ -191,6 +192,18 @@ class TestLaplacian:
         for g in ALL_FAMILY_GRAPHS:
             np.testing.assert_allclose(laplacian(g).sum(axis=1), 0.0, atol=1e-12)
 
+    def test_dense_limit_is_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_PAIR_VERTICES", 8)
+        assert laplacian(Graph.from_edges(8, [(0, 1)])).shape == (8, 8)
+        for build in (Graph.adjacency, laplacian):
+            with pytest.raises(InvalidParameterError,
+                               match="^graph with 9 vertices exceeds the dense limit 8$"):
+                build(Graph.from_edges(9, [(0, 1)]))
+
+    def test_order_far_past_the_dense_limit(self):
+        with pytest.raises(InvalidParameterError, match="exceeds the dense limit 4096$"):
+            laplacian(Graph.from_edges(10**12, [(0, 1)]))
+
     def test_hypercube_spectrum_matches_binomial_multiplicities(self, dense_hypercube):
         for n in range(1, 11):
             expected = np.sort(
@@ -221,6 +234,21 @@ class TestValidate:
     def test_out_of_range(self):
         g = Graph.from_edges(2, [(0, 5)])
         assert any("out of range" in d for d in validate(g))
+
+    @pytest.mark.parametrize("edges, want", [
+        ([(0, 1)], ["disconnected"]),
+        ([(0, 1), (0, 1)], ["edge (0,1): duplicate", "disconnected"])])
+    def test_order_past_the_edges_builds_nothing_of_its_size(self, edges, want):
+        # fewer than n - 1 edges cannot connect n vertices
+        g = Graph.from_edges(10**12, edges)
+        tracemalloc.start()
+        try:
+            diagnostics = validate(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diagnostics == want
+        assert peak < 1 << 20
 
 
 class TestIndicesAreIntegers:
@@ -852,6 +880,21 @@ class TestParseScanMatchesLineLoop:
         else:
             assert parse_outcome(parse_dot, text) == (
                 InvalidParameterError, f"unsupported DOT line: {refused.strip()!r}")
+
+    def test_reader_peak_memory_is_a_small_multiple_of_the_text(self):
+        # a 100,000-vertex edge list read as one integer array: the numbers'
+        # lines and values, built a digit position at a time, not arrays per
+        # character or per digit
+        g = cycle_union(np.random.default_rng(100), 100000, 4)
+        text = format_edge_list(g)
+        tracemalloc.start()
+        try:
+            parsed = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == g
+        assert peak < 16 * len(text)
 
     def test_errors_keep_their_wording(self):
         with pytest.raises(InvalidParameterError, match=r"bad edge-list line: '1 2 3'"):

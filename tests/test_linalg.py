@@ -306,6 +306,27 @@ class TestLaplacianExtremes:
         assert ritz.rho_max <= 2 - 2 * math.cos(99 * math.pi / 100) + ritz.delta
         assert ritz.rho_min >= 2 - 2 * math.cos(math.pi / 100) - ritz.delta
 
+    def test_basis_past_the_budget_is_refused_before_allocating(self, monkeypatch):
+        # 15 vectors of 16 floats fit a budget of 16**2 floats; 16 of 17 do not
+        monkeypatch.setattr(linalg, "MAX_PAIR_VERTICES", 16)
+        assert laplacian_extremes(16, path_graph(16).edges).converged
+        with pytest.raises(InvalidParameterError,
+                           match="^graph with 17 vertices exceeds the Lanczos limit 16$"):
+            laplacian_extremes(17, path_graph(17).edges)
+
+    def test_certify_cap_admits_65536_vertices(self):
+        n = 65537
+        edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError,
+                               match="^graph with 65537 vertices exceeds the Lanczos limit 65536$"):
+                laplacian_extremes(n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * linalg.LANCZOS_MAX_BASIS // 16
+
     @pytest.mark.parametrize("g, steps", [(complete(64), 1), (regular_multipartite(8, 8), 2),
                                           (paley(61), 2), (hypercube(6), 6),
                                           (cycle_graph(50), 25), (cycle_graph(64), 32),

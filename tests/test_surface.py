@@ -33,9 +33,10 @@ TEST_ONLY = ("compare", "DeviationReport")
 FAMILY_CERTIFIERS = ("certify_induced_complete", "certify_hypercube", "certify_paley",
                      "certify_multipartite", "certify_srg")
 CLI_FAMILY_COPIES = ("FAMILIES", "BUILDABLE", "_family_entry", "_family_graph")
-# The CLI's copies of library size bounds, replaced by ``graphs.MAX_PAIR_VERTICES``
-# and ``linalg.hypercube_eigenbasis``'s own bound.
-CLI_BOUND_COPIES = ("DENSE_LIMIT", "_check_bits")
+# The CLI's copies of library size bounds, replaced by the bounds at the
+# allocations they protect: ``Graph.adjacency``, ``linalg._lanczos`` and
+# ``linalg.hypercube_eigenbasis``.
+CLI_BOUND_COPIES = ("DENSE_LIMIT", "_check_bits", "_dense_graph")
 
 
 def test_public_surface():
