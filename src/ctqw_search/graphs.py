@@ -357,7 +357,9 @@ def validate(g: Graph) -> list[str]:
     neighbours among the other n - 2 vertices, so they share one.  A graph of
     fewer than n - 1 edges is disconnected, decided before anything of size n
     is built, so a declared order far past the edges costs O(E).  Every other
-    graph goes through the breadth-first search of ``_connected``.
+    graph goes through the label passes of ``_connected``: at most one more
+    than the largest eccentricity of a component's least vertex, and
+    O(log N) on a path.
     """
     n = g.n_vertices
     if n < 1:
@@ -415,39 +417,33 @@ def _check_graph(g: Graph) -> None:
 
 def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
     """Whether canonical edges (u, v), all within 0..n-1, connect every
-    vertex: frontier-at-a-time breadth-first search over two CSR neighbour
-    arrays.  Canonical rows are grouped by u, so the forward lists (u -> v)
-    are the v column as it stands; only the backward lists (v -> u) need a
-    stable sort of v, a radix sort when the indices fit 16 bits."""
-    order = np.argsort(v.astype(np.uint16) if n <= 1 << 16 else v, kind="stable")
-    targets = np.concatenate([v, u[order]])
-    starts = np.stack([_row_offsets(u, n), u.size + _row_offsets(v, n)])
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    slot = np.empty(n, dtype=np.int64)
-    frontier = np.zeros(1, dtype=np.int64)
-    count = 1
-    while frontier.size and count < n:
-        # flat positions of every neighbour of every frontier vertex, forward
-        # lists first
-        lo = starts[:, frontier].ravel()
-        counts = starts[:, frontier + 1].ravel() - lo
-        ends = np.cumsum(counts)
-        reached = targets[np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)]
-        reached = reached[~seen[reached]]
-        seen[reached] = True
-        # keep one copy of each vertex: the position whose write survived
-        slot[reached] = np.arange(reached.size)
-        frontier = reached[slot[reached] == np.arange(reached.size)]
-        count += frontier.size
-    return count == n
+    vertex: label passes of hooking and pointer jumping (Shiloach and
+    Vishkin, J. Algorithms 3, 1982).
 
-
-def _row_offsets(keys: np.ndarray, n: int) -> np.ndarray:
-    """CSR offsets of rows grouped by ``keys``, in 0..n-1."""
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
-    return offsets
+    Every label is a root, a vertex labelled by itself.  A pass hooks each
+    root to the smallest root across its edges, then jumps pointers until
+    every label is a root again.  Labels only fall, and after k passes a
+    vertex's label is at most the smallest index within distance k of it.
+    So a connected graph takes at most the eccentricity of vertex 0 in
+    passes, as many as a breadth-first search from it takes levels, and a
+    disconnected one at most one pass more than the largest eccentricity of
+    a component's least vertex.  On a path only the local minima of the
+    labels stay roots, so the components at least halve every pass.
+    """
+    label = np.arange(n)
+    while label.any():
+        lu, lv = label[u], label[v]
+        hooked = label.copy()
+        # a root r has hooked[r] = r at the start, so hooks only fall
+        np.minimum.at(hooked, lu, lv)
+        np.minimum.at(hooked, lv, lu)
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, label):
+            return False
+        label = hooked
+    return True
 
 
 def export_dot(g: Graph) -> str:

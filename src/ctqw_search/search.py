@@ -5,7 +5,6 @@ amplitude approximation."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -163,21 +162,6 @@ class MarkedState:
         w.setflags(write=False)
         return w
 
-    def digest(self) -> str:
-        """Stable identifier of (dimension, amplitudes) for instance matching:
-        the dimension, the support indices and the support amplitudes rounded
-        to 12 decimals, so its cost grows with the support, not the dimension.
-        The state is frozen, so it is hashed once."""
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.n.to_bytes(8, "little"))
-        h.update(self.vertices.tobytes())
-        h.update(self.values.round(12).tobytes())
-        return h.hexdigest()[:16]
-
 
 def _unit(values: np.ndarray) -> np.ndarray:
     """``values`` divided by their norm.  A norm outside (1e-150, 1e150) may
@@ -242,7 +226,6 @@ class SearchParameters:
     t_opt: float
     mu1: float
     mu2: float
-    state_digest: str
 
     def __post_init__(self):
         for levels in (self.eigenvalues, self.overlaps):
@@ -292,20 +275,17 @@ def search_params(basis: Eigenbasis, state: MarkedState) -> SearchParameters:
     """
     _check_dimension(basis, state)
     levels, masses = basis.level_masses(state.vertices, state.values)
-    return _level_params(levels, masses, state.digest())
+    return _level_params(levels, masses)
 
 
-def _level_params(levels: np.ndarray, masses: np.ndarray,
-                  state_digest: str) -> SearchParameters:
+def _level_params(levels: np.ndarray, masses: np.ndarray) -> SearchParameters:
     """Search parameters from the distinct Laplacian levels (non-increasing,
     zero last) and the marked state's mass in each."""
     p_n, gamma_c, beta = (float(x) for x in _level_sums(levels, masses))
-    return _parameters(p_n, gamma_c, beta, state_digest,
-                       levels, np.sqrt(np.maximum(masses, 0.0)))
+    return _parameters(p_n, gamma_c, beta, levels, np.sqrt(np.maximum(masses, 0.0)))
 
 
-def _parameters(p_n: float, gamma_c: float, beta: float, state_digest: str,
-                levels: np.ndarray | None = None,
+def _parameters(p_n: float, gamma_c: float, beta: float, levels: np.ndarray | None = None,
                 overlaps: np.ndarray | None = None) -> SearchParameters:
     """Search parameters from p_n, gamma_c and beta: the envelope gamma_c/beta,
     t_opt = pi*beta/(2*gamma_c*p_n) and the two-level eigenvalues
@@ -321,7 +301,6 @@ def _parameters(p_n: float, gamma_c: float, beta: float, state_digest: str,
         t_opt=math.pi * beta / (2.0 * gamma_c * p_n),
         mu1=mu1,
         mu2=-mu1,
-        state_digest=state_digest,
     )
 
 
@@ -359,7 +338,7 @@ def graph_search_params(g: Graph, state: MarkedState) -> SearchParameters:
     b = w - p_n * s
     _check_masses(p_n * p_n, b @ b)
     x = laplacian_solve(n, g.edges, b)
-    return _parameters(p_n, float(w @ x), float(np.linalg.norm(x)), state.digest())
+    return _parameters(p_n, float(w @ x), float(np.linalg.norm(x)))
 
 
 def _level_sums(levels: np.ndarray,

@@ -54,10 +54,6 @@ class EvolutionTrace:
         self.times.setflags(write=False)
         self.amplitudes.setflags(write=False)
 
-    @property
-    def state_digest(self) -> str:
-        return self.params.state_digest
-
     def to_csv(self) -> str:
         lines = ["t,amplitude,probability"]
         for t, amp in zip(self.times, self.amplitudes):
@@ -114,7 +110,7 @@ def _krylov_rule(jump_rate: float | str, t_max: float | None, steps: int):
     def settled(levels: np.ndarray, masses: np.ndarray, exact: bool,
                 budget: int) -> bool | None:
         nonlocal previous
-        params = _level_params(levels, masses, "")
+        params = _level_params(levels, masses)
         rate = _resolve_rate(jump_rate, params)
         horizon, points = _admit(rate, params, t_max, steps)
         if exact:

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -683,16 +684,21 @@ def dense_graphs(draw):
     return n, edges
 
 
+def union_find_validate(n, edges):
+    """``reference_validate`` with its connectivity decided by union-find."""
+    expected = [d for d in reference_validate(n, reference_from_edges(edges))
+                if d != "disconnected"]
+    if not union_find_connected(n, edges):
+        expected.append("disconnected")
+    return expected
+
+
 class TestConnectivityByDegrees:
     @settings(max_examples=300, deadline=None)
     @given(dense_graphs())
     def test_validate_matches_union_find(self, case):
         n, edges = case
-        expected = [d for d in reference_validate(n, reference_from_edges(edges))
-                    if d != "disconnected"]
-        if not union_find_connected(n, edges):
-            expected.append("disconnected")
-        assert validate(Graph.from_edges(n, edges)) == expected
+        assert validate(Graph.from_edges(n, edges)) == union_find_validate(n, edges)
 
     # minimum degree (n - 1)/2 exactly (C5 and Paley(13)), and above it
     @pytest.mark.parametrize("g", [paley(5), paley(13), complete(40),
@@ -718,6 +724,121 @@ class TestConnectivityByDegrees:
         assert diagnostics[-1] == "disconnected"
         assert len(diagnostics) == len(edges) + 1
         assert all(d.endswith("duplicate") for d in diagnostics[:-1])
+
+
+def random_tree(rng, n, reach):
+    """A random tree on 0..n-1, each vertex x > 0 joined to one of the
+    ``reach`` vertices before it: a path for reach 1, shallower as it grows."""
+    return [(int(rng.integers(max(x - reach, 0), x)), x) for x in range(1, n)]
+
+
+def shuffled_path(rng, n):
+    """The edges of a path through a random permutation of 0..n-1, and that
+    permutation."""
+    label = rng.permutation(n)
+    return np.stack([label[:-1], label[1:]], axis=1), label
+
+
+@st.composite
+def long_diameter_graphs(draw):
+    """Edges of a path, a cycle, a caterpillar, a random tree, a forest of
+    trees each maybe closed by one more edge, or a path beside a cycle (n - 1
+    edges, so disconnected past the edge-count rule); relabelled, and maybe
+    with repeated edges and a self-loop."""
+    kind = draw(st.sampled_from(["path", "cycle", "caterpillar", "tree", "forest",
+                                 "path + cycle"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 400))
+    if kind == "path":
+        edges = random_tree(rng, n, 1)
+    elif kind == "cycle":
+        n = max(n, 3)
+        edges = random_tree(rng, n, 1) + [(0, n - 1)]
+    elif kind == "caterpillar":
+        spine = draw(st.integers(1, n))
+        edges = random_tree(rng, spine, 1)
+        edges += [(int(rng.integers(spine)), x) for x in range(spine, n)]
+    elif kind == "tree":
+        edges = random_tree(rng, n, draw(st.integers(1, n)))
+    elif kind == "forest":
+        cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=5))) | {n})
+        edges, start = [], 0
+        for stop in cuts:
+            size = stop - start
+            edges += [(a + start, b + start) for a, b in random_tree(rng, size, size)]
+            if size >= 3 and draw(st.booleans()):
+                a, b = sorted(rng.choice(size, 2, replace=False).tolist())
+                if b > a + 1:
+                    edges.append((a + start, b + start))
+            start = stop
+    else:
+        n = max(n, 4)
+        split = draw(st.integers(1, n - 3))
+        edges = random_tree(rng, split, 1)
+        edges += [(x, x + 1) for x in range(split, n - 1)] + [(split, n - 1)]
+    label = rng.permutation(n).tolist()
+    edges = [(label[x], label[y]) for x, y in edges]
+    if edges and draw(st.booleans()):
+        edges += draw(st.lists(st.sampled_from(edges), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        loop = draw(st.integers(0, n - 1))
+        edges.append((loop, loop))
+    return n, edges
+
+
+class TestConnectivityOfLongDiameters:
+    """Graphs far below the degree bound, whose diameter grows with their
+    order, go through the label passes of ``_connected``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_diameter_graphs())
+    def test_validate_matches_union_find(self, case):
+        n, edges = case
+        assert validate(Graph.from_edges(n, edges)) == union_find_validate(n, edges)
+
+    def test_path_beside_a_cycle_reaches_the_passes(self, monkeypatch):
+        # n - 1 edges and minimum degree 1: neither shortcut decides it
+        calls = []
+        connected = graphs._connected
+
+        def counted(*args):
+            calls.append(args[0])
+            return connected(*args)
+
+        monkeypatch.setattr(graphs, "_connected", counted)
+        edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+        assert validate(Graph.from_edges(7, edges)) == ["disconnected"]
+        assert calls == [7]
+
+    # the breadth-first search took a round of numpy calls per level, about
+    # 1 s per 100,000 path vertices; the label passes take about 50 ms here
+    def test_shuffled_path_of_300000_vertices(self):
+        n = 300_000
+        edges, label = shuffled_path(np.random.default_rng(300), n)
+        g = Graph.from_edges(n, edges)
+        start = time.perf_counter()
+        assert validate(g) == []
+        assert time.perf_counter() - start < 1.0
+        # the tail past the middle closed into a cycle: n - 1 edges, two parts
+        edges[n // 2] = label[n // 2 + 1], label[-1]
+        g = Graph.from_edges(n, edges)
+        start = time.perf_counter()
+        assert validate(g) == ["disconnected"]
+        assert time.perf_counter() - start < 1.0
+
+    def test_peak_memory_is_a_small_multiple_of_the_edges(self):
+        # an 8-regular graph of 100,000 vertices: the label passes peak at
+        # about 2.4 times its edge array, the breadth-first search's CSR
+        # arrays and frontier at about 4 times
+        g = cycle_union(np.random.default_rng(8), 100_000, 4)
+        tracemalloc.start()
+        try:
+            diagnostics = validate(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diagnostics == []
+        assert peak < 3 * g.edges.nbytes
 
 
 class TestDegreeCount:

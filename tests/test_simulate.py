@@ -446,7 +446,7 @@ class TestReducedTrace:
         if log_low_mass is not None:
             masses[k] = 10.0**log_low_mass
             masses[:-1] *= (1.0 - masses[-1]) / masses[:-1].sum()
-        params = _level_params(levels, masses, state.digest())
+        params = _level_params(levels, masses)
         with outside_pole_guard():
             trace = simulate._reduced_trace(rate, params, None, 64)
         oracle, slack = oracle_trace(levels, params.overlaps, rate, trace.times)
@@ -466,7 +466,7 @@ class TestReducedTrace:
         k = int(np.argmax(masses[:-1]))
         levels = np.insert(levels, k + 1, levels[k] * (1.0 - offset))
         masses = np.insert(masses, k + 1, 1e-25)
-        params = _level_params(levels, masses, "")
+        params = _level_params(levels, masses)
         for rate in (params.gamma_c, 0.01 * params.gamma_c):
             trace = simulate._reduced_trace(rate, params, None, 64)
             oracle, slack = oracle_trace(levels, params.overlaps, rate, trace.times)
@@ -487,7 +487,7 @@ class TestReducedTrace:
             masses[k] *= 1.0 - share
         masses[rng.choice(levels.size - 1, 10, replace=False)] = 10.0 ** rng.uniform(-19, -3, 10)
         masses[:-1] *= (1.0 - masses[-1]) / masses[:-1].sum()
-        params = _level_params(levels, masses, state.digest())
+        params = _level_params(levels, masses)
 
         evaluated = []  # ("f" or "bound", number of roots) per array call
         evaluate = search._SecularForm.__call__
@@ -578,13 +578,6 @@ class TestCompare:
         report = compare(trace, instance(g, w))
         assert report.peak_time_rel_dev <= 0.10
         assert report.peak_value_rel_dev <= 0.10
-
-    def test_digest_mismatch(self):
-        g = complete(8)
-        trace = run(g, MarkedState.single(8, 0))
-        other = instance(g, MarkedState.single(8, 1))
-        with pytest.raises(InvalidInputError):
-            compare(trace, other)
 
     def test_rate_mismatch(self):
         g = complete(8)

@@ -37,6 +37,12 @@ CLI_FAMILY_COPIES = ("FAMILIES", "BUILDABLE", "_family_entry", "_family_graph")
 # allocations they protect: ``Graph.adjacency``, ``linalg._lanczos`` and
 # ``linalg.hypercube_eigenbasis``.
 CLI_BOUND_COPIES = ("DENSE_LIMIT", "_check_bits", "_dense_graph")
+# The CSR neighbour offsets of the breadth-first search that ``_connected``
+# ran, replaced by its label passes over the edge columns.
+GRAPH_SEARCH = ("_row_offsets",)
+# The marked state's hash, which only a test oracle read: ``compare`` checks
+# the trace's rate and grid, not its state.
+STATE_DIGESTS = ("digest", "_digest", "state_digest")
 
 
 def test_public_surface():
@@ -65,6 +71,14 @@ def test_public_surface():
                 if isinstance(target, ast.Name)}
     assert not defined & set(CLI_FAMILY_COPIES)
     assert not defined & set(CLI_BOUND_COPIES)
+    for name in GRAPH_SEARCH:
+        assert not hasattr(ctqw_search.graphs, name), name
+    for name in STATE_DIGESTS:
+        for owner in (ctqw_search, ctqw_search.search, ctqw_search.simulate,
+                      ctqw_search.MarkedState, ctqw_search.SearchParameters,
+                      ctqw_search.EvolutionTrace):
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert "state_digest" not in inspect.signature(ctqw_search.SearchParameters).parameters
     assert ctqw_search.cli.FAMILIES is ctqw_search.graphs.FAMILIES
     # every basis answers one level_masses(support, values)
     dense = inspect.signature(SpectralDecomposition.level_masses).parameters
